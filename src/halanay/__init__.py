@@ -1,10 +1,12 @@
 """Mittag-Leffler decay certificates for fractional-order delay systems.
 
 The package certifies decay of Caputo-derivative linear systems with
-bounded time-varying delays along two routes (column sums of an
-order-preserving system, or a pointwise matrix inequality), evaluates
-the two-parameter Mittag-Leffler function on the real line, integrates
-the systems directly for validation, and wraps it all in a CLI.
+bounded time-varying delays along three routes (column sums of an
+order-preserving system, a pointwise matrix inequality, or a scalar
+comparison inequality given directly), each reduced to one sampled
+scalar inequality. It also evaluates the two-parameter Mittag-Leffler
+function on the real line, integrates the systems directly for
+validation, and wraps it all in a CLI.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +25,7 @@ from .errors import (
     VerdictNoneError,
 )
 from .expr import TimeExpr, parse
-from .mlf import MlQuery, ml, mittag_leffler, mittag_leffler_deriv
+from .mlf import ml, mittag_leffler_deriv
 from .halanay import (
     ConditionVerdict,
     HalanayCertificate,
@@ -40,7 +42,6 @@ from .positivity import (
     certify_positive,
     column_sums,
     initial_amplitude,
-    split_initial,
     structure_check,
 )
 from .lmi import LmiInput, LmiReport, certify_lmi, lmi_block, max_eigen_sym
@@ -71,9 +72,7 @@ __all__ = [
     "VerdictNoneError",
     "TimeExpr",
     "parse",
-    "MlQuery",
     "ml",
-    "mittag_leffler",
     "mittag_leffler_deriv",
     "ConditionVerdict",
     "HalanayCertificate",
@@ -88,7 +87,6 @@ __all__ = [
     "certify_positive",
     "column_sums",
     "initial_amplitude",
-    "split_initial",
     "structure_check",
     "LmiInput",
     "LmiReport",

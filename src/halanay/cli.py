@@ -241,15 +241,19 @@ def load_config(path):
             t_end = _want(errors, raw_solver, "t_end", (int, float), "solver.t_end")
             h = _want(errors, raw_solver, "h", (int, float), "solver.h")
             iters = raw_solver.get("corrector_iters", 1)
+            if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
+                errors.append(("solver.corrector_iters",
+                               f"expected an integer >= 1, got {iters!r}"))
+                iters = None
             tol = raw_solver.get("tolerance", 0.02)
             if isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol >= 0:
                 tolerance = float(tol)
             else:
                 errors.append(("solver.tolerance", f"must be >= 0, got {tol!r}"))
-            if t_end is not None and h is not None:
+            if t_end is not None and h is not None and iters is not None:
                 try:
                     solver = SolverConfig(float(t_end), float(h), iters)
-                except (TypeError, ValueError) as exc:
+                except ValueError as exc:
                     errors.append(("solver", str(exc)))
 
     output = data.get("output") or {}
@@ -397,9 +401,7 @@ def _certify(cfg):
     }
     cert = None
     if verdict.case_tag != NONE:
-        ss = np.linspace(-cfg.tau, 0.0, 10_000)
-        m_val = float(np.max(np.abs(cfg.phi[0].eval_array(ss))))
-        cert = certify(input_, M=m_val)
+        cert = certify(input_, M=initial_amplitude(cfg, "l1"))
     return vjson, cert, "l1"
 
 
@@ -554,7 +556,7 @@ def main(argv=None):
         prog="halanay-certify",
         description=(
             "Decay certificates and direct simulation for fractional-order "
-            "delay systems. Set HALANAY_THREADS to parallelize grid scans."
+            "delay systems."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

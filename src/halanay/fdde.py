@@ -52,9 +52,10 @@ class SolverConfig:
                 f"t_end/h = {self.t_end / self.h:.3g} exceeds the "
                 f"{MAX_NODES:.0e} node guard"
             )
-        if self.corrector_iters < 1:
+        iters = self.corrector_iters
+        if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
             raise ValueError(
-                f"corrector_iters must be >= 1, got {self.corrector_iters}"
+                f"corrector_iters must be an integer >= 1, got {iters!r}"
             )
 
 

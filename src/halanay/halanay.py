@@ -9,11 +9,13 @@ solving
 and the certificate takes the grid minimum together with an offset w0
 determined by which smallness condition the coefficients satisfy. The
 resulting envelope is w0 + M E_alpha(-lambda* t^alpha).
+
+All three certification routes end in certify_sampled, which takes the
+coefficients already sampled on the grid; classify_conditions and
+certify are its wrappers for expression-valued input.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "lambda_at",
     "classify_conditions",
     "certify",
+    "certify_sampled",
     "envelope",
 ]
 
@@ -156,110 +159,109 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
 
 
 def _sample(input_):
-    """Evaluate all coefficient expressions on the scan grid."""
+    """Evaluate all coefficient expressions on the scan grid.
+
+    A negative decay coefficient is an input error here, where a is given
+    directly; certify_sampled itself reads it as a NONE verdict.
+    """
     ts = input_.scan.times()
     a = input_.a.eval_array(ts)
+    if np.min(a) < 0:
+        raise InfeasiblePointError("a must be nonnegative on the grid")
     bs = np.vstack([b.eval_array(ts) for b in input_.b])
     qs = np.vstack([q.eval_array(ts) for q in input_.q])
-    c = input_.c.eval_array(ts)
-    if np.min(a) < 0 or np.min(bs) < 0 or np.min(c) < 0:
-        raise InfeasiblePointError("a, b and c must be nonnegative on the grid")
-    slack = 1e-9 * max(1.0, input_.tau)
-    if np.min(qs) < -slack or np.max(qs) > input_.tau + slack:
-        raise InfeasiblePointError(
-            f"delays must stay within [0, {input_.tau}] on the grid"
-        )
-    return ts, a, bs, np.clip(qs, 0.0, None), c
+    return ts, a, bs, qs, input_.c.eval_array(ts)
 
 
-def classify_conditions(input_):
-    """Decide which smallness condition the sampled coefficients satisfy.
+def certify_sampled(alpha, tau, ts, a, bs, qs, c, a_bounded=None, M=None):
+    """Classify sampled coefficients and, given an amplitude M, certify them.
 
-    The gap condition needs a bounded above; since boundedness is not
-    decidable from finitely many samples, it is taken from the input
-    flag when given, else from a two-half growth heuristic (grid max of
-    a must not grow by more than 1% between halves).
+    a and c hold one sample per grid time ts; bs and qs hold one row per
+    delay term. The gap condition needs a bounded above; since
+    boundedness is not decidable from finitely many samples, it is taken
+    from a_bounded when given, else from a two-half growth heuristic
+    (grid max of a must not grow by more than 1% between halves).
+
+    Returns (verdict, certificate); the certificate is None when M is None
+    or the verdict is NONE.
     """
-    ts, a, bs, qs, c = _sample(input_)
+    if np.min(bs) < 0 or np.min(c) < 0:
+        raise InfeasiblePointError("b and c must be nonnegative on the grid")
+    slack = 1e-9 * max(1.0, tau)
+    if np.min(qs) < -slack or np.max(qs) > tau + slack:
+        raise InfeasiblePointError(f"delays must stay within [0, {tau}] on the grid")
+    qs = np.clip(qs, 0.0, None)
     sum_b = bs.sum(axis=0)
     sigma = float(np.min(a - sum_b))
     a0 = float(np.min(a))
-    if a0 > 0.0:
-        p = float(np.max(sum_b / a))
-    else:
-        p = math.inf
+    p = float(np.max(sum_b / a)) if a0 > 0.0 else math.inf
     c_star = float(np.max(c))
-    if input_.a_bounded is None:
+    if a_bounded is None:
         half = len(a) // 2
-        bounded = float(np.max(a[half:])) <= 1.01 * float(np.max(a[:half]))
-    else:
-        bounded = bool(input_.a_bounded)
-    if sigma > 0.0 and bounded:
+        a_bounded = float(np.max(a[half:])) <= 1.01 * float(np.max(a[:half]))
+    if sigma > 0.0 and a_bounded:
         tag = BOUNDED_GAP
     elif a0 > 0.0 and p < 1.0:
         tag = RATIO
     else:
         tag = NONE
-    return ConditionVerdict(
-        case_tag=tag, sigma=sigma, a0=a0, p=p, c_star=c_star, a_bounded=bounded
+    verdict = ConditionVerdict(
+        case_tag=tag, sigma=sigma, a0=a0, p=p, c_star=c_star,
+        a_bounded=bool(a_bounded),
+    )
+    if M is None or tag == NONE:
+        return verdict, None
+
+    lams = np.empty(len(ts))
+    residual_max = 0.0
+    for i in range(len(ts)):
+        a_i, b_i, q_i = float(a[i]), bs[:, i], qs[:, i]
+        lam = lambda_at(alpha, a_i, b_i, q_i)
+        lams[i] = lam
+        residual_max = max(residual_max, abs(_h(lam, alpha, a_i, b_i, q_i)))
+    if residual_max > RESIDUAL_BOUND:
+        raise HalanayError(
+            f"rate-equation residual {residual_max:.3e} exceeds {RESIDUAL_BOUND}"
+        )
+    arg = int(np.argmin(lams))
+    if tag == BOUNDED_GAP:
+        w0 = c_star / sigma
+    else:
+        w0 = c_star / ((1.0 - p) * a0)
+    return verdict, HalanayCertificate(
+        lambda_star=float(lams[arg]),
+        w0=w0,
+        M=float(M),
+        residual_max=residual_max,
+        grid_argmin=float(ts[arg]),
+        case_tag=tag,
+        t_max=float(ts[-1]),
+        n_points=len(ts),
     )
 
 
-def _workers():
-    raw = os.environ.get("HALANAY_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, 32))
+def classify_conditions(input_):
+    """Decide which smallness condition the sampled coefficients satisfy."""
+    verdict, _ = certify_sampled(
+        input_.alpha, input_.tau, *_sample(input_), a_bounded=input_.a_bounded
+    )
+    return verdict
 
 
 def certify(input_, M):
     """Scan the grid for the minimal rate and assemble the certificate."""
     if M < 0:
         raise ValueError(f"amplitude M must be nonnegative, got {M}")
-    verdict = classify_conditions(input_)
-    if verdict.case_tag == NONE:
+    verdict, cert = certify_sampled(
+        input_.alpha, input_.tau, *_sample(input_), a_bounded=input_.a_bounded,
+        M=M,
+    )
+    if cert is None:
         raise VerdictNoneError(
             "neither decay condition holds on the grid "
             f"(sigma={verdict.sigma:.6g}, a0={verdict.a0:.6g}, p={verdict.p:.6g})"
         )
-    ts, a, bs, qs, _ = _sample(input_)
-    alpha = input_.alpha
-
-    def rate(i):
-        lam = lambda_at(alpha, float(a[i]), bs[:, i], qs[:, i])
-        res = abs(_h(lam, alpha, float(a[i]), bs[:, i], qs[:, i]))
-        return lam, res
-
-    n = len(ts)
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(rate, range(n)))
-    else:
-        pairs = [rate(i) for i in range(n)]
-    lams = np.array([p[0] for p in pairs])
-    residual_max = float(max(p[1] for p in pairs))
-    if residual_max > RESIDUAL_BOUND:
-        raise HalanayError(
-            f"rate-equation residual {residual_max:.3e} exceeds {RESIDUAL_BOUND}"
-        )
-    arg = int(np.argmin(lams))
-    if verdict.case_tag == BOUNDED_GAP:
-        w0 = verdict.c_star / verdict.sigma
-    else:
-        w0 = verdict.c_star / ((1.0 - verdict.p) * verdict.a0)
-    return HalanayCertificate(
-        lambda_star=float(lams[arg]),
-        w0=w0,
-        M=float(M),
-        residual_max=residual_max,
-        grid_argmin=float(ts[arg]),
-        case_tag=verdict.case_tag,
-        t_max=input_.scan.t_max,
-        n_points=input_.scan.n_points,
-    )
+    return cert
 
 
 def envelope(cert, alpha, t):

@@ -9,21 +9,20 @@ must be negative semidefinite. Together with gamma bounded away from 0
 and sup sigma/gamma < 1, the squared norm V = x^T x then obeys the same
 scalar comparison inequality the halanay module certifies, giving
 ||x(t)|| <= sqrt(M2 * E_alpha(-lambda* t^alpha)) with M2 = sup phi^T phi.
+The blocks of the whole grid are assembled as one stack and their top
+eigenvalues come from a single batched symmetric eigen solve.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import halanay as _hal
 from .errors import InfeasiblePointError
-from .expr import parse
+from .positivity import sample_matrices
 
 __all__ = ["LmiInput", "LmiReport", "lmi_block", "max_eigen_sym", "certify_lmi"]
-
-OFFDIAG_TARGET = 1e-14  # Jacobi sweep stop, relative to the Frobenius norm
 
 
 @dataclass(frozen=True)
@@ -50,58 +49,40 @@ class LmiReport:
 
 
 def lmi_block(A, B, gamma_val, sigma_val):
-    """Assemble [[A^T+A+gamma I, B], [B^T, -sigma I]]; exactly symmetric."""
+    """Assemble [[A^T+A+gamma I, B], [B^T, -sigma I]]; exactly symmetric.
+
+    A and B may also be stacks of shape (n, d, d), with gamma_val and
+    sigma_val of shape (n,); the result is then the (n, 2d, 2d) stack.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"A must be square, got shape {A.shape}")
     if B.shape != A.shape:
         raise ValueError(f"B shape {B.shape} does not match A shape {A.shape}")
-    d = A.shape[0]
-    eye = np.eye(d)
-    return np.block([[A.T + A + gamma_val * eye, B], [B.T, -sigma_val * eye]])
+    eye = np.eye(A.shape[-1])
+    g = np.asarray(gamma_val, dtype=float)[..., None, None]
+    s = np.asarray(sigma_val, dtype=float)[..., None, None]
+    return np.block([[np.swapaxes(A, -1, -2) + A + g * eye, B],
+                     [np.swapaxes(B, -1, -2), -s * eye]])
 
 
 def max_eigen_sym(S):
-    """Largest eigenvalue of a symmetric matrix via cyclic Jacobi sweeps.
+    """Largest eigenvalue of a symmetric matrix, or of each matrix in a stack.
 
-    Rotations run until the off-diagonal Frobenius mass falls below
-    1e-14 relative to the matrix norm, so the returned value carries an
-    error well under 1e-10 * (1 + max|S_ij|).
+    S has shape (m, m), giving a float, or (n, m, m), giving n values.
+    Each matrix must be symmetric to 1e-12 relative to its largest entry.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {S.shape}")
-    scale = float(np.max(np.abs(S))) if S.size else 0.0
-    if float(np.max(np.abs(S - S.T), initial=0.0)) > 1e-12 * max(1.0, scale):
+    St = np.swapaxes(S, -1, -2)
+    asym = np.max(np.abs(S - St), axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(S), axis=(-2, -1), initial=0.0)
+    if np.any(asym > 1e-12 * np.maximum(1.0, scale)):
         raise ValueError("matrix is not symmetric within tolerance")
-    n = S.shape[0]
-    if n == 1:
-        return float(S[0, 0])
-    a = 0.5 * (S + S.T)
-    target = OFFDIAG_TARGET * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(100):
-        upper = a[np.triu_indices(n, 1)]
-        if math.sqrt(2.0 * float(upper @ upper)) < target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = -math.copysign(1.0, theta) / (
-                    abs(theta) + math.hypot(1.0, theta)
-                )
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[p, q] = a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi sweep failed to converge")
-    return float(np.max(np.diagonal(a)))
+    top = np.linalg.eigvalsh(0.5 * (S + St))[..., -1]
+    return float(top) if top.ndim == 0 else top
 
 
 def certify_lmi(input_, M2):
@@ -113,53 +94,28 @@ def certify_lmi(input_, M2):
     """
     if M2 < 0:
         raise ValueError(f"amplitude M2 must be nonnegative, got {M2}")
-    sys, grid = input_.sys, input_.grid
-    ts = grid.times()
+    sys, ts = input_.sys, input_.grid.times()
     g_vals = input_.gamma.eval_array(ts)
     s_vals = input_.sigma.eval_array(ts)
     if np.min(g_vals) < 0 or np.min(s_vals) < 0:
         raise InfeasiblePointError("gamma and sigma must be nonnegative on the grid")
-    a_vals = np.empty((sys.dim, sys.dim, len(ts)))
-    b_vals = np.empty_like(a_vals)
-    for i in range(sys.dim):
-        for j in range(sys.dim):
-            a_vals[i, j] = sys.A[i][j].eval_array(ts)
-            b_vals[i, j] = sys.B[i][j].eval_array(ts)
-
-    def eig(i):
-        return max_eigen_sym(
-            lmi_block(a_vals[:, :, i], b_vals[:, :, i], g_vals[i], s_vals[i])
-        )
-
-    n = len(ts)
-    workers = _hal._workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            eigs = np.fromiter(pool.map(eig, range(n)), dtype=float, count=n)
-    else:
-        eigs = np.fromiter((eig(i) for i in range(n)), dtype=float, count=n)
+    a_vals, b_vals = sample_matrices(sys, ts)
+    eigs = max_eigen_sym(lmi_block(
+        np.moveaxis(a_vals, -1, 0), np.moveaxis(b_vals, -1, 0), g_vals, s_vals
+    ))
     arg = int(np.argmax(eigs))
     worst_eigen = float(eigs[arg])
-    a0 = float(np.min(g_vals))
-    p = float(np.max(s_vals / g_vals)) if a0 > 0.0 else math.inf
-    feasible = worst_eigen <= input_.tol and a0 > 0.0 and p < 1.0
-    cert = None
-    if feasible:
-        h_input = _hal.HalanayInput(
-            alpha=sys.alpha,
-            a=input_.gamma,
-            b=[input_.sigma],
-            q=[sys.q],
-            c=parse("0", "t"),
-            tau=sys.tau,
-            scan=grid,
-        )
-        cert = _hal.certify(h_input, M=M2)
+    # gamma and sigma play a and b of the scalar inequality; its verdict is
+    # NONE exactly when min gamma = 0 or max sigma/gamma >= 1
+    verdict, cert = _hal.certify_sampled(
+        sys.alpha, sys.tau, ts, g_vals, s_vals[None], sys.q.eval_array(ts)[None],
+        np.zeros_like(ts), M=M2 if worst_eigen <= input_.tol else None,
+    )
     return LmiReport(
-        feasible=feasible,
+        feasible=cert is not None,
         worst_eigen=worst_eigen,
         worst_t=float(ts[arg]),
-        a0=a0,
-        p=p,
+        a0=verdict.a0,
+        p=verdict.p,
         certificate=cert,
     )

@@ -3,8 +3,9 @@
 A delay system x' (in the Caputo sense) = A(t) x + B(t) x(t - q(t)) is
 order preserving when A(t) is Metzler and B(t) is nonnegative. Column
 sums of A and B then bound the l1 norm of any nonnegative solution by a
-scalar comparison inequality, which the halanay module certifies. The
-resulting envelope is sup_s ||phi(s)||_1 times E_alpha(-lambda* t^alpha).
+scalar comparison inequality, which halanay.certify_sampled certifies
+from the same sampled arrays. The resulting envelope is
+sup_s ||phi(s)||_1 times E_alpha(-lambda* t^alpha).
 """
 
 import math
@@ -14,15 +15,14 @@ import numpy as np
 
 from . import halanay as _hal
 from .errors import StructureError
-from .expr import parse
 
 __all__ = [
     "DelaySystem",
     "PositivityVerdict",
+    "sample_matrices",
     "structure_check",
     "column_sums",
     "certify_positive",
-    "split_initial",
     "initial_amplitude",
 ]
 
@@ -59,7 +59,7 @@ class PositivityVerdict:
     metzler_ok: bool
     nonneg_ok: bool
     a_fun: np.ndarray  # sampled -max_j sum_i A_ij(t)
-    b_fun: np.ndarray  # sampled  max_j sum_i B_ij(t)
+    b_fun: np.ndarray  # sampled  max_j sum_i B_ij(t), clamped at 0
     a0: float
     p: float
     theorem_33_ok: bool  # ratio route: a0 > 0 and p < 1
@@ -67,66 +67,48 @@ class PositivityVerdict:
     sigma: float
 
 
-def _eval_matrix(mat, ts):
-    d = len(mat)
-    out = np.empty((d, d, len(ts)))
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = mat[i][j].eval_array(ts)
-    return out
+def sample_matrices(sys, ts):
+    """A(t) and B(t) on the times ts, each shaped (dim, dim, len(ts)).
 
-
-class _ColumnSumBound:
-    """Pointwise column-sum reduction of a matrix of expressions.
-
-    Duck-types the TimeExpr eval interface so halanay can sample it on
-    whatever grid it uses. With negate set it yields -max_j sum_i M_ij
-    (the decay coefficient a); otherwise max_j sum_i M_ij clamped at 0
-    (the coupling coefficient b; structure_check has already vetted the
-    entries, clamping only absorbs rounding in the sums).
+    Every entry expression is evaluated exactly once.
     """
-
-    def __init__(self, mat, negate):
-        self._mat = mat
-        self._negate = negate
-
-    def eval_array(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        col = _eval_matrix(self._mat, ts).sum(axis=0).max(axis=0)
-        if self._negate:
-            return -col
-        return np.maximum(col, 0.0)
-
-    def eval(self, t):
-        return float(self.eval_array(np.array([float(t)]))[0])
+    out = np.empty((2, sys.dim, sys.dim, len(ts)))
+    for k, mat in enumerate((sys.A, sys.B)):
+        for i, row in enumerate(mat):
+            for j, entry in enumerate(row):
+                out[k, i, j] = entry.eval_array(ts)
+    return out[0], out[1]
 
 
-def structure_check(sys, grid):
-    """(Metzler A, nonnegative B) sampled on the grid, with rounding slack."""
-    ts = grid.times()
-    a_vals = _eval_matrix(sys.A, ts)
-    b_vals = _eval_matrix(sys.B, ts)
-    off = ~np.eye(sys.dim, dtype=bool)
+def _structure(a_vals, b_vals):
+    off = ~np.eye(len(a_vals), dtype=bool)
     metzler_ok = bool(np.min(a_vals[off], initial=np.inf) >= SIGN_SLACK)
     nonneg_ok = bool(np.min(b_vals) >= SIGN_SLACK)
     return metzler_ok, nonneg_ok
 
 
+def _column_sums(a_vals, b_vals):
+    return -a_vals.sum(axis=0).max(axis=0), b_vals.sum(axis=0).max(axis=0)
+
+
+def structure_check(sys, grid):
+    """(Metzler A, nonnegative B) sampled on the grid, with rounding slack."""
+    return _structure(*sample_matrices(sys, grid.times()))
+
+
 def column_sums(sys, grid):
     """Sampled a(t) = -max_j sum_i A_ij(t) and b(t) = max_j sum_i B_ij(t)."""
-    ts = grid.times()
-    a_fun = -_eval_matrix(sys.A, ts).sum(axis=0).max(axis=0)
-    b_fun = _eval_matrix(sys.B, ts).sum(axis=0).max(axis=0)
-    return a_fun, b_fun
+    return _column_sums(*sample_matrices(sys, grid.times()))
 
 
-def initial_amplitude(sys, kind="l1", n_samples=AMPLITUDE_SAMPLES):
+def initial_amplitude(sys, kind="l1"):
     """sup over s in [-tau, 0] of ||phi(s)||_1 ('l1') or phi(s)^T phi(s) ('sq').
 
-    Uniform sampling; phi is assumed smooth enough that the grid sup is
-    an adequate stand-in for the continuous one.
+    Reads only sys.phi and sys.tau. Uniform sampling; phi is assumed
+    smooth enough that the grid sup is an adequate stand-in for the
+    continuous one.
     """
-    ss = np.linspace(-sys.tau, 0.0, n_samples)
+    ss = np.linspace(-sys.tau, 0.0, AMPLITUDE_SAMPLES)
     vals = np.vstack([p.eval_array(ss) for p in sys.phi])
     if kind == "l1":
         return float(np.max(np.abs(vals).sum(axis=0)))
@@ -142,7 +124,9 @@ def certify_positive(sys, grid, a_bounded=None):
     condition holds (the verdict carries the diagnostics). Structure
     violations raise, since the comparison argument needs them.
     """
-    metzler_ok, nonneg_ok = structure_check(sys, grid)
+    ts = grid.times()
+    a_vals, b_vals = sample_matrices(sys, ts)
+    metzler_ok, nonneg_ok = _structure(a_vals, b_vals)
     if not (metzler_ok and nonneg_ok):
         bad = []
         if not metzler_ok:
@@ -150,49 +134,23 @@ def certify_positive(sys, grid, a_bounded=None):
         if not nonneg_ok:
             bad.append("B has a negative entry on the grid")
         raise StructureError("; ".join(bad))
-    a_fun, b_fun = column_sums(sys, grid)
-    a0 = float(np.min(a_fun))
-    p = float(np.max(b_fun / a_fun)) if a0 > 0.0 else math.inf
-    sigma = float(np.min(a_fun - b_fun))
-    if a_bounded is None:
-        half = len(a_fun) // 2
-        bounded = float(np.max(a_fun[half:])) <= 1.01 * float(np.max(a_fun[:half]))
-    else:
-        bounded = bool(a_bounded)
-    theorem_33_ok = a0 > 0.0 and p < 1.0
-    remark_34_ok = sigma > 0.0 and bounded
+    a_fun, b_fun = _column_sums(a_vals, b_vals)
+    # B passed the structure check; clamping only absorbs rounding in the sums
+    b_fun = np.maximum(b_fun, 0.0)
+    cond, cert = _hal.certify_sampled(
+        sys.alpha, sys.tau, ts, a_fun, b_fun[None], sys.q.eval_array(ts)[None],
+        np.zeros_like(ts), a_bounded=a_bounded, M=initial_amplitude(sys, "l1"),
+    )
     verdict = PositivityVerdict(
         metzler_ok=metzler_ok,
         nonneg_ok=nonneg_ok,
         a_fun=a_fun,
         b_fun=b_fun,
-        a0=a0,
-        p=p,
-        theorem_33_ok=theorem_33_ok,
-        remark_34_ok=remark_34_ok,
-        sigma=sigma,
+        a0=cond.a0,
+        p=cond.p,
+        # the gap condition implies the ratio one, so any tag but NONE has it
+        theorem_33_ok=cond.case_tag != _hal.NONE,
+        remark_34_ok=cond.case_tag == _hal.BOUNDED_GAP,
+        sigma=cond.sigma,
     )
-    if not (theorem_33_ok or remark_34_ok):
-        return verdict, None
-    input_ = _hal.HalanayInput(
-        alpha=sys.alpha,
-        a=_ColumnSumBound(sys.A, negate=True),
-        b=[_ColumnSumBound(sys.B, negate=False)],
-        q=[sys.q],
-        c=parse("0", "t"),
-        tau=sys.tau,
-        scan=grid,
-        a_bounded=bounded,
-    )
-    cert = _hal.certify(input_, M=initial_amplitude(sys, "l1"))
     return verdict, cert
-
-
-def split_initial(phi_samples):
-    """Componentwise envelope pair phi_minus <= phi <= phi_plus.
-
-    phi_plus = |phi|, phi_minus = -|phi|; both are valid initial data for
-    the comparison system whenever phi is.
-    """
-    mag = np.abs(np.asarray(phi_samples, dtype=float))
-    return mag, -mag

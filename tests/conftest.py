@@ -2,9 +2,25 @@ import pathlib
 
 import pytest
 
+from halanay.expr import TimeExpr
+
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
 def config_dir():
     return REPO / "configs"
+
+
+@pytest.fixture
+def eval_counts(monkeypatch):
+    """TimeExpr.eval_array calls during the test, keyed by id of the expression."""
+    calls = {}
+    original = TimeExpr.eval_array
+
+    def counted(self, ts):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return original(self, ts)
+
+    monkeypatch.setattr(TimeExpr, "eval_array", counted)
+    return calls

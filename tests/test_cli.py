@@ -122,6 +122,32 @@ def test_multi_delay_requires_scalar_analysis(tmp_path):
     assert any(p == "q" for p, _ in exc.value.errors)
 
 
+def test_corrector_iters_must_be_a_positive_integer(tmp_path, capsys):
+    for bad in (2.5, True):
+        data = scalar_cfg()
+        data["solver"]["corrector_iters"] = bad
+        data["solver"]["h"] = "fine"  # reported in the same run
+        path = write_cfg(tmp_path, data)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        paths = [p for p, _ in exc.value.errors]
+        assert "solver.corrector_iters" in paths and "solver.h" in paths
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
+        assert "solver.corrector_iters" in capsys.readouterr().err
+    data = scalar_cfg()
+    data["solver"]["corrector_iters"] = 2
+    assert load_config(write_cfg(tmp_path, data)).solver.corrector_iters == 2
+
+
+def test_scalar_route_samples_each_coefficient_at_most_twice(tmp_path, eval_counts):
+    multi = scalar_cfg(B=[["0.1", "0.1+0.05*sin(t)"]], q=["0.5", "1.5"])
+    cfg = load_config(write_cfg(tmp_path, multi))
+    report, code = run("certify", cfg, out_dir=str(tmp_path))
+    assert code == 0
+    assert report["certificate"]["M"] == pytest.approx(1.0, abs=1e-12)
+    assert eval_counts and max(eval_counts.values()) <= 2
+
+
 def test_analysis_specific_validation(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, scalar_cfg(analysis="spectral")))

@@ -51,6 +51,9 @@ def test_solver_config_validation():
         SolverConfig(t_end=1e6, h=1e-2)  # > 1e7 nodes
     with pytest.raises(ValueError):
         SolverConfig(t_end=1.0, h=0.01, corrector_iters=0)
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError):
+            SolverConfig(t_end=1.0, h=0.01, corrector_iters=bad)
 
 
 # -------------------------------------------------------------------- solve

@@ -270,14 +270,9 @@ def test_multi_delay_certificate():
     assert cert.lambda_star == pytest.approx(bisect_root(fn, 0.0, 1.0), abs=1e-8)
 
 
-def test_certify_is_deterministic_and_thread_count_invariant(monkeypatch):
+def test_certify_is_deterministic():
     inp = example1_input()
-    base = certify(inp, M=1.2)
-    again = certify(inp, M=1.2)
-    assert again == base
-    monkeypatch.setenv("HALANAY_THREADS", "4")
-    threaded = certify(inp, M=1.2)
-    assert threaded == base
+    assert certify(inp, M=1.2) == certify(inp, M=1.2)
 
 
 # ----------------------------------------------------------------- envelope

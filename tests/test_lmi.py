@@ -114,6 +114,34 @@ def test_eigen_matches_characteristic_polynomial_oracle():
         assert max_eigen_sym(s) == pytest.approx(want, abs=tol)
 
 
+def test_eigen_on_a_stack_matches_each_block():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 5):
+        m = rng.normal(size=(40, n, n))
+        stack = m + np.swapaxes(m, 1, 2)
+        got = max_eigen_sym(stack)
+        assert got.shape == (40,)
+        want = [max_eigen_sym(blk) for blk in stack]
+        np.testing.assert_array_equal(got, want)
+        for blk, val in zip(stack, got):
+            assert val == pytest.approx(char_poly_max_eig(blk), abs=1e-8)
+    bad = np.zeros((3, 2, 2))
+    bad[1, 0, 1] = 1e-6  # one asymmetric block spoils the stack
+    with pytest.raises(ValueError):
+        max_eigen_sym(bad)
+
+
+def test_block_stack_matches_single_blocks():
+    rng = np.random.default_rng(37)
+    A = rng.normal(size=(6, 3, 3))
+    B = rng.normal(size=(6, 3, 3))
+    g, s = rng.uniform(0, 1, 6), rng.uniform(0, 1, 6)
+    stack = lmi_block(A, B, g, s)
+    assert stack.shape == (6, 6, 6)
+    for k in range(6):
+        np.testing.assert_array_equal(stack[k], lmi_block(A[k], B[k], g[k], s[k]))
+
+
 def test_eigen_accuracy_contract_on_graded_scales():
     for scale in (1e-6, 1.0, 1e6):
         s = scale * np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
@@ -140,6 +168,16 @@ def test_certify_delay_example_feasible():
     t = rep.certificate.grid_argmin
     lam = lambda_at(0.65, 0.3, [0.2], [inp.sys.q.eval(t)])
     assert rep.certificate.lambda_star == pytest.approx(lam, rel=1e-12)
+
+
+def test_each_coefficient_is_evaluated_once_per_certify(eval_counts):
+    inp = example3_input()
+    rep = certify_lmi(inp, M2=0.64)
+    assert rep.feasible
+    sys_ = inp.sys
+    exprs = [sys_.A[0][0], sys_.B[0][0], sys_.q, inp.gamma, inp.sigma]
+    assert sorted(eval_counts) == sorted(id(e) for e in exprs)
+    assert set(eval_counts.values()) == {1}
 
 
 def test_certify_trace_det_cross_check():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.special import erfcx
 
 from halanay.errors import MlfDomainError, MlfOverflowError
-from halanay.mlf import MlQuery, ml, mittag_leffler, mittag_leffler_deriv
+from halanay.mlf import ml, mittag_leffler_deriv
 
 from oracles import ml_reference
 
@@ -28,11 +29,6 @@ def test_tabulated_decay_values():
     assert ml(-0.05 * 2.0**0.65, 0.65) == pytest.approx(0.9179, abs=5e-4)
     assert ml(-0.02, 0.75) > 0.97
     assert 0.8 < ml(-0.075 * 2.0**0.45, 0.45) < 1.0
-
-
-def test_query_object_wrapper():
-    q = MlQuery(alpha=0.65, beta=1.0, x=-0.3)
-    assert mittag_leffler(q) == ml(-0.3, 0.65, 1.0)
 
 
 def test_domain_errors():
@@ -79,6 +75,19 @@ def test_reference_series_battery():
             ref = ml_reference(x, alpha, beta)
             assert abs(ml(x, alpha, beta) - ref) <= 1e-8 * max(1.0, abs(ref)), (
                 alpha, beta, x,
+            )
+
+
+def test_window_near_alpha_one():
+    # alpha in (0.995, 1) inside the cancellation window, where the spectral
+    # density's poles crowd the real axis and the angle-form quadrature runs
+    for alpha, u in itertools.product((0.996, 0.9999, 1 - 1e-9, 1 - 1e-12),
+                                      (7.0, 12.0, 18.0, 24.5)):
+        for beta in (1.0, alpha):
+            ref = ml_reference(-u**alpha, alpha, beta)
+            got = ml(-u**alpha, alpha, beta)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (
+                alpha, beta, u,
             )
 
 
@@ -148,6 +157,7 @@ def test_deterministic_and_thread_safe():
         (-12.0, 0.65, 0.65),   # cancellation window
         (-4000.0, 0.65, 1.0),  # tail expansion
         (-9.0, 0.997, 1.3),    # high-precision fallback
+        (-20.0, 0.999, 1.0),   # window, angle form
         (2.0, 0.8, 1.0),       # growing side
     ]
     want = [ml(*a) for a in args]

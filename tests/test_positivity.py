@@ -9,7 +9,6 @@ from halanay.positivity import (
     certify_positive,
     column_sums,
     initial_amplitude,
-    split_initial,
     structure_check,
 )
 
@@ -244,34 +243,32 @@ def test_none_verdict_returns_diagnostics_without_raising():
     assert verdict.sigma == pytest.approx(-0.1, abs=1e-12)
 
 
+def test_each_entry_is_evaluated_once_per_certify(eval_counts):
+    sys_ = example1_system()
+    verdict, cert = certify_positive(sys_, GRID)
+    assert cert is not None
+    exprs = [e for row in sys_.A + sys_.B for e in row] + [sys_.q] + sys_.phi
+    assert sorted(eval_counts) == sorted(id(e) for e in exprs)
+    assert set(eval_counts.values()) == {1}
+
+
+def test_unstable_system_returns_none_verdict():
+    # a column sum of A is positive, so a(t) < 0: a diagnosis, not an error
+    sys_ = DelaySystem(
+        alpha=0.5, dim=1, A=mat([["0.1"]]), B=mat([["0.05"]]),
+        q=T("0.5"), tau=1.0, phi=[S("1")],
+    )
+    verdict, cert = certify_positive(sys_, ScanGrid(10.0, 101))
+    assert cert is None
+    assert not (verdict.theorem_33_ok or verdict.remark_34_ok)
+    assert verdict.a0 == pytest.approx(-0.1, abs=1e-12)
+
+
 def test_user_boundedness_flag_switches_route():
     sys_ = example1_system()
     verdict, cert = certify_positive(sys_, GRID, a_bounded=True)
     assert verdict.remark_34_ok
     assert cert.case_tag == BOUNDED_GAP
-
-
-# ------------------------------------------------------------ split_initial
-
-def test_split_initial_brackets_the_data():
-    plus, minus = split_initial(np.array([[-1.0, 2.0]]))
-    np.testing.assert_array_equal(plus, [[1.0, 2.0]])
-    np.testing.assert_array_equal(minus, [[-1.0, -2.0]])
-
-    rng = np.random.default_rng(8)
-    samples = rng.normal(size=(50, 4))
-    plus, minus = split_initial(samples)
-    assert np.all(minus <= samples) and np.all(samples <= plus)
-    assert np.all(plus == -minus)
-
-    nonneg = np.abs(samples)
-    plus2, minus2 = split_initial(nonneg)
-    np.testing.assert_array_equal(plus2, nonneg)
-
-    # initial value of the bundled scalar example: phi(0) = -0.2
-    val = np.array([0.3 - 0.5 * np.cos(0.0)])
-    plus3, _ = split_initial(val)
-    assert plus3[0] == pytest.approx(0.2, abs=1e-15)
 
 
 # -------------------------------------------------------------- validation
