@@ -25,7 +25,7 @@ from .errors import (
     VerdictNoneError,
 )
 from .expr import TimeExpr, parse
-from .mlf import ml, mittag_leffler_deriv
+from .mlf import ml, ml_array, mittag_leffler_deriv
 from .halanay import (
     ConditionVerdict,
     HalanayCertificate,
@@ -73,6 +73,7 @@ __all__ = [
     "TimeExpr",
     "parse",
     "ml",
+    "ml_array",
     "mittag_leffler_deriv",
     "ConditionVerdict",
     "HalanayCertificate",

@@ -405,10 +405,9 @@ def _certify(cfg):
     return vjson, cert, "l1"
 
 
-def _envelope_fn(cfg, cert, norm_tag):
-    if norm_tag == "l2":
-        return lambda t: math.sqrt(decay_envelope(cert, cfg.alpha, t))
-    return lambda t: decay_envelope(cert, cfg.alpha, t)
+def _envelope_values(cfg, cert, norm_tag, ts):
+    env = decay_envelope(cert, cfg.alpha, ts)
+    return np.sqrt(env) if norm_tag == "l2" else env
 
 
 def emit_plot_script(traj_csv, envelope=True):
@@ -459,10 +458,7 @@ def _simulate(cfg, cert, norm_tag, out_dir):
     traj = solve(_build_system(cfg), cfg.solver)
     env_vals = None
     if cert is not None:
-        fn = _envelope_fn(cfg, cert, norm_tag)
-        env_vals = np.fromiter(
-            (fn(t) for t in traj.grid), dtype=float, count=len(traj.grid)
-        )
+        env_vals = _envelope_values(cfg, cert, norm_tag, traj.grid)
     csv_path = os.path.join(out_dir, cfg.csv_path)
     write_csv(traj, csv_path, envelope_values=env_vals, norm_tag=norm_tag)
     plot_path = emit_plot_script(csv_path, envelope=cert is not None)
@@ -502,11 +498,9 @@ def run(command, cfg, out_dir="."):
         raise ValueError(f"unknown command {command!r}")
     if cert is None:
         return report, 2
-    traj, _, sim_json = _simulate(cfg, cert, norm_tag, out_dir)
+    traj, env_vals, sim_json = _simulate(cfg, cert, norm_tag, out_dir)
     report["simulation"] = sim_json
-    chk = check_envelope(
-        traj, norm_tag, _envelope_fn(cfg, cert, norm_tag), cfg.tolerance
-    )
+    chk = check_envelope(traj, norm_tag, env_vals, cfg.tolerance)
     report["envelope_check"] = {
         "max_ratio": chk.max_ratio,
         "first_violation_t": chk.first_violation_t,

@@ -190,17 +190,22 @@ def caputo_l1(values, alpha, node_index, h):
     return float(w @ steps) * h**-alpha / math.gamma(2.0 - alpha)
 
 
-def check_envelope(traj, norm_tag, envelope, tolerance):
-    """Compare trajectory norms against a certified envelope, node by node."""
+def check_envelope(traj, norm_tag, envelope_values, tolerance):
+    """Compare trajectory norms against a certified envelope, node by node.
+
+    envelope_values holds the envelope at every node of traj.grid.
+    """
     if norm_tag == "l1":
         norms = traj.norms_l1
     elif norm_tag == "l2":
         norms = traj.norms_l2
     else:
         raise ValueError(f"norm_tag must be 'l1' or 'l2', got {norm_tag!r}")
-    env = np.fromiter(
-        (envelope(t) for t in traj.grid), dtype=float, count=len(traj.grid)
-    )
+    env = np.asarray(envelope_values, dtype=float)
+    if env.shape != traj.grid.shape:
+        raise ValueError(
+            f"expected {len(traj.grid)} envelope values, got shape {env.shape}"
+        )
     if np.min(env) <= 0.0:
         raise ValueError("envelope must be positive on the grid")
     ratio = norms / env

@@ -12,7 +12,11 @@ resulting envelope is w0 + M E_alpha(-lambda* t^alpha).
 
 All three certification routes end in certify_sampled, which takes the
 coefficients already sampled on the grid; classify_conditions and
-certify are its wrappers for expression-valued input.
+certify are its wrappers for expression-valued input. Its rate scan
+solves every grid point in lockstep on arrays (_lambda_grid), by the
+same bisection and Newton polish that lambda_at runs for one point.
+Both return a rate whose residual is verified nonpositive, so lambda
+never sits above the computed root.
 """
 
 import math
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HalanayError, InfeasiblePointError, VerdictNoneError
-from .mlf import ml
+from .mlf import ml, ml_array
 
 __all__ = [
     "ScanGrid",
@@ -124,7 +128,9 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
 
     Bisection on (0, a] (the root is bracketed there since the left side
     is strictly increasing, negative at 0 and nonnegative at a), followed
-    by a short Newton polish.
+    by a short Newton polish. If the polished value leaves a positive
+    residual, the bracket's low end is returned instead, so the rate
+    never exceeds the computed root.
     """
     b_vals = [float(b) for b in b_vals]
     q_vals = [float(q) for q in q_vals]
@@ -155,7 +161,70 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
         lam -= step
         if not 0.0 < lam <= a_val:
             lam = min(max(lam, width), a_val)
+    if _h(lam, alpha, a_val, b_vals, q_vals) > 0.0:
+        return lo
     return lam
+
+
+def _h_grid(lam, alpha, a, bs, qas, slope=False):
+    """_h (and, with slope, _h_prime) at many points, q^alpha precomputed."""
+    h = lam - a
+    dh = np.ones_like(lam) if slope else None
+    for b, qa in zip(bs, qas):
+        x = -lam * qa
+        e1 = ml_array(x, alpha)
+        h += b / e1
+        if slope:
+            dh += b * qa * ml_array(x, alpha, alpha) / (alpha * e1 * e1)
+    return h, dh
+
+
+def _lambda_grid(alpha, a, bs, qs):
+    """lambda_at at every grid point at once; returns (lambdas, |residuals|).
+
+    a holds one sample per point, bs and qs one row per delay term. The
+    points run lambda_at's algorithm in lockstep: each bisection step
+    evaluates h at the midpoints of all still-open brackets with one
+    ml_array call per delay, then all points take the same three clamped
+    Newton steps. The residual pass that follows doubles as the one-sided
+    check: where h(lambda) > 0 the bracket's low end, whose h < 0 the
+    bisection verified, is returned with that residual.
+    """
+    sb = bs.sum(axis=0)
+    if np.any(a <= sb):
+        raise InfeasiblePointError(
+            "a does not exceed sum(b) at every point; no positive rate exists"
+        )
+    lams = a.astype(float)
+    resid = np.zeros(len(a))
+    on = np.flatnonzero(sb > 0.0)
+    a, bs = a[on], bs[:, on]
+    # q**alpha in Python floats, as lambda_at takes it: np.power can differ
+    # in the last bit, which the series shows near its seam
+    qas = np.array([[q**alpha for q in row] for row in qs[:, on].tolist()])
+    lo, hi = np.zeros(len(on)), a.copy()
+    h_lo = sb[on] - a  # h(0): every E_alpha(0) is 1
+    width = 1e-14 * np.maximum(1.0, a)
+    open_ = np.flatnonzero(hi - lo > width)
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        h_mid = _h_grid(mid, alpha, a[open_], bs[:, open_], qas[:, open_])[0]
+        neg = h_mid < 0.0
+        lo[open_[neg]] = mid[neg]
+        h_lo[open_[neg]] = h_mid[neg]
+        hi[open_[~neg]] = mid[~neg]
+        open_ = open_[hi[open_] - lo[open_] > width[open_]]
+    lam = 0.5 * (lo + hi)
+    for _ in range(3):
+        h, dh = _h_grid(lam, alpha, a, bs, qas, slope=True)
+        lam -= h / dh
+        out = ~((0.0 < lam) & (lam <= a))
+        lam[out] = np.minimum(np.maximum(lam[out], width[out]), a[out])
+    h = _h_grid(lam, alpha, a, bs, qas)[0]
+    above = h > 0.0
+    lams[on] = np.where(above, lo, lam)
+    resid[on] = np.abs(np.where(above, h_lo, h))
+    return lams, resid
 
 
 def _sample(input_):
@@ -212,13 +281,8 @@ def certify_sampled(alpha, tau, ts, a, bs, qs, c, a_bounded=None, M=None):
     if M is None or tag == NONE:
         return verdict, None
 
-    lams = np.empty(len(ts))
-    residual_max = 0.0
-    for i in range(len(ts)):
-        a_i, b_i, q_i = float(a[i]), bs[:, i], qs[:, i]
-        lam = lambda_at(alpha, a_i, b_i, q_i)
-        lams[i] = lam
-        residual_max = max(residual_max, abs(_h(lam, alpha, a_i, b_i, q_i)))
+    lams, resid = _lambda_grid(alpha, a, bs, qs)
+    residual_max = float(np.max(resid))
     if residual_max > RESIDUAL_BOUND:
         raise HalanayError(
             f"rate-equation residual {residual_max:.3e} exceeds {RESIDUAL_BOUND}"
@@ -265,7 +329,12 @@ def certify(input_, M):
 
 
 def envelope(cert, alpha, t):
-    """Certified bound w0 + M E_alpha(-lambda* t^alpha) at time t >= 0."""
-    if t < 0:
-        raise ValueError(f"envelope time must be nonnegative, got {t}")
-    return cert.w0 + cert.M * ml(-cert.lambda_star * t**alpha, alpha)
+    """Certified bound w0 + M E_alpha(-lambda* t^alpha) at times t >= 0.
+
+    t may be a number (returns a float) or an array (returns an array).
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"envelope time must be nonnegative, got {np.min(t)}")
+    vals = cert.w0 + cert.M * ml_array(-cert.lambda_star * t**alpha, alpha)
+    return float(vals) if vals.ndim == 0 else vals

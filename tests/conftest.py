@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from halanay.expr import TimeExpr
@@ -24,3 +25,8 @@ def eval_counts(monkeypatch):
 
     monkeypatch.setattr(TimeExpr, "eval_array", counted)
     return calls
+
+
+def on_grid(fn, traj):
+    """fn(t) at every node of a trajectory, as check_envelope takes it."""
+    return np.array([fn(t) for t in traj.grid])

@@ -24,6 +24,7 @@ from halanay.positivity import (
     initial_amplitude,
 )
 
+from conftest import on_grid
 from oracles import bisect_root, char_poly_max_eig, rk4_dde
 
 
@@ -108,7 +109,8 @@ def test_03_example1_end_to_end(config_dir):
 
     traj = solve(sys_, SolverConfig(20.0, 1e-2))
     chk = check_envelope(
-        traj, "l1", lambda t: 1.2 * ml(-0.075 * t**0.45, 0.45), 0.02
+        traj, "l1", on_grid(lambda t: 1.2 * ml(-0.075 * t**0.45, 0.45), traj),
+        0.02,
     )
     elapsed = time.perf_counter() - t0
     assert chk.passed, f"max ratio {chk.max_ratio} at t={chk.first_violation_t}"
@@ -135,7 +137,9 @@ def test_04_example2_end_to_end(config_dir):
     assert cert.M == pytest.approx(initial_amplitude(sys_, "l1"), rel=1e-15)
 
     traj = solve(sys_, SolverConfig(20.0, 1e-2))
-    chk = check_envelope(traj, "l1", lambda t: envelope(cert, 0.75, t), 0.02)
+    chk = check_envelope(
+        traj, "l1", on_grid(lambda t: envelope(cert, 0.75, t), traj), 0.02
+    )
     elapsed = time.perf_counter() - t0
     assert chk.passed, f"max ratio {chk.max_ratio} at t={chk.first_violation_t}"
     assert elapsed < 60.0
@@ -173,7 +177,9 @@ def test_05_example3_end_to_end(config_dir):
     traj = solve(sys_, SolverConfig(20.0, 1e-2))
     chk = check_envelope(
         traj, "l2",
-        lambda t: np.sqrt(m2) * np.sqrt(ml(-0.05 * t**0.65, 0.65)), 0.02,
+        on_grid(lambda t: np.sqrt(m2) * np.sqrt(ml(-0.05 * t**0.65, 0.65)),
+                traj),
+        0.02,
     )
     elapsed = time.perf_counter() - t0
     assert chk.passed, f"max ratio {chk.max_ratio} at t={chk.first_violation_t}"

@@ -18,6 +18,8 @@ from halanay.cli import (
 from halanay.errors import ConfigError
 from halanay.halanay import ScanGrid
 
+from conftest import REPO
+
 
 def write_cfg(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
@@ -178,6 +180,20 @@ def test_run_verify_reports_certificate_and_envelope(tmp_path, config_dir):
     header = csv.read_text().splitlines()[0].split(",")
     assert len(header) == 1 + 5  # dim + 5 bookkeeping columns
     assert (tmp_path / "example3.gp").exists()
+
+
+@pytest.mark.parametrize("name", ["example1.json", "example2.json", "example3.json"])
+def test_bundled_certificates_match_recorded_rates(tmp_path, config_dir, name):
+    # lambda* recorded by the benchmark at the bundled 2001-point scans
+    refs = json.loads((REPO / "perfbench" / "references.json").read_text())[name]
+    cfg = load_config(str(config_dir / name))
+    assert cfg.scan.n_points == 2001
+    report, code = run("certify", cfg, out_dir=str(tmp_path))
+    assert code == 0
+    cert = report["certificate"]
+    assert cert["case_tag"] == refs["case_tag"]
+    want = refs["lambda_star"]["2001"]
+    assert cert["lambda_star"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_run_certify_none_verdict_exits_two(tmp_path):

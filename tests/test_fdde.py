@@ -17,6 +17,7 @@ from halanay.fdde import (
 from halanay.mlf import ml
 from halanay.positivity import DelaySystem
 
+from conftest import on_grid
 from oracles import rk4_dde
 
 
@@ -212,7 +213,7 @@ def test_zero_trajectory_passes_any_envelope():
     zero = DelaySystem(alpha=0.5, dim=1, A=mat([["-1"]]), B=mat([["0"]]),
                        q=T("0.5"), tau=1.0, phi=[S("0")])
     traj = solve(zero, SolverConfig(t_end=1.0, h=0.01))
-    chk = check_envelope(traj, "l1", lambda t: 1.0, 0.02)
+    chk = check_envelope(traj, "l1", on_grid(lambda t: 1.0, traj), 0.02)
     assert chk.max_ratio == 0.0
     assert chk.passed
     assert chk.first_violation_t is None
@@ -221,14 +222,15 @@ def test_zero_trajectory_passes_any_envelope():
 def test_envelope_violation_is_located():
     traj = solve(scalar_decay(0.65), SolverConfig(t_end=2.0, h=0.01))
     exact = lambda t: ml(-t**0.65, 0.65)
-    good = check_envelope(traj, "l1", lambda t: 1.05 * exact(t), 0.02)
+    good = check_envelope(traj, "l1", on_grid(lambda t: 1.05 * exact(t), traj), 0.02)
     assert good.passed
-    bad = check_envelope(traj, "l1", lambda t: 0.5 * exact(t), 0.02)
+    bad = check_envelope(traj, "l1", on_grid(lambda t: 0.5 * exact(t), traj), 0.02)
     assert not bad.passed
     assert bad.max_ratio == pytest.approx(2.0, abs=0.01)
     assert bad.first_violation_t == 0.0
     later = check_envelope(
-        traj, "l1", lambda t: exact(t) + 0.3 * max(0.0, 1.0 - t), 0.0
+        traj, "l1", on_grid(lambda t: exact(t) + 0.3 * max(0.0, 1.0 - t), traj),
+        0.0,
     )
     assert not later.passed
     assert later.first_violation_t is not None
@@ -238,9 +240,11 @@ def test_envelope_violation_is_located():
 def test_envelope_argument_validation():
     traj = solve(scalar_decay(0.65), SolverConfig(t_end=1.0, h=0.01))
     with pytest.raises(ValueError):
-        check_envelope(traj, "sup", lambda t: 1.0, 0.02)
+        check_envelope(traj, "sup", on_grid(lambda t: 1.0, traj), 0.02)
     with pytest.raises(ValueError):
-        check_envelope(traj, "l1", lambda t: 0.0, 0.02)
+        check_envelope(traj, "l1", on_grid(lambda t: 0.0, traj), 0.02)
+    with pytest.raises(ValueError):
+        check_envelope(traj, "l1", np.ones(3), 0.02)
 
 
 # ----------------------------------------------------------- lyapunov_check

@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+import halanay.halanay as hal
 from halanay.errors import HalanayError, InfeasiblePointError, VerdictNoneError
 from halanay.expr import parse
 from halanay.halanay import (
@@ -87,6 +89,70 @@ def test_rate_residual_and_bracket_contract():
         lam = lambda_at(alpha, a, bs, qs)
         assert 0.0 < lam <= a
         assert abs(rate_residual(lam, alpha, a, bs, qs)) <= 1e-12 * max(1.0, a)
+
+
+def test_rate_grid_matches_lambda_at_per_point():
+    rng = np.random.default_rng(23)
+    for alpha, m in ((0.3, 1), (0.75, 3), (1.0, 2)):
+        n = 70
+        a = rng.uniform(0.05, 3.0, n)
+        raw = rng.uniform(0.0, 1.0, (m, n))
+        bs = raw / raw.sum(axis=0) * a * rng.uniform(0.1, 0.95, n)
+        bs[:, ::7] = 0.0  # points without delayed feedback
+        qs = rng.uniform(0.0, 5.0, (m, n))
+        qs[:, ::5] = 0.0  # points without delay
+        lams, resid = hal._lambda_grid(alpha, a, bs, qs)
+        for i in range(n):
+            b_i, q_i = bs[:, i].tolist(), qs[:, i].tolist()
+            want = lambda_at(alpha, float(a[i]), b_i, q_i)
+            assert lams[i] == pytest.approx(want, rel=1e-13, abs=0.0), (alpha, i)
+            h = rate_residual(float(lams[i]), alpha, float(a[i]), b_i, q_i)
+            assert resid[i] == pytest.approx(abs(h), abs=1e-15)
+    with pytest.raises(InfeasiblePointError):
+        hal._lambda_grid(0.5, np.array([1.0, 0.3]), np.array([[0.2, 0.3]]),
+                         np.ones((1, 2)))
+
+
+def test_rate_never_exceeds_the_computed_root():
+    # 2000 seeded tuples, solved one by one and as grids of 100 points at a
+    # time: every returned rate leaves a nonpositive residual
+    rng = np.random.default_rng(2000)
+    for alpha in rng.uniform(0.3, 1.0, 20).tolist():
+        a = rng.uniform(0.05, 2.0, 100)
+        b = a * rng.uniform(0.05, 0.95, 100)
+        q = rng.uniform(0.0, 3.0, 100)
+        lams, _ = hal._lambda_grid(alpha, a, b[None, :], q[None, :])
+        for a_i, b_i, q_i, lam_grid in zip(a.tolist(), b.tolist(), q.tolist(),
+                                           lams.tolist()):
+            lam = lambda_at(alpha, a_i, [b_i], [q_i])
+            assert rate_residual(lam, alpha, a_i, [b_i], [q_i]) <= 0.0
+            assert rate_residual(lam_grid, alpha, a_i, [b_i], [q_i]) <= 0.0
+
+
+def test_rate_scan_is_a_few_array_calls(monkeypatch):
+    # a per-point fallback would make ~55 calls per grid point
+    calls = collections.Counter()
+    ml_array = hal.ml_array
+
+    def counted(x, alpha, beta=1.0):
+        calls[beta] += 1
+        return ml_array(x, alpha, beta)
+
+    def scalar(*args):
+        raise AssertionError("the rate scan called scalar ml")
+
+    monkeypatch.setattr(hal, "ml_array", counted)
+    monkeypatch.setattr(hal, "ml", scalar)
+    certify(example1_input(ScanGrid(100.0, 501)), M=1.2)
+    assert set(calls) == {1.0, 0.45}
+    assert max(calls.values()) <= 64, calls
+    calls.clear()
+    two = HalanayInput(
+        alpha=0.55, a=T("1.0+0.1*sin(t)"), b=[T("0.2"), T("0.3")],
+        q=[T("0.5"), T("1.5")], c=T("0"), tau=2.0, scan=ScanGrid(30.0, 501),
+    )
+    certify(two, M=2.0)
+    assert max(calls.values()) <= 2 * 64, calls
 
 
 def test_rate_is_monotone_in_coefficients():
@@ -282,9 +348,14 @@ def test_envelope_values_and_monotonicity():
     assert envelope(cert, 0.45, 0.0) == pytest.approx(1.2, abs=1e-12)
     ts = np.linspace(0.0, 50.0, 200)
     vals = [envelope(cert, 0.45, float(t)) for t in ts]
+    assert all(isinstance(v, float) for v in vals)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+    # an array of times gives the same values in one call
+    assert envelope(cert, 0.45, ts) == pytest.approx(vals, rel=1e-14, abs=0.0)
     with pytest.raises(ValueError):
         envelope(cert, 0.45, -1.0)
+    with pytest.raises(ValueError):
+        envelope(cert, 0.45, np.array([0.0, -1.0]))
 
 
 def test_envelope_with_zero_amplitude_is_flat():

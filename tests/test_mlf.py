@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfcx
 
+from halanay import mlf
 from halanay.errors import MlfDomainError, MlfOverflowError
-from halanay.mlf import ml, mittag_leffler_deriv
+from halanay.mlf import ml, ml_array, mittag_leffler_deriv
 
 from oracles import ml_reference
 
@@ -89,6 +91,64 @@ def test_window_near_alpha_one():
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (
                 alpha, beta, u,
             )
+
+
+def test_tail_expansion_hands_off_near_its_seam():
+    # just past u = 25 the best truncation of the tail expansion is off by
+    # 6.6e-8, 5.6e-9 and 3.3e-10 relative here: the window routes must answer
+    for u, alpha in ((25.0001, 0.996), (26.0, 0.99), (26.0, 0.9)):
+        x = -(u**alpha)
+        want = ml_reference(x, alpha)
+        assert ml(x, alpha) == pytest.approx(want, rel=1e-12, abs=0.0), (u, alpha)
+
+
+def _u_near(seam):
+    return st.floats(seam * (1.0 - 1e-9), seam * (1.0 + 1e-9))
+
+
+# u = |x|^(1/alpha) by regime: zero, series band, the series / window /
+# tail seams at 6.5, 25 and 60, the window and the tail
+_U_POINTS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 6.5),
+    _u_near(6.5),
+    _u_near(25.0),
+    _u_near(60.0),
+    st.floats(6.5, 60.0),
+    st.floats(60.0, 1e4),
+)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.one_of(st.floats(0.2, 1.0), st.floats(0.995, 1.0)),
+    us=st.lists(_U_POINTS, min_size=1, max_size=16),
+    xs_pos=st.lists(st.floats(0.0, 2.0), max_size=3),
+    beta_is_alpha=st.booleans(),
+)
+def test_ml_array_matches_ml_in_every_regime(alpha, us, xs_pos, beta_is_alpha):
+    beta = alpha if beta_is_alpha else 1.0
+    x = np.array([-(u**alpha) for u in us] + xs_pos)
+    got = ml_array(x, alpha, beta)
+    want = np.array([ml(float(v), alpha, beta) for v in x])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_ml_array_shapes_blocks_and_errors(monkeypatch):
+    x = -np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    want = np.array([[ml(float(v), 0.6) for v in row] for row in x])
+    assert np.array_equal(ml_array(x, 0.6), want)
+    # blocks of a few rows sum each row as one block does
+    monkeypatch.setattr(mlf, "_BLOCK_TERMS", 300)
+    assert np.array_equal(ml_array(x, 0.6), want)
+    assert ml_array(np.float64(-0.5), 0.6).shape == ()
+    assert ml_array(np.array([]), 0.6).shape == (0,)
+    with pytest.raises(MlfDomainError):
+        ml_array([0.5, np.inf], 0.6)
+    with pytest.raises(MlfDomainError):
+        ml_array([0.5], 1.5)
+    with pytest.raises(MlfOverflowError):
+        ml_array([0.5, 710.0], 1.0)
 
 
 def test_positive_on_negative_axis():
