@@ -13,20 +13,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import (
     ConfigError,
-    ExprEvalError,
     ExprSyntaxError,
     HalanayError,
     InfeasiblePointError,
-    MlfDomainError,
-    MlfOverflowError,
-    StepSizeError,
     StructureError,
     VerdictNoneError,
 )
@@ -345,19 +341,13 @@ def _scalar_input(cfg):
     )
 
 
-def _cert_json(cert):
-    if cert is None:
+def _strict_json(obj):
+    """The report with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    return {
-        "lambda_star": cert.lambda_star,
-        "w0": cert.w0,
-        "M": cert.M,
-        "residual_max": cert.residual_max,
-        "grid_argmin": cert.grid_argmin,
-        "case_tag": cert.case_tag,
-        "t_max": cert.t_max,
-        "n_points": cert.n_points,
-    }
+    return obj
 
 
 def _certify(cfg):
@@ -391,18 +381,10 @@ def _certify(cfg):
         return vjson, report.certificate, "l2"
     input_ = _scalar_input(cfg)
     verdict = classify_conditions(input_)
-    vjson = {
-        "case_tag": verdict.case_tag,
-        "sigma": verdict.sigma,
-        "a0": verdict.a0,
-        "p": verdict.p,
-        "c_star": verdict.c_star,
-        "a_bounded": verdict.a_bounded,
-    }
     cert = None
     if verdict.case_tag != NONE:
         cert = certify(input_, M=initial_amplitude(cfg, "l1"))
-    return vjson, cert, "l1"
+    return asdict(verdict), cert, "l1"
 
 
 def _envelope_values(cfg, cert, norm_tag, ts):
@@ -485,7 +467,7 @@ def run(command, cfg, out_dir="."):
     }
     verdict, cert, norm_tag = _certify(cfg)
     report["verdict"] = verdict
-    report["certificate"] = _cert_json(cert)
+    report["certificate"] = None if cert is None else asdict(cert)
     report["norm"] = norm_tag
     code = 0 if cert is not None else 2
     if command == "certify":
@@ -580,22 +562,13 @@ def main(argv=None):
     except (StructureError, VerdictNoneError, InfeasiblePointError) as exc:
         print(f"not certifiable: {exc}", file=sys.stderr)
         return 2
-    except (
-        ExprEvalError,
-        StepSizeError,
-        MlfDomainError,
-        MlfOverflowError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HalanayError as exc:
+    except (HalanayError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     report_path = os.path.join(args.out, cfg.report_path)
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
     for line in _summary_lines(report):
         print(line)

@@ -13,7 +13,6 @@ NAME is the free variable or one of: sin cos tan exp log sqrt abs.
 """
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass
 
@@ -24,13 +23,13 @@ from .errors import ExprEvalError, ExprSyntaxError
 __all__ = ["TimeExpr", "parse"]
 
 _FUNCS = {
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "tan": (math.tan, np.tan),
-    "exp": (math.exp, np.exp),
-    "log": (math.log, np.log),
-    "sqrt": (math.sqrt, np.sqrt),
-    "abs": (math.fabs, np.abs),
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
 }
 
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -78,18 +77,23 @@ class TimeExpr:
     source: str
 
     def eval(self, value):
-        """Evaluate at a scalar; domain failures name the subexpression."""
-        out = _ev(self.ast, float(value), self.source)
-        if not math.isfinite(out):
-            raise ExprEvalError("non-finite result", self.source)
-        return out
+        """Evaluate at a scalar and return a float.
+
+        Domain failures and non-finite results raise ExprEvalError naming
+        the subexpression, exactly as eval_array does.
+        """
+        return float(self.eval_array(float(value)))
 
     def eval_array(self, values):
-        """Vectorized evaluation over a float64 array."""
+        """Vectorized evaluation over a float64 array (0-d included)."""
         arr = np.asarray(values, dtype=np.float64)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            out = _ev_arr(self.ast, arr, self.source)
-        return np.broadcast_to(np.asarray(out, dtype=np.float64), arr.shape).copy()
+            out = _ev(self.ast, arr, self.source)
+        res = np.empty_like(arr)  # never a view of the caller's values
+        res[...] = out
+        if not np.isfinite(res).all():
+            raise ExprEvalError("non-finite result", self.source)
+        return res
 
     def to_string(self):
         return _fmt(self.ast, 0, self.var_name)
@@ -213,7 +217,10 @@ class _Parser:
 
 def _ev(node, x, src):
     if isinstance(node, _Num):
-        return node.value
+        # float64, not a Python float: constant subexpressions then fail
+        # under the caller's errstate instead of raising ZeroDivisionError
+        # or overflowing to inf silently
+        return np.float64(node.value)
     if isinstance(node, _Var):
         return x
     if isinstance(node, _Neg):
@@ -230,33 +237,8 @@ def _ev(node, x, src):
                 return a * b
             if node.op == "/":
                 return a / b
-            return math.pow(a, b)
-        return _FUNCS[node.fn][0](_ev(node.child, x, src))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ExprEvalError(str(exc), src[node.span[0] : node.span[1]]) from exc
-
-
-def _ev_arr(node, x, src):
-    if isinstance(node, _Num):
-        return node.value
-    if isinstance(node, _Var):
-        return x
-    if isinstance(node, _Neg):
-        return -_ev_arr(node.child, x, src)
-    try:
-        if isinstance(node, _Bin):
-            a = _ev_arr(node.left, x, src)
-            b = _ev_arr(node.right, x, src)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
             return np.power(a, b)
-        return _FUNCS[node.fn][1](_ev_arr(node.child, x, src))
+        return _FUNCS[node.fn](_ev(node.child, x, src))
     except FloatingPointError as exc:
         raise ExprEvalError(str(exc), src[node.span[0] : node.span[1]]) from exc
 

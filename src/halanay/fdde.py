@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepSizeError
+from .positivity import sample_matrices
 
 __all__ = [
     "SolverConfig",
@@ -92,12 +93,10 @@ def solve(sys, cfg):
     n = int(round(cfg.t_end / h))
     times = h * np.arange(n + 1)
 
-    a_samp = np.empty((n + 1, d, d))
-    b_samp = np.empty((n + 1, d, d))
-    for i in range(d):
-        for j in range(d):
-            a_samp[:, i, j] = sys.A[i][j].eval_array(times)
-            b_samp[:, i, j] = sys.B[i][j].eval_array(times)
+    # (n+1, d, d) stacks, made contiguous so that each step's products
+    # read one compact (d, d) block
+    a_samp, b_samp = (np.ascontiguousarray(np.moveaxis(m, -1, 0))
+                      for m in sample_matrices(sys, times))
     q_samp = sys.q.eval_array(times)
     slack = 1e-9 * max(1.0, sys.tau)
     if np.min(q_samp) < -slack or np.max(q_samp) > sys.tau + slack:
@@ -171,23 +170,26 @@ def solve(sys, cfg):
     )
 
 
-def caputo_l1(values, alpha, node_index, h):
-    """L1-scheme Caputo derivative of uniformly sampled values at one node.
+def caputo_l1(values, alpha, h):
+    """L1-scheme Caputo derivative of uniformly sampled values at every node.
 
-    First-order accurate in h for smooth inputs; node_index must point
-    inside the sample array and be >= 1.
+    values holds samples at the nodes 0..n; the result holds the
+    derivative at the nodes 1..n, one convolution of the increments with
+    the weights (k+1)^(1-alpha) - k^(1-alpha). First-order accurate in h
+    for smooth inputs; at alpha = 1 it is the backward difference.
     """
     values = np.asarray(values, dtype=float)
-    n = node_index
-    if not 1 <= n < len(values):
-        raise IndexError(
-            f"node_index must lie in [1, {len(values) - 1}], got {node_index}"
+    if values.ndim != 1 or len(values) < 2:
+        raise ValueError(
+            "values must be a 1-D array of at least 2 samples, "
+            f"got shape {values.shape}"
         )
+    steps = np.diff(values)
     if alpha == 1.0:
-        return float(values[n] - values[n - 1]) / h
+        return steps / h
+    n = len(steps)
     w = np.diff(np.arange(n + 1, dtype=float) ** (1.0 - alpha))
-    steps = np.diff(values[: n + 1])[::-1]
-    return float(w @ steps) * h**-alpha / math.gamma(2.0 - alpha)
+    return np.convolve(steps, w)[:n] * h**-alpha / math.gamma(2.0 - alpha)
 
 
 def check_envelope(traj, norm_tag, envelope_values, tolerance):
@@ -229,10 +231,7 @@ def lyapunov_check(traj, alpha):
     w = (traj.states * traj.states).sum(axis=1)
     h = float(traj.grid[1] - traj.grid[0])
     bound = 2.0 * (traj.states * traj.rhs).sum(axis=1)
-    worst = -math.inf
-    for k in range(1, len(w)):
-        worst = max(worst, caputo_l1(w, alpha, k, h) - bound[k])
-    return worst
+    return float(np.max(caputo_l1(w, alpha, h) - bound[1:]))
 
 
 def write_csv(traj, path, envelope_values=None, norm_tag="l1"):

@@ -13,7 +13,6 @@ The blocks of the whole grid are assembled as one stack and their top
 eigenvalues come from a single batched symmetric eigen solve.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +24,15 @@ from .positivity import sample_matrices
 __all__ = ["LmiInput", "LmiReport", "lmi_block", "max_eigen_sym", "certify_lmi"]
 
 
+EIGEN_TOL = 1e-10  # semidefiniteness slack on the largest block eigenvalue
+
+
 @dataclass(frozen=True)
 class LmiInput:
     sys: object  # DelaySystem
     gamma: object  # TimeExpr, >= 0 on the grid
     sigma: object  # TimeExpr, >= 0 on the grid
     grid: object  # ScanGrid
-    tol: float = 1e-10  # semidefiniteness slack
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be a nonnegative real, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ def max_eigen_sym(S):
 def certify_lmi(input_, M2):
     """Scan the grid for block feasibility and certify the l2 envelope.
 
-    Infeasibility (a positive eigenvalue beyond tol, gamma touching 0,
+    Infeasibility (a positive eigenvalue beyond EIGEN_TOL, gamma touching 0,
     or sigma/gamma reaching 1) is reported, not raised; the certificate
     field is then None.
     """
@@ -109,7 +106,7 @@ def certify_lmi(input_, M2):
     # NONE exactly when min gamma = 0 or max sigma/gamma >= 1
     verdict, cert = _hal.certify_sampled(
         sys.alpha, sys.tau, ts, g_vals, s_vals[None], sys.q.eval_array(ts)[None],
-        np.zeros_like(ts), M=M2 if worst_eigen <= input_.tol else None,
+        np.zeros_like(ts), M=M2 if worst_eigen <= EIGEN_TOL else None,
     )
     return LmiReport(
         feasible=cert is not None,

@@ -35,6 +35,24 @@ def char_poly_max_eig(S):
     return float(np.max(roots.real))
 
 
+def caputo_l1_node(values, alpha, k, h):
+    """L1 Caputo derivative at node k alone, summed term by term with fsum.
+
+    The weight of the increment values[j] - values[j-1] is
+    (k-j+1)^(1-alpha) - (k-j)^(1-alpha), with 0^(1-alpha) read as its
+    alpha < 1 limit 0, so alpha = 1 gives the backward difference without
+    a branch of its own.
+    """
+    def power(m):
+        return 0.0 if m == 0 else float(m) ** (1.0 - alpha)
+
+    total = math.fsum(
+        (power(k - j + 1) - power(k - j)) * (values[j] - values[j - 1])
+        for j in range(1, k + 1)
+    )
+    return total * h**-alpha / math.gamma(2.0 - alpha)
+
+
 def ml_reference(x, alpha, beta=1.0):
     """Mittag-Leffler series summed in adaptive-precision arithmetic.
 

@@ -297,6 +297,31 @@ def test_main_exit_codes(tmp_path, config_dir, capsys):
     assert "not certifiable" in capsys.readouterr().err
 
 
+def test_main_reports_constant_expression_errors(tmp_path, capsys):
+    lmi = scalar_cfg(analysis="lmi", A=[["-0.2"]], B=[["0.05"]], q="0.5",
+                     phi=["1"], gamma="1/0", sigma="0.1")
+    path = write_cfg(tmp_path, lmi)
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'1/0'" in err
+    assert "Traceback" not in err
+
+
+def test_main_writes_strict_json(tmp_path, capsys):
+    # an unstable positive system: a(t) < 0, so the ratio margin p is infinite
+    unstable = scalar_cfg(analysis="positive", A=[["0.1"]], B=[["0.05"]])
+    path = write_cfg(tmp_path, unstable)
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 2
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "report.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    assert report["verdict"]["p"] is None
+    assert report["verdict"]["a0"] == pytest.approx(-0.1, abs=1e-12)
+
+
 def test_main_mlf_subcommand(capsys):
     assert main(["mlf", "0.65", "1", "-0.0784"]) == 0
     printed = float(capsys.readouterr().out.strip())

@@ -100,6 +100,23 @@ def test_eval_array_matches_scalar_eval():
             assert arr[i] == pytest.approx(e.eval(float(v)), abs=1e-13)
 
 
+def test_constant_failures_raise_from_both_methods():
+    # literals are float64 inside the walker, so a constant subexpression
+    # fails the same way as one that depends on the variable
+    for src, fragment in (
+        ("1/0", "1/0"),
+        ("t+1e308*10", "1e308*10"),
+        ("1e999", "1e999"),
+    ):
+        e = parse(src, "t")
+        with pytest.raises(ExprEvalError) as exc:
+            e.eval(1.0)
+        assert exc.value.fragment == fragment, src
+        with pytest.raises(ExprEvalError) as exc:
+            e.eval_array(np.array([0.0, 1.0]))
+        assert exc.value.fragment == fragment, src
+
+
 def test_eval_array_domain_error():
     with pytest.raises(ExprEvalError):
         parse("sqrt(t)", "t").eval_array(np.array([1.0, -1.0]))

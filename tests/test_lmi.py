@@ -4,7 +4,9 @@ import pytest
 from halanay.errors import InfeasiblePointError
 from halanay.expr import parse
 from halanay.halanay import ScanGrid, lambda_at
-from halanay.lmi import LmiInput, LmiReport, certify_lmi, lmi_block, max_eigen_sym
+from halanay.lmi import (
+    EIGEN_TOL, LmiInput, LmiReport, certify_lmi, lmi_block, max_eigen_sym,
+)
 from halanay.positivity import DelaySystem, initial_amplitude
 
 from oracles import char_poly_max_eig
@@ -29,10 +31,10 @@ def example3_system():
     )
 
 
-def example3_input(tol=1e-10):
+def example3_input():
     return LmiInput(
         sys=example3_system(), gamma=T("0.3"), sigma=T("0.2"),
-        grid=ScanGrid(100.0, 2001), tol=tol,
+        grid=ScanGrid(100.0, 2001),
     )
 
 
@@ -156,7 +158,7 @@ def test_certify_delay_example_feasible():
     rep = certify_lmi(inp, M2=initial_amplitude(inp.sys, "sq"))
     assert isinstance(rep, LmiReport)
     assert rep.feasible
-    assert rep.worst_eigen <= inp.tol
+    assert rep.worst_eigen <= EIGEN_TOL
     assert rep.a0 == pytest.approx(0.3, abs=1e-12)
     assert rep.p == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rep.certificate is not None
@@ -202,7 +204,7 @@ def test_quadratic_form_never_exceeds_tolerance_when_feasible():
         for _ in range(50):
             z = rng.normal(size=2)
             quad = float(z @ blk @ z)
-            assert quad <= inp.tol * float(z @ z)
+            assert quad <= EIGEN_TOL * float(z @ z)
 
 
 def test_undelayed_negative_definite_block_gives_rate_a0():
@@ -247,7 +249,7 @@ def test_indefinite_block_reports_worst_point():
     rep = certify_lmi(inp, M2=1.0)
     assert not rep.feasible
     assert rep.certificate is None
-    assert rep.worst_eigen > inp.tol
+    assert rep.worst_eigen > EIGEN_TOL
     blk = lmi_block(
         np.array([[-0.1]]), np.array([[0.05]]),
         0.1 + 0.01 * rep.worst_t, 0.05,
@@ -265,11 +267,3 @@ def test_negative_weights_are_input_errors():
         certify_lmi(inp, M2=1.0)
     with pytest.raises(ValueError):
         certify_lmi(example3_input(), M2=-1.0)
-
-
-def test_input_validation():
-    with pytest.raises(ValueError):
-        LmiInput(
-            sys=example3_system(), gamma=T("0.3"), sigma=T("0.2"),
-            grid=ScanGrid(100.0, 2001), tol=-1e-3,
-        )
