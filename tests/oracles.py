@@ -138,3 +138,67 @@ def rk4_dde(sys, t_end, h):
         done = k + 1
         fs[k + 1] = f(ts[k + 1], xs[k + 1])
     return ts, xs
+
+
+def abm_direct(sys, t_end, h, iters):
+    """Fractional Adams-Bashforth-Moulton, one node at a time.
+
+    Every node recomputes its product-rectangle predictor and
+    product-trapezoid corrector weights from the closed forms and sums the
+    full history with fsum, then runs `iters` corrector sweeps. Delayed
+    arguments at or before 0 read the initial function; later ones
+    interpolate linearly between the two bracketing nodes. A delayed time
+    within the newest step reads the newest node, and one more than 1e-12
+    steps past it reads the running iterate. Returns (times, states, rhs).
+    """
+    alpha, d = sys.alpha, sys.dim
+    n = int(round(t_end / h))
+    ts = [h * k for k in range(n + 1)]
+    g1 = h**alpha / math.gamma(alpha + 1.0)
+    g2 = h**alpha / math.gamma(alpha + 2.0)
+
+    def mat(rows, t):
+        return np.array([[e.eval(t) for e in row] for row in rows])
+
+    def pred_w(k, j):
+        return (k - j) ** alpha - (k - j - 1) ** alpha
+
+    def corr_w(k, j):
+        if j == 0:
+            return (k - 1) ** (alpha + 1.0) - (k - 1 - alpha) * k**alpha
+        m = k - j
+        return ((m + 1) ** (alpha + 1.0) + (m - 1) ** (alpha + 1.0)
+                - 2.0 * m ** (alpha + 1.0))
+
+    def weighted(fs, w):
+        return np.array([math.fsum(w[j] * fs[j][c] for j in range(len(fs)))
+                         for c in range(d)])
+
+    x0 = np.array([p.eval(0.0) for p in sys.phi])
+    xs, fs = [x0], []
+    for k in range(n + 1):
+        t = ts[k]
+        a, b = mat(sys.A, t), mat(sys.B, t)
+        s = t - min(max(sys.q.eval(t), 0.0), sys.tau)
+        delayed = None  # None: the running iterate
+        if s <= 0.0:
+            delayed = np.array([p.eval(s) for p in sys.phi])
+        else:
+            pos = s / h
+            i = math.floor(pos)
+            if i < k - 1:
+                frac = pos - i
+                delayed = (1.0 - frac) * xs[i] + frac * xs[i + 1]
+            elif pos <= k - 1 + 1e-12:
+                delayed = xs[k - 1]
+        if k == 0:
+            fs.append(a @ x0 + b @ delayed)
+            continue
+        x = x0 + g1 * weighted(fs, [pred_w(k, j) for j in range(k)])
+        hist = weighted(fs, [corr_w(k, j) for j in range(k)])
+        for _ in range(iters):
+            xd = x if delayed is None else delayed
+            x = x0 + g2 * (hist + a @ x + b @ xd)
+        xs.append(x)
+        fs.append(a @ x + b @ (x if delayed is None else delayed))
+    return np.array(ts), np.array(xs), np.array(fs)

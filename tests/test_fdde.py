@@ -1,11 +1,14 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from halanay.cli import load_config
 from halanay.errors import StepSizeError
 from halanay.expr import parse
 from halanay.fdde import (
+    BLOCK,
     SolverConfig,
     Trajectory,
     caputo_l1,
@@ -14,11 +17,11 @@ from halanay.fdde import (
     solve,
     write_csv,
 )
-from halanay.mlf import ml
+from halanay.mlf import ml, ml_array
 from halanay.positivity import DelaySystem
 
 from conftest import on_grid
-from oracles import caputo_l1_node, rk4_dde
+from oracles import abm_direct, caputo_l1_node, rk4_dde
 
 
 def T(src):
@@ -161,6 +164,78 @@ def test_extra_corrector_sweeps_accepted():
     traj = solve(scalar_decay(0.65), cfg)
     exact = np.array([ml(-t**0.65, 0.65) for t in traj.grid])
     assert np.abs(traj.states[:, 0] - exact)[-1] < 1e-4
+
+
+def bundled(config_dir, name, q=None):
+    cfg = load_config(str(config_dir / name))
+    return DelaySystem(
+        alpha=cfg.alpha, dim=cfg.dim, A=[list(r) for r in cfg.A],
+        B=[list(r) for r in cfg.B], q=cfg.q[0] if q is None else T(q),
+        tau=cfg.tau, phi=list(cfg.phi),
+    )
+
+
+@pytest.mark.parametrize("name,q,t_end,iters,clamps", [
+    ("example1.json", None, 1.5, 1, 0),
+    ("example2.json", None, 1.5, 3, 0),
+    ("example3.json", None, 1.5, 1, 0),
+    ("example3.json", None, 0.2, 3, 0),      # n = 20 < BLOCK
+    ("example1.json", "0", 0.8, 1, 80),      # every delay clamped
+    ("example2.json", "0.004", 0.8, 3, 80),  # clamped, under one step
+    ("example3.json", "0.013", 1.3, 1, 0),   # interpolates inside the block
+    ("example1.json", "0.005+0.02*sin(3*t)^2", 1.3, 3, None),
+])
+def test_solve_matches_direct_abm(config_dir, name, q, t_end, iters, clamps):
+    sys_ = bundled(config_dir, name, q)
+    traj = solve(sys_, SolverConfig(t_end=t_end, h=0.01, corrector_iters=iters))
+    ts, xs, fs = abm_direct(sys_, t_end, 0.01, iters)
+    assert len(ts) - 1 == round(t_end / 0.01)
+    if len(ts) - 1 >= BLOCK:
+        assert (len(ts) - 1) % BLOCK != 0
+    scale = np.abs(xs).max()
+    assert np.abs(traj.states - xs).max() <= 1e-12 * scale
+    assert np.abs(traj.rhs - fs).max() <= 1e-12 * np.abs(fs).max()
+    if clamps is not None:
+        assert len(traj.clamped) == clamps
+    else:
+        assert 0 < len(traj.clamped) < len(ts) - 1
+
+
+def test_solve_is_one_linear_solve_per_block(monkeypatch):
+    # the history enters through one FFT convolution per block, the block
+    # states through one linear solve; nothing runs once per step
+    calls = {"solve": 0, "rfft": 0}
+    lin_solve, rfft = np.linalg.solve, np.fft.rfft
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return lin_solve(*args)
+
+    def counted_rfft(*args, **kwargs):
+        calls["rfft"] += 1
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    for t_end, blocks in ((10.0, 32), (10.24, 32), (10.25, 33), (0.2, 1)):
+        calls.update(solve=0, rfft=0)
+        traj = solve(scalar_decay(0.65), SolverConfig(t_end=t_end, h=0.01))
+        n = len(traj.grid) - 1
+        assert blocks == -(-n // BLOCK)
+        assert calls == {"solve": blocks, "rfft": 2 * (blocks - 1)}
+
+
+def test_solve_leaves_no_garbage():
+    # arrays of a solve must go when it returns, not wait for a collection
+    sys_ = scalar_decay(0.65)
+    cfg = SolverConfig(t_end=5.0, h=0.01, corrector_iters=2)
+    gc.collect()
+    gc.disable()
+    try:
+        solve(sys_, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- caputo_l1
@@ -316,3 +391,30 @@ def test_csv_without_certificate_pads_nan(tmp_path):
     data = np.loadtxt(str(path), delimiter=",", skiprows=1)
     assert data.shape[1] == 2 + 5
     assert np.all(np.isnan(data[:, 5])) and np.all(np.isnan(data[:, 6]))
+
+
+def test_csv_rejects_unknown_norm_tag(tmp_path):
+    traj = solve(scalar_decay(0.65), SolverConfig(t_end=1.0, h=0.1))
+    for tag in ("L1", "sup", None):
+        with pytest.raises(ValueError):
+            write_csv(traj, str(tmp_path / "bad.csv"), norm_tag=tag)
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_csv_bytes_match_savetxt(tmp_path):
+    # more rows than one formatted chunk, the last chunk partial
+    traj = solve(scalar_decay(0.65), SolverConfig(t_end=25.0, h=0.01))
+    env = 1.05 * ml_array(-traj.grid**0.65, 0.65)
+    env[3] = math.inf
+    for values, tag in ((None, "l1"), (env, "l2")):
+        path = tmp_path / "run.csv"
+        write_csv(traj, str(path), envelope_values=values, norm_tag=tag)
+        if values is None:
+            values = np.full(len(traj.grid), math.nan)
+        norms = traj.norms_l1 if tag == "l1" else traj.norms_l2
+        cols = np.column_stack([traj.grid, traj.states, traj.norms_l1,
+                                traj.norms_l2, values, norms / values])
+        want = tmp_path / "want.csv"
+        np.savetxt(str(want), cols, fmt="%.17g", delimiter=",",
+                   header="t,x1,norm_l1,norm_l2,envelope,ratio", comments="")
+        assert path.read_bytes() == want.read_bytes()
