@@ -59,6 +59,11 @@ _TOP_KEYS = {
     "alpha", "dim", "tau", "analysis", "A", "B", "q", "phi",
     "gamma", "sigma", "a_bounded", "scan", "solver", "output",
 }
+_SECTION_KEYS = {
+    "scan": {"t_max", "n_points"},
+    "solver": {"t_end", "h", "tolerance"},
+    "output": {"csv_path", "report_path"},
+}
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,11 @@ def load_config(path):
     errors = []
     for key in sorted(set(data) - _TOP_KEYS):
         errors.append((key, "unknown field"))
+    for section, known in _SECTION_KEYS.items():
+        raw = data.get(section)
+        if isinstance(raw, dict):
+            for key in sorted(set(raw) - known):
+                errors.append((f"{section}.{key}", "unknown field"))
 
     alpha = _want(errors, data, "alpha", (int, float))
     if alpha is not None and not 0.0 < alpha <= 1.0:
@@ -236,19 +246,16 @@ def load_config(path):
         else:
             t_end = _want(errors, raw_solver, "t_end", (int, float), "solver.t_end")
             h = _want(errors, raw_solver, "h", (int, float), "solver.h")
-            iters = raw_solver.get("corrector_iters", 1)
-            if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
-                errors.append(("solver.corrector_iters",
-                               f"expected an integer >= 1, got {iters!r}"))
-                iters = None
             tol = raw_solver.get("tolerance", 0.02)
-            if isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol >= 0:
+            if (isinstance(tol, (int, float)) and not isinstance(tol, bool)
+                    and math.isfinite(tol) and tol >= 0):
                 tolerance = float(tol)
             else:
-                errors.append(("solver.tolerance", f"must be >= 0, got {tol!r}"))
-            if t_end is not None and h is not None and iters is not None:
+                errors.append(("solver.tolerance",
+                               f"must be a finite number >= 0, got {tol!r}"))
+            if t_end is not None and h is not None:
                 try:
-                    solver = SolverConfig(float(t_end), float(h), iters)
+                    solver = SolverConfig(float(t_end), float(h))
                 except ValueError as exc:
                     errors.append(("solver", str(exc)))
 
@@ -309,7 +316,6 @@ def config_to_dict(cfg):
         out["solver"] = {
             "t_end": cfg.solver.t_end,
             "h": cfg.solver.h,
-            "corrector_iters": cfg.solver.corrector_iters,
             "tolerance": cfg.tolerance,
         }
     return out

@@ -5,19 +5,20 @@ The solver discretizes the Volterra form
     x(t) = phi(0) + (1/Gamma(alpha)) int_0^t (t-u)^(alpha-1) f(u) du,
     f(u) = A(u) x(u) + B(u) x(u - q(u)),
 
-with an Adams-Bashforth-Moulton predictor-corrector: product-rectangle
-weights predict, product-trapezoid weights correct. Delayed states come
-from the initial function when the argument is <= 0 and from linear
-interpolation between computed nodes otherwise.
+with the implicit product-trapezoid rule (Garrappa, Math. Comput. Simul.
+110, 2015), solved exactly at every node rather than by a predictor and
+corrector sweeps. Delayed states come from the initial function when the
+argument is <= 0 and from linear interpolation between computed nodes
+otherwise.
 
-The system is linear, so the recursion is solved BLOCK steps at a time:
-the predictor, the corrector sweeps and the delayed states of one block
-are one linear system in that block's states, and numpy solves it in one
-call. The history sums over earlier blocks come from FFT convolutions on
-a dyadic split (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput.
-6, 1985): after block t - 1, with span = t & -t, blocks [t - span, t)
-feed blocks [t, t + span), so every pair of blocks is summed once and a
-solve of n nodes costs O(n log^2 n).
+The system is linear, so the rule is solved BLOCK steps at a time: the
+states and delayed states of one block are one linear system in that
+block's states, and numpy solves it in one call. The history sums over
+earlier blocks come from FFT convolutions on a dyadic split (Hairer,
+Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): after block
+t - 1, with span = t & -t, blocks [t - span, t) feed blocks [t, t + span),
+so every pair of blocks is summed once and a solve of n nodes costs
+O(n log^2 n).
 
 Companion routines re-check certified envelopes and the
 quadratic-Lyapunov inequality on the computed trajectory.
@@ -51,7 +52,6 @@ CSV_ROWS = 1024  # rows per formatted chunk in write_csv
 class SolverConfig:
     t_end: float
     h: float
-    corrector_iters: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > 0):
@@ -64,11 +64,6 @@ class SolverConfig:
             raise ValueError(
                 f"t_end/h = {self.t_end / self.h:.3g} exceeds the "
                 f"{MAX_NODES:.0e} node guard"
-            )
-        iters = self.corrector_iters
-        if isinstance(iters, bool) or not isinstance(iters, int) or iters < 1:
-            raise ValueError(
-                f"corrector_iters must be an integer >= 1, got {iters!r}"
             )
 
 
@@ -117,26 +112,24 @@ def solve(sys, cfg):
     col_lo = np.maximum(col_lo, 0)
 
     c_corr = cfg.h**sys.alpha / math.gamma(sys.alpha + 2.0)
-    weights, end_weights = _abm_weights(sys.alpha, cfg.h, n)
-    # the same weights inside one block, plus the corrector's unit weight
-    # on the current node
+    weights, end_weights = _trapezoid_weights(sys.alpha, cfg.h, n)
+    # W: the same weights inside one block, plus the weight c_corr of the
+    # current node, which makes the rule implicit
     size = min(BLOCK, n)
     lag = np.subtract.outer(np.arange(size), np.arange(size)) - 1
-    tri = np.where(lag >= 0, weights[:, np.maximum(lag, 0)], 0.0)
-    tri[1] += c_corr * np.eye(size)
+    tri = np.where(lag >= 0, weights[np.maximum(lag, 0)], 0.0)
+    tri += c_corr * np.eye(size)
 
     states = np.zeros((n + 1, d))
     rhs = np.zeros((n + 1, d))
     x0 = np.array([p.eval(0.0) for p in sys.phi])
     states[0] = x0
     rhs[0] = a_samp[0] @ x0 + b_samp[0] @ hist[0]
-    # x0 plus the predictor (row 0) and corrector (row 1) sums over the
-    # nodes of earlier blocks; node 0 carries its own corrector end weight
-    sums = np.zeros((2, n + 1, d))
-    sums[0, 1:] = weights[0][:, None] * rhs[0]
-    sums[1, 1:] = end_weights[:, None] * rhs[0]
+    # x0 plus the trapezoid sums over the nodes of earlier blocks; node 0
+    # carries its own end weight
+    sums = np.zeros((n + 1, d))
+    sums[1:] = end_weights[:, None] * rhs[0]
     sums += x0
-    eye_d = np.eye(d)
 
     for k0 in range(1, n + 1, BLOCK):
         k1 = min(k0 + BLOCK, n + 1)
@@ -144,16 +137,6 @@ def solve(sys, cfg):
         blk = slice(k0, k1)
         rows = np.arange(m)
         ae, be = a_samp[blk], b_samp[blk]
-        # Each corrector sweep is x <- G + c_corr A' x, so the sweeps end at
-        # x = S G + T P from the prediction P, with S = sum_{i<iters}
-        # (c_corr A')^i and T = (c_corr A')^iters. G is the corrector sum
-        # over every f_j up to and including node k, minus c_corr A' x_k.
-        ca = c_corr * ae
-        s_mat = np.zeros_like(ca)
-        t_mat = np.broadcast_to(eye_d, ca.shape)
-        for _ in range(cfg.corrector_iters):
-            s_mat = s_mat + t_mat
-            t_mat = t_mat @ ca
         # f_j = A'_j x_j + B'_j xd_j = (F x)_j + fc_j in the block's states:
         # fc holds the delayed states known from earlier blocks (this
         # block's states are still zero), F the in-block couplings
@@ -165,24 +148,28 @@ def solve(sys, cfg):
         f_mat[rows, :, rows] += ae
         f_aug = np.concatenate(
             [f_mat.reshape(m, d, m * d), be @ xd[..., None]], axis=2)
-        # y[0] = P and y[1] = G + c_corr A' x, linear in [block states, 1]
-        y = (tri[:, :m, :m] @ f_aug.reshape(m, -1)).reshape(2, m, d, -1)
-        y[..., -1] += sums[:, blk]
-        k_aug = (t_mat @ y[0] + s_mat @ y[1]).reshape(m * d, -1)
-        mat = np.eye(m * d) - k_aug[:, :-1]
-        mat.reshape(m, d, m, d)[rows, :, rows] += s_mat @ ca
-        x = np.linalg.solve(mat, k_aug[:, -1])
+        # the rule x = sums + W (F x + fc), linear in [block states, 1]
+        y = (tri[:m, :m] @ f_aug.reshape(m, -1)).reshape(m * d, -1)
+        y[:, -1] += sums[blk].ravel()
+        x = np.linalg.solve(np.eye(m * d) - y[:, :-1], y[:, -1])
         states[blk] = x.reshape(m, d)
         rhs[blk] = (f_aug.reshape(m * d, -1) @ np.append(x, 1.0)).reshape(m, d)
+        finite = np.isfinite(states[blk]) & np.isfinite(rhs[blk])
+        if not finite.all():
+            t_bad = times[k0 + int(np.argmin(finite.all(axis=1)))]
+            raise StepSizeError(
+                f"the solution is not finite at t={t_bad:.6g}: the system "
+                f"grows past float range, or h={cfg.h} is too coarse"
+            )
 
         # dyadic split: blocks [t - span, t) feed blocks [t, t + span)
         t = (k0 - 1) // BLOCK + 1
         span = (t & -t) * BLOCK
         if k1 <= n:
             end = min(k1 + span, n + 1)
-            conv = _fft_convolve(rhs[k1 - span:k1], weights[:, :2 * span - 1],
+            conv = _fft_convolve(rhs[k1 - span:k1], weights[:2 * span - 1],
                                  2 * span)
-            sums[:, k1:end] += conv[:, span - 1:span - 1 + end - k1]
+            sums[k1:end] += conv[span - 1:span - 1 + end - k1]
 
     return Trajectory(
         grid=times,
@@ -200,7 +187,8 @@ def _delay_plan(sys, times, h):
     Initial-function lookups are exact wherever the delayed time is <= 0.
     A delayed time inside the current step has no computed value to
     interpolate yet: it reads the newest node, or, past that node by more
-    than rounding, the running iterate, and its node is flagged in clamp.
+    than rounding, the state being solved for, and its node is flagged in
+    clamp.
     """
     q_samp = sys.q.eval_array(times)
     slack = 1e-9 * max(1.0, sys.tau)
@@ -226,20 +214,17 @@ def _delay_plan(sys, times, h):
     return hist, lo, w_lo, w_hi, clamp
 
 
-def _abm_weights(alpha, h, n):
-    """Product-integration weights of the ABM scheme, read at k - 1 - j.
+def _trapezoid_weights(alpha, h, n):
+    """Product-trapezoid weights, read at k - 1 - j, scaled by c_corr.
 
-    Row 0 holds the rectangle (predictor) weights, row 1 the interior
-    trapezoid (corrector) weights, both scaled by their step factors;
-    end_weights[k - 1] is the corrector weight of node 0 at node k.
+    weights[k - 1 - j] is the weight of node j at node k for 0 < j < k;
+    end_weights[k - 1] is the weight of node 0 at node k. The weight of
+    node k itself is c_corr = h^alpha / Gamma(alpha + 2).
     """
     c_corr = h**alpha / math.gamma(alpha + 2.0)
     pa = np.arange(n + 1, dtype=float) ** alpha
     pa1 = np.arange(n + 2, dtype=float) ** (alpha + 1.0)
-    weights = np.stack([
-        np.diff(pa) * (h**alpha / math.gamma(alpha + 1.0)),
-        (pa1[2:] + pa1[:-2] - 2.0 * pa1[1:-1]) * c_corr,
-    ])
+    weights = (pa1[2:] + pa1[:-2] - 2.0 * pa1[1:-1]) * c_corr
     end_weights = c_corr * (pa1[:n] - (np.arange(n) - alpha) * pa[1:])
     return weights, end_weights
 

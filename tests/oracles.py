@@ -140,28 +140,25 @@ def rk4_dde(sys, t_end, h):
     return ts, xs
 
 
-def abm_direct(sys, t_end, h, iters):
-    """Fractional Adams-Bashforth-Moulton, one node at a time.
+def trapezoid_direct(sys, t_end, h):
+    """Implicit fractional product-trapezoid rule, one node at a time.
 
-    Every node recomputes its product-rectangle predictor and
-    product-trapezoid corrector weights from the closed forms and sums the
-    full history with fsum, then runs `iters` corrector sweeps. Delayed
+    Every node recomputes its product-trapezoid weights from the closed
+    forms, sums the full history with fsum and solves its own d x d system
+    (I - g2 A') x = x0 + g2 (hist + B xd) for the current state. Delayed
     arguments at or before 0 read the initial function; later ones
     interpolate linearly between the two bracketing nodes. A delayed time
     within the newest step reads the newest node, and one more than 1e-12
-    steps past it reads the running iterate. Returns (times, states, rhs).
+    steps past it reads the current state itself (A' = A + B, no known
+    delayed part). Returns (times, states, rhs).
     """
     alpha, d = sys.alpha, sys.dim
     n = int(round(t_end / h))
     ts = [h * k for k in range(n + 1)]
-    g1 = h**alpha / math.gamma(alpha + 1.0)
     g2 = h**alpha / math.gamma(alpha + 2.0)
 
     def mat(rows, t):
         return np.array([[e.eval(t) for e in row] for row in rows])
-
-    def pred_w(k, j):
-        return (k - j) ** alpha - (k - j - 1) ** alpha
 
     def corr_w(k, j):
         if j == 0:
@@ -180,7 +177,7 @@ def abm_direct(sys, t_end, h, iters):
         t = ts[k]
         a, b = mat(sys.A, t), mat(sys.B, t)
         s = t - min(max(sys.q.eval(t), 0.0), sys.tau)
-        delayed = None  # None: the running iterate
+        delayed = None  # None: the current state
         if s <= 0.0:
             delayed = np.array([p.eval(s) for p in sys.phi])
         else:
@@ -191,14 +188,15 @@ def abm_direct(sys, t_end, h, iters):
                 delayed = (1.0 - frac) * xs[i] + frac * xs[i + 1]
             elif pos <= k - 1 + 1e-12:
                 delayed = xs[k - 1]
+        if delayed is None:
+            a, known = a + b, np.zeros(d)
+        else:
+            known = b @ delayed
         if k == 0:
-            fs.append(a @ x0 + b @ delayed)
+            fs.append(a @ x0 + known)
             continue
-        x = x0 + g1 * weighted(fs, [pred_w(k, j) for j in range(k)])
         hist = weighted(fs, [corr_w(k, j) for j in range(k)])
-        for _ in range(iters):
-            xd = x if delayed is None else delayed
-            x = x0 + g2 * (hist + a @ x + b @ xd)
+        x = np.linalg.solve(np.eye(d) - g2 * a, x0 + g2 * (hist + known))
         xs.append(x)
-        fs.append(a @ x + b @ (x if delayed is None else delayed))
+        fs.append(a @ x + known)
     return np.array(ts), np.array(xs), np.array(fs)

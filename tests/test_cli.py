@@ -124,21 +124,35 @@ def test_multi_delay_requires_scalar_analysis(tmp_path):
     assert any(p == "q" for p, _ in exc.value.errors)
 
 
-def test_corrector_iters_must_be_a_positive_integer(tmp_path, capsys):
-    for bad in (2.5, True):
-        data = scalar_cfg()
-        data["solver"]["corrector_iters"] = bad
-        data["solver"]["h"] = "fine"  # reported in the same run
-        path = write_cfg(tmp_path, data)
-        with pytest.raises(ConfigError) as exc:
-            load_config(path)
-        paths = [p for p, _ in exc.value.errors]
-        assert "solver.corrector_iters" in paths and "solver.h" in paths
-        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
-        assert "solver.corrector_iters" in capsys.readouterr().err
+def test_unknown_nested_fields_are_reported(tmp_path, capsys):
     data = scalar_cfg()
-    data["solver"]["corrector_iters"] = 2
-    assert load_config(write_cfg(tmp_path, data)).solver.corrector_iters == 2
+    data["solver"]["corrector_iters"] = 2  # the solver has no sweeps to set
+    data["solver"]["tolerence"] = 0.5
+    data["scan"]["npoints"] = 5
+    data["output"]["csv"] = 5
+    data["solver"]["h"] = "fine"  # reported in the same run
+    path = write_cfg(tmp_path, data)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    paths = {p for p, msg in exc.value.errors if msg == "unknown field"}
+    assert paths == {"solver.corrector_iters", "solver.tolerence",
+                     "scan.npoints", "output.csv"}
+    assert "solver.h" in {p for p, _ in exc.value.errors}
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "solver.corrector_iters: unknown field" in capsys.readouterr().err
+
+
+def test_tolerance_must_be_finite(tmp_path):
+    # json reads Infinity, and an infinite tolerance passes every trajectory
+    for bad in (math.inf, math.nan, -0.1, "0.02", True):
+        data = scalar_cfg()
+        data["solver"]["tolerance"] = bad
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, data))
+        assert [p for p, _ in exc.value.errors] == ["solver.tolerance"]
+    data = scalar_cfg()
+    data["solver"]["tolerance"] = 0
+    assert load_config(write_cfg(tmp_path, data)).tolerance == 0.0
 
 
 def test_scalar_route_samples_each_coefficient_at_most_twice(tmp_path, eval_counts):
@@ -295,6 +309,14 @@ def test_main_exit_codes(tmp_path, config_dir, capsys):
     struct = write_cfg(tmp_path, scalar_cfg(analysis="positive", B=[["-0.1"]]))
     assert main(["certify", "--config", struct, "--out", str(tmp_path)]) == 2
     assert "not certifiable" in capsys.readouterr().err
+
+    # a solution that leaves float range is a solver failure, not a violation
+    growing = write_cfg(tmp_path, scalar_cfg(
+        analysis="positive", alpha=0.45, A=[["5"]], B=[["0"]],
+        solver={"t_end": 50.0, "h": 0.01}))
+    assert main(["simulate", "--config", growing, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite at t=19." in err
 
 
 def test_main_reports_constant_expression_errors(tmp_path, capsys):
