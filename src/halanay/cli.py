@@ -259,7 +259,7 @@ def load_config(path):
                 except ValueError as exc:
                     errors.append(("solver", str(exc)))
 
-    output = data.get("output") or {}
+    output = data.get("output", {})
     if not isinstance(output, dict):
         errors.append(("output", "expected an object {csv_path, report_path}"))
         output = {}

@@ -13,10 +13,11 @@ resulting envelope is w0 + M E_alpha(-lambda* t^alpha).
 All three certification routes end in certify_sampled, which takes the
 coefficients already sampled on the grid; classify_conditions and
 certify are its wrappers for expression-valued input. Its rate scan
-solves every grid point in lockstep on arrays (_lambda_grid), by the
-same bisection and Newton polish that lambda_at runs for one point.
-Both return a rate whose residual is verified nonpositive, so lambda
-never sits above the computed root.
+(_lambda_grid) solves every grid point in lockstep on arrays, by a
+bracketed Newton iteration that starts with a closed-form step from 0,
+and lambda_at is a one-point call of the same solver. Each returned
+rate has a residual verified nonpositive, so lambda never sits above
+the computed root.
 """
 
 import math
@@ -24,8 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HalanayError, InfeasiblePointError, VerdictNoneError
-from .mlf import ml, ml_array
+from .errors import (HalanayError, InfeasiblePointError, MlfDomainError,
+                     VerdictNoneError)
+# ml is not called here; perfbench/tracer.py wraps halanay.halanay.ml by name
+from .mlf import ml, ml_array  # noqa: F401
 
 __all__ = [
     "ScanGrid",
@@ -44,6 +47,9 @@ RATIO = "RATIO"
 NONE = "NONE"
 
 RESIDUAL_BOUND = 1e-10
+# rounds per rate solve; bisection alone needs at most 47 (a bracket of
+# width <= a halved down to 1e-14 max(1, a))
+MAX_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -106,90 +112,55 @@ class HalanayInput:
             raise ValueError("b and q must have equal nonzero length")
 
 
-def _h(lam, alpha, a_val, b_vals, q_vals):
-    acc = lam - a_val
-    for b, q in zip(b_vals, q_vals):
-        acc += b / ml(-lam * q**alpha, alpha)
-    return acc
-
-
-def _h_prime(lam, alpha, a_val, b_vals, q_vals):
-    acc = 1.0
-    for b, q in zip(b_vals, q_vals):
-        qa = q**alpha
-        e1 = ml(-lam * qa, alpha)
-        eaa = ml(-lam * qa, alpha, alpha)
-        acc += b * qa * eaa / (alpha * e1 * e1)
-    return acc
-
-
 def lambda_at(alpha, a_val, b_vals, q_vals):
     """Unique positive root of the rate equation at one sample point.
 
-    Bisection on (0, a] (the root is bracketed there since the left side
-    is strictly increasing, negative at 0 and nonnegative at a), followed
-    by a short Newton polish. If the polished value leaves a positive
-    residual, the bracket's low end is returned instead, so the rate
-    never exceeds the computed root.
+    A one-point call of the grid solver (_lambda_grid), so it validates
+    and solves exactly as a rate scan does and returns the rate a scan
+    returns at that point, never above the computed root.
     """
-    b_vals = [float(b) for b in b_vals]
-    q_vals = [float(q) for q in q_vals]
-    if len(b_vals) != len(q_vals):
+    bs = np.array(b_vals, dtype=float)
+    qs = np.array(q_vals, dtype=float)
+    if bs.shape != qs.shape:
         raise ValueError("b_vals and q_vals must have equal length")
-    if a_val < 0 or any(b < 0 for b in b_vals) or any(q < 0 for q in q_vals):
-        raise ValueError("a, b and q samples must be nonnegative")
-    sb = sum(b_vals)
-    if a_val <= sb:
-        raise InfeasiblePointError(
-            f"a={a_val} does not exceed sum(b)={sb}; no positive rate exists"
-        )
-    if sb == 0.0:
-        return a_val
-    lo, hi = 0.0, a_val
-    width = 1e-14 * max(1.0, a_val)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if _h(mid, alpha, a_val, b_vals, q_vals) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    for _ in range(3):
-        step = _h(lam, alpha, a_val, b_vals, q_vals) / _h_prime(
-            lam, alpha, a_val, b_vals, q_vals
-        )
-        lam -= step
-        if not 0.0 < lam <= a_val:
-            lam = min(max(lam, width), a_val)
-    if _h(lam, alpha, a_val, b_vals, q_vals) > 0.0:
-        return lo
-    return lam
+    a = np.array([a_val], dtype=float)
+    return float(_lambda_grid(alpha, a, bs[:, None], qs[:, None])[0][0])
 
 
-def _h_grid(lam, alpha, a, bs, qas, slope=False):
-    """_h (and, with slope, _h_prime) at many points, q^alpha precomputed."""
+def _h_grid(lam, alpha, a, bs, qas):
+    """h(lambda) and h'(lambda) at many points, q^alpha precomputed."""
     h = lam - a
-    dh = np.ones_like(lam) if slope else None
+    dh = 1.0
     for b, qa in zip(bs, qas):
         x = -lam * qa
         e1 = ml_array(x, alpha)
         h += b / e1
-        if slope:
-            dh += b * qa * ml_array(x, alpha, alpha) / (alpha * e1 * e1)
+        dh = dh + b * qa * ml_array(x, alpha, alpha) / (alpha * e1 * e1)
     return h, dh
 
 
 def _lambda_grid(alpha, a, bs, qs):
-    """lambda_at at every grid point at once; returns (lambdas, |residuals|).
+    """The rate at every grid point at once; returns (lambdas, |residuals|).
 
-    a holds one sample per point, bs and qs one row per delay term. The
-    points run lambda_at's algorithm in lockstep: each bisection step
-    evaluates h at the midpoints of all still-open brackets with one
-    ml_array call per delay, then all points take the same three clamped
-    Newton steps. The residual pass that follows doubles as the one-sided
-    check: where h(lambda) > 0 the bracket's low end, whose h < 0 the
-    bisection verified, is returned with that residual.
+    a holds one sample per point, bs and qs one row per delay term. h rises
+    strictly from h(0) = sum(b) - a < 0 and, since E_alpha <= 1,
+    h(a - sum(b)) >= 0. Over that bracket all points run a bracketed
+    (rtsafe-style) Newton in lockstep, one ml_array call per delay and
+    order a round. The first step, from 0, is in closed form; later ones
+    are taken if strictly inside the bracket and at most half the last
+    step. Else the point bisects, or, if the step is under 1e6 tolerances
+    (stalled at the root), doubles it to land across the root. With
+    tolerance 1e-14 max(1, a), a point is done when its bracket or its |h|
+    at a point with h <= 0 falls below it (h' >= 1, so its step does too)
+    and returns that verified low end and its |h|: lambda never exceeds
+    the computed root.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise MlfDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+    if not all(np.isfinite(v).all() for v in (a, bs, qs)):
+        raise MlfDomainError("a, b and q samples must be finite")
+    if np.any(a < 0) or np.any(bs < 0) or np.any(qs < 0):
+        raise ValueError("a, b and q samples must be nonnegative")
     sb = bs.sum(axis=0)
     if np.any(a <= sb):
         raise InfeasiblePointError(
@@ -199,31 +170,47 @@ def _lambda_grid(alpha, a, bs, qs):
     resid = np.zeros(len(a))
     on = np.flatnonzero(sb > 0.0)
     a, bs = a[on], bs[:, on]
-    # q**alpha in Python floats, as lambda_at takes it: np.power can differ
-    # in the last bit, which the series shows near its seam
+    # q**alpha in Python floats, as scalar code takes it: np.power can
+    # differ in the last bit, which the series shows near its seam
     qas = np.array([[q**alpha for q in row] for row in qs[:, on].tolist()])
-    lo, hi = np.zeros(len(on)), a.copy()
+    lo, hi = np.zeros(len(on)), a - sb[on]
     h_lo = sb[on] - a  # h(0): every E_alpha(0) is 1
     width = 1e-14 * np.maximum(1.0, a)
-    open_ = np.flatnonzero(hi - lo > width)
-    while open_.size:
-        mid = 0.5 * (lo[open_] + hi[open_])
-        h_mid = _h_grid(mid, alpha, a[open_], bs[:, open_], qas[:, open_])[0]
-        neg = h_mid < 0.0
-        lo[open_[neg]] = mid[neg]
-        h_lo[open_[neg]] = h_mid[neg]
-        hi[open_[~neg]] = mid[~neg]
-        open_ = open_[hi[open_] - lo[open_] > width[open_]]
-    lam = 0.5 * (lo + hi)
-    for _ in range(3):
-        h, dh = _h_grid(lam, alpha, a, bs, qas, slope=True)
-        lam -= h / dh
-        out = ~((0.0 < lam) & (lam <= a))
-        lam[out] = np.minimum(np.maximum(lam[out], width[out]), a[out])
-    h = _h_grid(lam, alpha, a, bs, qas)[0]
-    above = h > 0.0
-    lams[on] = np.where(above, lo, lam)
-    resid[on] = np.abs(np.where(above, h_lo, h))
+    # h'(0) = 1 + sum b q^alpha / Gamma(1 + alpha)
+    lam = hi / (1.0 + (bs * qas).sum(axis=0) / math.gamma(1.0 + alpha))
+    step = lam.copy()
+    open_ = np.arange(len(on))
+    for _ in range(MAX_ROUNDS):
+        if not open_.size:
+            break
+        # at alpha = 1, exp(-lambda q) may underflow: h is then inf, h' nan
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h, dh = _h_grid(lam, alpha, a[open_], bs[:, open_], qas[:, open_])
+            dx = h / dh
+        below = h <= 0.0
+        lo[open_[below]], h_lo[open_[below]] = lam[below], h[below]
+        hi[open_[~below]] = lam[~below]
+        l, u, w = lo[open_], hi[open_], width[open_]
+        done = (below & (-h < w)) | (u - l < w)
+        size = np.abs(dx)
+        # nan and inf fail the bracket tests
+        newton = lam - dx
+        take = (l < newton) & (newton < u) & (2.0 * size <= step)
+        across = lam - 2.0 * dx
+        across = np.where(across == lam,
+                          np.nextafter(lam, np.where(dx > 0.0, l, u)), across)
+        cross = ~take & (size < 1e6 * w) & (l < across) & (across < u)
+        lam = np.where(take, newton, np.where(cross, across, 0.5 * (l + u)))
+        step = np.where(take | cross, size, 0.5 * (u - l))
+        keep = ~done
+        lam, step, open_ = lam[keep], step[keep], open_[keep]
+    if open_.size:
+        raise HalanayError(
+            f"rate equation unsolved after {MAX_ROUNDS} rounds at "
+            f"{open_.size} points"
+        )
+    lams[on] = lo
+    resid[on] = np.abs(h_lo)
     return lams, resid
 
 

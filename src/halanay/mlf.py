@@ -98,6 +98,9 @@ def ml_array(x, alpha, beta=1.0):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise MlfDomainError("argument must be finite")
+    if x.size <= 4:  # ml per element is faster than a block here
+        vals = [ml(v, alpha, beta) for v in x.ravel().tolist()]
+        return np.array(vals, dtype=np.float64).reshape(x.shape)
     if alpha == 1.0 and beta == 1.0:
         if x.size and x.max() > _EXP_MAX:
             raise MlfOverflowError(f"exp({x.max()}) exceeds float64 range")

@@ -142,6 +142,18 @@ def test_unknown_nested_fields_are_reported(tmp_path, capsys):
     assert "solver.corrector_iters: unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [[], 0, "", False, None],
+                         ids=["list", "zero", "empty", "false", "null"])
+def test_output_must_be_an_object(tmp_path, bad):
+    # a falsy non-object used to load silently with the default file names
+    data = scalar_cfg()
+    data["output"] = bad
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_cfg(tmp_path, data))
+    assert exc.value.errors == [
+        ("output", "expected an object {csv_path, report_path}")]
+
+
 def test_tolerance_must_be_finite(tmp_path):
     # json reads Infinity, and an infinite tolerance passes every trajectory
     for bad in (math.inf, math.nan, -0.1, "0.02", True):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import halanay.halanay as hal
-from halanay.errors import HalanayError, InfeasiblePointError, VerdictNoneError
+from halanay.errors import (
+    HalanayError,
+    InfeasiblePointError,
+    MlfDomainError,
+    VerdictNoneError,
+)
 from halanay.expr import parse
 from halanay.halanay import (
     BOUNDED_GAP,
@@ -91,7 +96,7 @@ def test_rate_residual_and_bracket_contract():
         assert abs(rate_residual(lam, alpha, a, bs, qs)) <= 1e-12 * max(1.0, a)
 
 
-def test_rate_grid_matches_lambda_at_per_point():
+def test_rate_grid_matches_bisection_per_point():
     rng = np.random.default_rng(23)
     for alpha, m in ((0.3, 1), (0.75, 3), (1.0, 2)):
         n = 70
@@ -103,10 +108,12 @@ def test_rate_grid_matches_lambda_at_per_point():
         qs[:, ::5] = 0.0  # points without delay
         lams, resid = hal._lambda_grid(alpha, a, bs, qs)
         for i in range(n):
-            b_i, q_i = bs[:, i].tolist(), qs[:, i].tolist()
-            want = lambda_at(alpha, float(a[i]), b_i, q_i)
-            assert lams[i] == pytest.approx(want, rel=1e-13, abs=0.0), (alpha, i)
-            h = rate_residual(float(lams[i]), alpha, float(a[i]), b_i, q_i)
+            a_i, b_i, q_i = float(a[i]), bs[:, i].tolist(), qs[:, i].tolist()
+            fn = lambda l: rate_residual(l, alpha, a_i, b_i, q_i)
+            want = bisect_root(fn, 0.0, a_i)
+            assert lams[i] == pytest.approx(want, abs=1e-13 * max(1.0, a_i)), (
+                alpha, i)
+            h = rate_residual(float(lams[i]), alpha, a_i, b_i, q_i)
             assert resid[i] == pytest.approx(abs(h), abs=1e-15)
     with pytest.raises(InfeasiblePointError):
         hal._lambda_grid(0.5, np.array([1.0, 0.3]), np.array([[0.2, 0.3]]),
@@ -138,21 +145,46 @@ def test_rate_scan_is_a_few_array_calls(monkeypatch):
         calls[beta] += 1
         return ml_array(x, alpha, beta)
 
-    def scalar(*args):
-        raise AssertionError("the rate scan called scalar ml")
-
     monkeypatch.setattr(hal, "ml_array", counted)
-    monkeypatch.setattr(hal, "ml", scalar)
     certify(example1_input(ScanGrid(100.0, 501)), M=1.2)
     assert set(calls) == {1.0, 0.45}
-    assert max(calls.values()) <= 64, calls
+    assert max(calls.values()) <= 16, calls
     calls.clear()
     two = HalanayInput(
         alpha=0.55, a=T("1.0+0.1*sin(t)"), b=[T("0.2"), T("0.3")],
         q=[T("0.5"), T("1.5")], c=T("0"), tau=2.0, scan=ScanGrid(30.0, 501),
     )
     certify(two, M=2.0)
-    assert max(calls.values()) <= 2 * 64, calls
+    assert max(calls.values()) <= 2 * 16, calls
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0])
+def test_rate_solve_converges_on_stiff_points(alpha, monkeypatch):
+    # a up to 50, b/a up to 1 - 1e-6, q up to 20: at alpha = 1 and large q,
+    # h grows like exp(lambda q), where Newton steps alone crawl
+    rng = np.random.default_rng(41)
+    n = 240
+    a = np.exp(rng.uniform(math.log(0.01), math.log(50.0), n))
+    frac = rng.uniform(0.0, 1.0, n)
+    frac[:60] = 1.0 - 10.0 ** rng.uniform(-6.0, -1.0, 60)
+    q = rng.uniform(0.0, 20.0, n)
+    q[::8] = 20.0
+    b = a * frac
+    rounds = collections.Counter()
+    h_grid = hal._h_grid
+
+    def counted(*args):
+        rounds["h"] += 1
+        return h_grid(*args)
+
+    monkeypatch.setattr(hal, "_h_grid", counted)
+    lams, resid = hal._lambda_grid(alpha, a, b[None, :], q[None, :])
+    assert rounds["h"] <= hal.MAX_ROUNDS // 4, rounds
+    assert np.max(resid) <= hal.RESIDUAL_BOUND
+    for lam, a_i, b_i, q_i in zip(lams.tolist(), a.tolist(), b.tolist(),
+                                  q.tolist()):
+        assert 0.0 < lam <= a_i
+        assert rate_residual(lam, alpha, a_i, [b_i], [q_i]) <= 0.0
 
 
 def test_rate_is_monotone_in_coefficients():
@@ -182,6 +214,28 @@ def test_rate_rejects_infeasible_and_negative_inputs():
         lambda_at(0.65, 0.3, [0.1], [-1.0])
     with pytest.raises(ValueError):
         lambda_at(0.65, 0.3, [0.1], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 1.0, [0.0], [1.0]),
+    (1.5, 1.0, [0.2], [1.0]),
+    (math.nan, 1.0, [0.2], [1.0]),
+    (0.5, math.nan, [0.2], [1.0]),
+    (0.5, math.inf, [0.2], [1.0]),
+    (0.5, 1.0, [math.nan], [1.0]),
+    (0.5, 1.0, [math.inf], [1.0]),
+    (0.5, 1.0, [0.2], [math.nan]),
+    (0.5, 1.0, [0.2], [math.inf]),
+    (0.5, 1.0, [0.0, math.nan], [1.0, 1.0]),
+    (0.5, math.nan, [0.0], [1.0]),
+    (0.5, 1.0, [0.0], [math.nan]),
+], ids=["alpha0", "alpha1.5", "alpha_nan", "a_nan", "a_inf", "b_nan",
+        "b_inf", "q_nan", "q_inf", "b_nan_beside_zero", "a_nan_no_feedback",
+        "q_nan_no_feedback"])
+def test_rate_rejects_invalid_orders_and_nonfinite_samples(args):
+    # checked before the no-feedback shortcut, which returned a as the rate
+    with pytest.raises(MlfDomainError):
+        lambda_at(*args)
 
 
 # ------------------------------------------------------- classify_conditions
