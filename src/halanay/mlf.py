@@ -1,13 +1,13 @@
 """Two-parameter Mittag-Leffler function on the real line.
 
-The evaluator works in float64 and splits the axis into regimes: the
-Taylor series wherever it is numerically safe, the algebraic tail
-expansion for large negative arguments, and a quadrature of the
-spectral representation inside the cancellation window between the two
-(where the alternating series loses roughly half its digits); for alpha
-near 1 that quadrature runs in an angle variable. The alpha-dependent
-parts of each route (Gamma rows, quadrature grids) are cached, so runs
-of calls at one order, as in a rate scan, share them.
+The evaluator works in float64. It sums the Taylor series on the positive
+axis and in the series band of the negative axis (u = |x|^(1/alpha) <=
+6.5). Past the band one quadrature serves every order: the spectral
+integral in an angle variable (`_angle`), with no pole for any alpha < 1.
+Orders beta > 1 step down to (0, 1] by E_{a,b}(z) = (E_{a,b-a}(z) -
+1/Gamma(b-a)) / z; alpha = 1, where the angle form degenerates, has sums
+of its own (`_unit_alpha`). The y-free parts of both routes are cached
+per order, so runs of calls at one order share them.
 
 ml evaluates one argument; ml_array evaluates an array of them, summing
 the series band of the negative axis for all its elements at once and
@@ -16,36 +16,40 @@ passing every other element to ml, so both return the same values.
 
 import functools
 import math
-import threading
 
-import mpmath
 import numpy as np
-from scipy.special import gammaln, gammasgn
+from scipy.special import gammaln
 
 from .errors import MlfDomainError, MlfOverflowError, SeriesCapError
 
 __all__ = ["ml", "ml_array", "mittag_leffler_deriv"]
 
 SERIES_CAP = 10_000
-ASYM_CAP = 2_000
 
-# regime bounds on u = |x|^(1/alpha), kept in log form so routing never
+# the series band on u = |x|^(1/alpha), kept in log form so routing never
 # has to exponentiate a potentially overflowing power
 _LN_U_SERIES = math.log(6.5)
-_LN_U_ASYM = math.log(25.0)
 # terms per ml_array series block, which bounds its (rows, chunk) matrix
 _BLOCK_TERMS = 1 << 17
 
 _EXP_MAX = 709.782712893384
 _LN_OVER = math.log(740.0)
 
-_MP_LOCK = threading.Lock()
+# _angle_grid: the step in t, the squeeze of the lower tail, the span of
+# ln u one grid serves, and its ends: e^-37 below the peak, and r = 800
+_ANGLE_STEP = 0.25
+_LN_SQUEEZE = math.log(0.1)
+_ANGLE_SPAN = 8.0
+_ANGLE_DROP = 37.0
+_LN_R_CUT = math.log(800.0)
+# _unit_alpha: Kummer's sum up to y = 60 and its term count there; the
+# algebraic series beyond, to 24 terms past k = beta
+_KUMMER_Y = 60.0
+_KUMMER_TERMS = 160
+_ALGEBRAIC_TERMS = 24
 
-# term indices and the (-1)^(k+1) signs of the tail expansion, sliced per chunk
+# term indices, sliced per series chunk or _unit_alpha sum
 _KS = np.arange(SERIES_CAP, dtype=np.float64)
-_SIGNS = 2.0 * (_KS % 2.0) - 1.0
-
-
 def ml(x, alpha, beta=1.0):
     """Evaluate E_{alpha,beta}(x) for real x, alpha in (0,1], beta > 0."""
     _check_orders(alpha, beta)
@@ -68,21 +72,21 @@ def ml(x, alpha, beta=1.0):
             )
         return _series(x, alpha, beta)
 
-    y = -x
-    ln_y = math.log(y)
-    lu = ln_y / alpha
-    if lu > _LN_U_ASYM:
-        val, crude = _asym_neg(alpha, beta, ln_y)
-        if not crude or lu > math.log(60.0):
-            return val
-        # truncation too coarse this close to the seam; use a denser route
-    elif lu <= _LN_U_SERIES:
+    if math.log(-x) / alpha <= _LN_U_SERIES:
         return _series(x, alpha, beta)
-    if beta == 1.0 or beta == alpha:
-        if alpha <= 0.995:
-            return _spectral(math.exp(lu), alpha, beta)
-        return _angular(math.exp(lu), alpha, beta)
-    return _mp_series(x, alpha, beta)
+    if _at_zero(beta) == 0.0:
+        # E_{a,b}(-y) is completely monotone in y: 0 <= E <= 1/Gamma(b)
+        return 0.0
+    if alpha == 1.0:
+        return _unit_alpha(-x, beta)
+    betas = []
+    while beta > 1.0:
+        betas.append(beta)
+        beta -= alpha
+    val = _angle(-x, alpha, beta)
+    for b in reversed(betas):
+        val = (val - _at_zero(b - alpha)) / x
+    return val
 
 
 def ml_array(x, alpha, beta=1.0):
@@ -90,9 +94,9 @@ def ml_array(x, alpha, beta=1.0):
 
     Negative elements inside the series band are summed together, one
     Taylor series per row in blocks of rows; x == 0 gives 1/Gamma(beta)
-    and every other element (positive, window, tail) goes through ml, so
-    each value is the one ml returns, whichever route it takes. Returns
-    an array of the shape of x.
+    and every other element (positive, or past the band) goes through ml,
+    so each value is the one ml returns, whichever route it takes.
+    Returns an array of the shape of x.
     """
     _check_orders(alpha, beta)
     x = np.asarray(x, dtype=np.float64)
@@ -215,69 +219,6 @@ def _series_rows(ln_y, alpha, beta):
     return total
 
 
-def _asym_neg(alpha, beta, ln_y):
-    """Algebraic tail expansion at x = -y, truncated at its smallest term.
-
-    Term magnitudes dip sharply next to the Gamma poles (where the
-    coefficient 1/Gamma(beta - alpha*k) vanishes), so the truncation
-    point is chosen on the smooth reflection-formula envelope
-    y^-k * Gamma(alpha*k + 1 - beta) / pi, not on the raw magnitudes.
-    Returns (value, crude); crude signals that the smallest envelope
-    term exceeds 1e-13 of the value. That term underestimates the
-    truncation error by up to ~100x next to the seam, so the bound keeps
-    the error of an accepted value near 1e-11 relative.
-    """
-    lts = []
-    sgs = []
-    envs = []
-    scale = None
-    emin = math.inf
-    k0 = 1
-    while k0 <= ASYM_CAP:
-        hi = min(k0 + 128, ASYM_CAP + 1)
-        right, lg_z, sg, lg_refl = _asym_row(alpha, beta, k0, hi)
-        mk = -_KS[k0:hi] * ln_y
-        lt = mk - lg_z
-        env = np.where(right, lt, mk + lg_refl - math.log(math.pi))
-        lts.append(lt)
-        sgs.append(sg)
-        envs.append(env)
-        if scale is None:
-            scale = math.exp(min(float(env.max()), 300.0))
-        emin = min(emin, float(env.min()))
-        if emin < math.log(1e-18 * scale + 1e-300):
-            break
-        if float(env[-1]) > emin + 2.0:
-            break
-        k0 = hi
-    if len(lts) > 1:
-        lt = np.concatenate(lts)
-        sg = np.concatenate(sgs)
-        env = np.concatenate(envs)
-    m = int(env.argmin())
-    with np.errstate(over="ignore"):
-        vals = sg[: m + 1] * np.exp(lt[: m + 1])
-    val = float(vals.sum())
-    crude = math.exp(min(env[m], 300.0)) > 1e-13 * abs(val)
-    return val, crude
-
-
-@functools.lru_cache(maxsize=64)
-def _asym_row(alpha, beta, k0, hi):
-    """The y-free parts of tail terms k0..hi-1, shared by calls at one alpha.
-
-    Returns the mask z >= 0.5, ln|Gamma(z)|, the term signs and
-    ln Gamma(1 - z), for z = beta - alpha*k.
-    """
-    ks = _KS[k0:hi]
-    z = beta - alpha * ks
-    lg_z = gammaln(z)
-    # gammasgn is NaN at the poles where the coefficient vanishes
-    sg = np.where(np.isfinite(lg_z), gammasgn(z) * _SIGNS[k0:hi], 0.0)
-    lg_refl = gammaln(1.0 - z)
-    return _frozen(z >= 0.5), _frozen(lg_z), _frozen(sg), _frozen(lg_refl)
-
-
 @functools.lru_cache(maxsize=64)
 def _series_row(alpha, beta, k0, hi):
     """ln Gamma(alpha*k + beta), k = k0..hi-1, shared by calls at one alpha."""
@@ -289,97 +230,74 @@ def _frozen(a):
     return a
 
 
-def _spectral(u, alpha, beta):
-    """Quadrature of the spectral density, for beta in {1, alpha} only.
+def _angle(y, alpha, beta):
+    """E_{alpha,beta}(-y) for 0 < alpha < 1 and 0 < beta <= 1.
 
-    E_alpha(-u^alpha) = sin(pi a)/(pi a) * int_0^inf exp(-w^(1/a) u) /
-    (w^2 + 2 cos(pi a) w + 1) dw; substituting w = e^v makes the
-    integrand analytic in a strip around the real v-axis, so the
-    trapezoid rule converges geometrically in 1/step. The step is tied
-    to the strip half-width: poles of the density sit at height
-    (1-alpha)*pi and the double-exponential factor turns to growth at
-    height alpha*pi/2.
+    The spectral integral, after w = sin(p) / sin(pi a - p) (which turns
+    dw / (w^2 + 2 w cos(pi a) + 1) into dp / sin(pi a)), reads
+        E_{a,b}(-y) = 1/(pi a) int_0^(pi a) exp(-r) r^(1-b)
+                      sin(p + pi (b - a)) / sin(pi a - p) dp,
+    r = (y w)^(1/a), with no pole left for any a < 1; the last factor is
+    1 at b = 1. The trapezoid rule runs on the cached `_angle_grid`.
     """
-    s = math.sin(math.pi * alpha)
-    step, w_all, ev_all, den_all = _spectral_grid(alpha)
-    n = _spectral_len(alpha, step, u)
-    w, ev, den = w_all[:n], ev_all[:n], den_all[:n]
-    damp = np.exp(-ev * u)
-    if beta == 1.0:
-        total = float((w * damp / den).sum())
-        return s / (alpha * math.pi) * step * total
-    total = float((w * ev * damp / den).sum())
-    return u ** (1.0 - alpha) * s / (alpha * math.pi) * step * total
+    ln_u = math.log(y) / alpha
+    top = _ANGLE_SPAN * math.ceil(ln_u / _ANGLE_SPAN)
+    w, weights, factor = _angle_grid(alpha, beta, top)
+    r = (y * w) ** (1.0 / alpha)
+    vals = np.exp(-r)
+    if factor is not None:
+        vals *= r ** (1.0 - beta) * factor
+    return float(np.dot(vals, weights))
 
 
-def _spectral_len(alpha, step, u):
-    v_hi = alpha * math.log(46.0 / u)
-    return int(math.ceil((v_hi + 40.0) / step)) + 1
+@functools.lru_cache(maxsize=16)
+def _angle_grid(alpha, beta, top):
+    """w, weights and sine factor of `_angle` for ln u in (top - 8, top].
 
-
-@functools.lru_cache(maxsize=4)
-def _spectral_grid(alpha):
-    """The u-free parts of the `_spectral` grid v = -40 + step*j: the step,
-    w = e^v, e^(v/alpha) and the density's denominator. Long enough for
-    any u >= 1; each call takes the prefix it needs.
-    """
-    # keep >= 5 (resp. 10) grid points per unit of strip half-width
-    step = min(math.pi * (1.0 - alpha) / 5.0, math.pi * alpha / 10.0)
-    v = -40.0 + step * np.arange(_spectral_len(alpha, step, 1.0))
-    w = np.exp(v)
-    den = (w + 2.0 * math.cos(math.pi * alpha)) * w + 1.0
-    return step, _frozen(w), _frozen(np.exp(v / alpha)), _frozen(den)
-
-
-def _angular(u, alpha, beta):
-    """Quadrature in the angle form, for alpha near 1 and beta in {1, alpha}.
-
-    As alpha -> 1 the spectral density's poles close in on the real
-    axis, so `_spectral` would need a step shrinking like 1 - alpha.
-    Substituting w = sin(d) / sin(pi a - d) into the spectral integral
-    gives E_alpha(-u^alpha) = 1/(pi a) * int_0^(pi a) exp(-u w^(1/a)) dd
-    with no pole left. The trapezoid rule runs in z, d = pi a / (1 + e^-z),
-    which resolves both the boundary layer of width ~pi (1 - a) / u at
-    d = 0 and the cut-off at d -> pi a, where the integrand underflows.
-    Both sines are taken of the angle nearer to 0 (sin d = sin(eps +
-    pi a - d), eps = pi (1 - a)), so neither loses digits near pi.
+    In z, p = pi a / (1 + e^-z), nodes resolve the boundary layer at
+    p ~ sin(pi a) / y (the peak, r ~ 1) and the cut-off as p -> pi a. r
+    varies like e^(z/a) there, so the step in z is 0.25 a; below the peak
+    the integrand falls only like e^z, so the lattice runs in t,
+    z = z_top + a (t - 0.1 e^-t), which squeezes that tail to a few dozen
+    nodes. Sines are taken of the angle nearer to 0 (sin p = sin(eps +
+    pi a - p), eps = pi (1 - a)), so none loses digits near pi, as
+    2 t / (1 + t^2) of t = tan(half angle): numpy's tan beats its sin.
     """
     big = math.pi * alpha
     eps = math.pi * (1.0 - alpha)
-    step = 0.2
-    z_lo = math.log(eps / u) - 40.0
-    z_hi = math.log(big / eps) + alpha * math.log(800.0 / u)
-    z = z_lo + step * np.arange(int(math.ceil((z_hi - z_lo) / step)) + 1)
-    e = np.exp(-z)
-    d = big / (1.0 + e)
-    dc = d * e  # pi a - d, without the cancellation
-    w = np.sin(np.minimum(d, eps + dc)) / np.sin(np.minimum(dc, eps + d))
-    pw = w ** (1.0 / alpha)
-    # |dd/dz| = d * dc / (pi a); the 1/(pi a) prefactor folds in
-    vals = np.exp(-u * pw) * d * dc
-    if beta == alpha:
-        vals *= pw
-    total = step * float(vals.sum()) / (big * big)
-    return total if beta == 1.0 else u ** (1.0 - alpha) * total
+    lead = math.log(big / math.sin(big))
+    t_lo = _LN_SQUEEZE + math.log(alpha / _ANGLE_DROP)
+    t_hi = 2.0 * lead / alpha + _ANGLE_SPAN + _LN_R_CUT + 1.0
+    t = _ANGLE_STEP * np.arange(math.floor(t_lo / _ANGLE_STEP),
+                                math.ceil(t_hi / _ANGLE_STEP) + 1)
+    squeeze = np.exp(_LN_SQUEEZE - t)
+    s = np.exp((t - squeeze) * alpha - (lead + alpha * top))  # e^z
+    dc = 0.5 * big / (1.0 + s)
+    half = np.array((dc * s, dc))  # p/2 and (pi a - p)/2
+    tan = np.tan(np.minimum(half, 0.5 * eps + half[::-1]))
+    sines = tan / (1.0 + tan * tan)  # sin(p)/2 and sin(pi a - p)/2
+    # dp/dt = p (pi a - p) / (pi a) * a (1 + 0.1 e^-t), times 1/(pi a)
+    weights = half[0] * half[1] * (1.0 + squeeze)
+    weights *= 4.0 * _ANGLE_STEP / (math.pi * big)
+    factor = None if beta == 1.0 else _frozen(np.sin(np.minimum(
+        2.0 * half[0] + math.pi * (beta - alpha),
+        math.pi * (1.0 - beta) + 2.0 * half[1])) / (2.0 * sines[1]))
+    return _frozen(sines[0] / sines[1]), _frozen(weights), factor
 
 
-def _mp_series(x, alpha, beta):
-    """High-precision fallback for the rare regimes the fast paths skip."""
-    with _MP_LOCK, mpmath.workdps(60):
-        xm = mpmath.mpf(x)
-        am = mpmath.mpf(alpha)
-        total = mpmath.mpf(0)
-        eps = mpmath.mpf("1e-40")
-        small = 0
-        for k in range(100_000):
-            term = xm**k / mpmath.gamma(am * k + beta)
-            total += term
-            if abs(term) < eps * (abs(total) + 1):
-                small += 1
-                if small >= 4:
-                    return float(total)
-            else:
-                small = 0
-    raise SeriesCapError(
-        f"high-precision series for E_({alpha},{beta})({x}) stalled"
-    )
+def _unit_alpha(y, beta):
+    """E_{1,beta}(-y), beta != 1, where w = 1 and the angle form degenerates.
+
+    Up to y = 60, Kummer's transformation gives a sum whose terms past the
+    first share one sign, E_{1,b}(-y) = e^-y / Gamma(b) * sum_k (b-1) /
+    (b-1+k) y^k/k!. Beyond, the algebraic series sum_{k>=1} (-1)^(k+1)
+    y^-k / Gamma(b-k) leaves out a part of order e^-y, below e^-60.
+    """
+    if y <= _KUMMER_Y:
+        ks = _KS[1:_KUMMER_TERMS]
+        terms = np.cumprod(y / ks)  # y^k / k!
+        total = 1.0 + float(np.dot(terms, (beta - 1.0) / (ks - 1.0 + beta)))
+        return math.exp(-y) * total * _at_zero(beta)
+    ks = _KS[2:_ALGEBRAIC_TERMS + math.ceil(beta)]
+    ratios = np.cumprod((ks - beta) / y)  # term k over term 1
+    return _at_zero(beta - 1.0) / y * (1.0 + float(ratios.sum()))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -387,3 +388,32 @@ def test_console_entry_point_golden_run(tmp_path, config_dir):
     # simulated l1 norm stays under the certified envelope column
     ratio = data[:, -1]
     assert np.nanmax(ratio) <= 1.02
+
+
+def test_runs_without_mpmath(tmp_path, config_dir):
+    # mpmath is a test dependency only; with it unimportable, ml past the
+    # series band (a beta step-down and alpha = 1) and certify still run
+    script = "\n".join([
+        "import sys",
+        "sys.modules['mpmath'] = None",
+        "from halanay import cli",
+        "from halanay.mlf import ml",
+        "print(ml(-9.0, 0.997, 1.3))",
+        "print(ml(-7.0, 1.0, 2.0))",
+        f"cfg = cli.load_config({str(config_dir / 'example1.json')!r})",
+        f"report, code = cli.run('certify', cfg, out_dir={str(tmp_path)!r})",
+        "print(code)",
+        "print(report['certificate']['lambda_star'])",
+    ])
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    ml_a, ml_b, code, lam = proc.stdout.split()
+    assert 0.0 < float(ml_a) < 1.0
+    assert float(ml_b) == pytest.approx(-math.expm1(-7.0) / 7.0, rel=1e-13)
+    assert code == "0"
+    assert float(lam) > 0.0

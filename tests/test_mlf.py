@@ -81,8 +81,9 @@ def test_reference_series_battery():
 
 
 def test_window_near_alpha_one():
-    # alpha in (0.995, 1) inside the cancellation window, where the spectral
-    # density's poles crowd the real axis and the angle-form quadrature runs
+    # alpha in (0.995, 1) just past the series band, where the spectral
+    # density's poles crowd the real axis and E_alpha(-u^alpha) is nearly
+    # e^-u: the angle form, which has no pole, must keep its relative digits
     for alpha, u in itertools.product((0.996, 0.9999, 1 - 1e-9, 1 - 1e-12),
                                       (7.0, 12.0, 18.0, 24.5)):
         for beta in (1.0, alpha):
@@ -94,12 +95,52 @@ def test_window_near_alpha_one():
 
 
 def test_tail_expansion_hands_off_near_its_seam():
-    # just past u = 25 the best truncation of the tail expansion is off by
-    # 6.6e-8, 5.6e-9 and 3.3e-10 relative here: the window routes must answer
+    # just past u = 25 the best truncation of the algebraic tail expansion
+    # is off by 6.6e-8, 5.6e-9 and 3.3e-10 relative here; the angle form,
+    # which answers past the series band, must not lose those digits
     for u, alpha in ((25.0001, 0.996), (26.0, 0.99), (26.0, 0.9)):
         x = -(u**alpha)
         want = ml_reference(x, alpha)
         assert ml(x, alpha) == pytest.approx(want, rel=1e-12, abs=0.0), (u, alpha)
+
+
+def test_beyond_band_battery():
+    # past the series band for every order: beta = 1, beta = alpha, and
+    # beta in (0.05, 3), where beta > 1 steps down to (0, 1]
+    rng = np.random.default_rng(8)
+    for i in range(150):
+        alpha = float(rng.uniform(0.1, 1.0 - 1e-9))
+        u = float(rng.uniform(6.5, 85.0))
+        beta = (1.0, alpha, float(rng.uniform(0.05, 3.0)))[i % 3]
+        x = -(u**alpha)
+        ref = ml_reference(x, alpha, beta)
+        assert ml(x, alpha, beta) == pytest.approx(ref, rel=1e-13, abs=0.0), (
+            alpha, u, beta,
+        )
+
+
+def test_unit_alpha_against_reference():
+    for beta, y in itertools.product((0.4, 1.3, 2.5), (7.0, 20.0, 50.0)):
+        ref = ml_reference(-y, 1.0, beta)
+        assert ml(-y, 1.0, beta) == pytest.approx(ref, rel=1e-12, abs=0.0), (
+            beta, y,
+        )
+
+
+def test_unit_alpha_closed_forms():
+    # E_{1,2}(-y) = (1 - e^-y) / y and E_{1,3}(-y) = (y - 1 + e^-y) / y^2,
+    # on both sides of y = 60, where the Kummer sum hands over
+    for y in [*np.geomspace(7.0, 1e6, 25).tolist(), 60.0, 60.0000001]:
+        want2 = -math.expm1(-y) / y
+        want3 = (y - 1.0 + math.exp(-y)) / y**2
+        assert ml(-y, 1.0, 2.0) == pytest.approx(want2, rel=1e-13, abs=0.0), y
+        assert ml(-y, 1.0, 3.0) == pytest.approx(want3, rel=1e-13, abs=0.0), y
+
+
+def test_half_order_deep_tail():
+    # relative accuracy where E_{1/2}(-y) = erfcx(y) ~ 1/(y sqrt(pi)) is tiny
+    for y in (60.0, 2e3, 1e6, 1e12, 1e150):
+        assert ml(-y, 0.5) == pytest.approx(erfcx(y), rel=1e-13, abs=0.0), y
 
 
 def _u_near(seam):
@@ -214,10 +255,10 @@ def test_derivative_anchors():
 def test_deterministic_and_thread_safe():
     args = [
         (-0.3, 0.65, 1.0),     # plain series
-        (-12.0, 0.65, 0.65),   # cancellation window
-        (-4000.0, 0.65, 1.0),  # tail expansion
-        (-9.0, 0.997, 1.3),    # high-precision fallback
-        (-20.0, 0.999, 1.0),   # window, angle form
+        (-12.0, 0.65, 0.65),   # angle form, just past the series band
+        (-4000.0, 0.65, 1.0),  # angle form, deep tail
+        (-9.0, 0.997, 1.3),    # angle form after one beta step-down
+        (-20.0, 0.999, 1.0),   # angle form, alpha near 1
         (2.0, 0.8, 1.0),       # growing side
     ]
     want = [ml(*a) for a in args]
