@@ -22,10 +22,9 @@ from .errors import (
     SeriesCapError,
     StepSizeError,
     StructureError,
-    VerdictNoneError,
 )
 from .expr import TimeExpr, parse
-from .mlf import ml, ml_array, mittag_leffler_deriv
+from .mlf import ml, ml_array
 from .halanay import (
     ConditionVerdict,
     HalanayCertificate,
@@ -44,7 +43,7 @@ from .positivity import (
     initial_amplitude,
     structure_check,
 )
-from .lmi import LmiInput, LmiReport, certify_lmi, lmi_block, max_eigen_sym
+from .lmi import LmiReport, certify_lmi, lmi_block, max_eigen_sym
 from .fdde import (
     EnvelopeCheck,
     SolverConfig,
@@ -55,7 +54,7 @@ from .fdde import (
     solve,
     write_csv,
 )
-from .cli import RunConfig, config_to_dict, emit_plot_script, load_config, run
+from .cli import RunConfig, emit_plot_script, load_config, run
 
 __all__ = [
     "__version__",
@@ -69,12 +68,10 @@ __all__ = [
     "SeriesCapError",
     "StepSizeError",
     "StructureError",
-    "VerdictNoneError",
     "TimeExpr",
     "parse",
     "ml",
     "ml_array",
-    "mittag_leffler_deriv",
     "ConditionVerdict",
     "HalanayCertificate",
     "HalanayInput",
@@ -89,7 +86,6 @@ __all__ = [
     "column_sums",
     "initial_amplitude",
     "structure_check",
-    "LmiInput",
     "LmiReport",
     "certify_lmi",
     "lmi_block",
@@ -103,7 +99,6 @@ __all__ = [
     "solve",
     "write_csv",
     "RunConfig",
-    "config_to_dict",
     "emit_plot_script",
     "load_config",
     "run",

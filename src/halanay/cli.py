@@ -24,26 +24,19 @@ from .errors import (
     HalanayError,
     InfeasiblePointError,
     StructureError,
-    VerdictNoneError,
 )
 from .expr import parse
 from .fdde import SolverConfig, check_envelope, solve, write_csv
-from .halanay import (
-    NONE,
-    HalanayInput,
-    ScanGrid,
-    certify,
-    classify_conditions,
-    envelope as decay_envelope,
-)
-from .lmi import LmiInput, certify_lmi
+from .halanay import HalanayInput, ScanGrid, certify, envelope as decay_envelope
+# classify_conditions is not called here; perfbench/tracer.py wraps it by name
+from .halanay import classify_conditions  # noqa: F401
+from .lmi import certify_lmi
 from .mlf import ml
 from .positivity import DelaySystem, certify_positive, initial_amplitude
 
 __all__ = [
     "RunConfig",
     "load_config",
-    "config_to_dict",
     "run",
     "emit_plot_script",
     "main",
@@ -75,7 +68,6 @@ class RunConfig:
     A: tuple  # rows of TimeExpr
     B: tuple
     q: tuple  # one TimeExpr per delay term
-    q_single: bool  # config spelled q as a plain string
     phi: tuple
     gamma: object  # TimeExpr or None
     sigma: object
@@ -172,11 +164,10 @@ def load_config(path):
         analysis = None
 
     raw_q = data.get("q")
-    q_single = isinstance(raw_q, str)
     q = None
     if raw_q is None:
         errors.append(("q", "missing required field"))
-    elif q_single:
+    elif isinstance(raw_q, str):
         e = _expr(errors, raw_q, "q", "t")
         q = (e,) if e is not None else None
     elif isinstance(raw_q, list) and raw_q:
@@ -203,7 +194,8 @@ def load_config(path):
     phi = None
     raw_phi = data.get("phi")
     if not isinstance(raw_phi, list) or (dim is not None and len(raw_phi) != dim):
-        errors.append(("phi", f"expected a list of {dim} expression strings"))
+        count = "" if dim is None else f"{dim} "
+        errors.append(("phi", f"expected a list of {count}expression strings"))
     else:
         parsed = tuple(_expr(errors, e, f"phi[{i}]", "s") for i, e in enumerate(raw_phi))
         phi = parsed if all(e is not None for e in parsed) else None
@@ -265,9 +257,21 @@ def load_config(path):
         output = {}
     csv_path = output.get("csv_path", "trajectory.csv")
     report_path = output.get("report_path", "report.json")
+    names_ok = True
     for name, val in (("csv_path", csv_path), ("report_path", report_path)):
         if not isinstance(val, str) or not val:
             errors.append((f"output.{name}", f"expected a file name, got {val!r}"))
+            names_ok = False
+    if names_ok:
+        csv_file = os.path.normpath(csv_path)
+        plot_file = os.path.normpath(_plot_path(csv_path))
+        if csv_file == plot_file:
+            errors.append(("output.csv_path",
+                           f"{csv_path!r} would be overwritten by its plot script"))
+        if os.path.normpath(report_path) in (csv_file, plot_file):
+            errors.append(("output.report_path",
+                           f"{report_path!r} would overwrite the trajectory CSV "
+                           "or its plot script"))
 
     if errors:
         raise ConfigError(errors)
@@ -279,7 +283,6 @@ def load_config(path):
         A=A,
         B=B,
         q=q,
-        q_single=q_single,
         phi=phi,
         gamma=gamma,
         sigma=sigma,
@@ -290,35 +293,6 @@ def load_config(path):
         csv_path=csv_path,
         report_path=report_path,
     )
-
-
-def config_to_dict(cfg):
-    """Inverse of load_config up to formatting: sources are kept verbatim."""
-    out = {
-        "alpha": cfg.alpha,
-        "dim": cfg.dim,
-        "tau": cfg.tau,
-        "analysis": cfg.analysis,
-        "A": [[e.source for e in row] for row in cfg.A],
-        "B": [[e.source for e in row] for row in cfg.B],
-        "q": cfg.q[0].source if cfg.q_single else [e.source for e in cfg.q],
-        "phi": [e.source for e in cfg.phi],
-        "scan": {"t_max": cfg.scan.t_max, "n_points": cfg.scan.n_points},
-        "output": {"csv_path": cfg.csv_path, "report_path": cfg.report_path},
-    }
-    if cfg.gamma is not None:
-        out["gamma"] = cfg.gamma.source
-    if cfg.sigma is not None:
-        out["sigma"] = cfg.sigma.source
-    if cfg.a_bounded is not None:
-        out["a_bounded"] = cfg.a_bounded
-    if cfg.solver is not None:
-        out["solver"] = {
-            "t_end": cfg.solver.t_end,
-            "h": cfg.solver.h,
-            "tolerance": cfg.tolerance,
-        }
-    return out
 
 
 def _build_system(cfg):
@@ -358,44 +332,25 @@ def _strict_json(obj):
 
 def _certify(cfg):
     """Run the configured analysis; returns (verdict_json, certificate, norm_tag)."""
-    if cfg.analysis == "positive":
+    if cfg.analysis == "halanay-scalar":
+        verdict, cert = certify(_scalar_input(cfg), M=initial_amplitude(cfg, "l1"))
+    elif cfg.analysis == "positive":
+        verdict, cert = certify_positive(_build_system(cfg), cfg.scan,
+                                         a_bounded=cfg.a_bounded)
+    else:
         sys_ = _build_system(cfg)
-        verdict, cert = certify_positive(sys_, cfg.scan, a_bounded=cfg.a_bounded)
-        vjson = {
-            "metzler_ok": verdict.metzler_ok,
-            "nonneg_ok": verdict.nonneg_ok,
-            "a0": verdict.a0,
-            "p": verdict.p,
-            "sigma": verdict.sigma,
-            "theorem_33_ok": verdict.theorem_33_ok,
-            "remark_34_ok": verdict.remark_34_ok,
-        }
-        return vjson, cert, "l1"
-    if cfg.analysis == "lmi":
-        sys_ = _build_system(cfg)
-        report = certify_lmi(
-            LmiInput(sys=sys_, gamma=cfg.gamma, sigma=cfg.sigma, grid=cfg.scan),
-            initial_amplitude(sys_, "sq"),
-        )
-        vjson = {
-            "feasible": report.feasible,
-            "worst_eigen": report.worst_eigen,
-            "worst_t": report.worst_t,
-            "a0": report.a0,
-            "p": report.p,
-        }
-        return vjson, report.certificate, "l2"
-    input_ = _scalar_input(cfg)
-    verdict = classify_conditions(input_)
-    cert = None
-    if verdict.case_tag != NONE:
-        cert = certify(input_, M=initial_amplitude(cfg, "l1"))
-    return asdict(verdict), cert, "l1"
+        verdict, cert = certify_lmi(sys_, cfg.gamma, cfg.sigma, cfg.scan,
+                                    initial_amplitude(sys_, "sq"))
+    return asdict(verdict), cert, "l2" if cfg.analysis == "lmi" else "l1"
 
 
 def _envelope_values(cfg, cert, norm_tag, ts):
     env = decay_envelope(cert, cfg.alpha, ts)
     return np.sqrt(env) if norm_tag == "l2" else env
+
+
+def _plot_path(traj_csv):
+    return os.path.splitext(traj_csv)[0] + ".gp"
 
 
 def emit_plot_script(traj_csv, envelope=True):
@@ -413,7 +368,7 @@ def emit_plot_script(traj_csv, envelope=True):
     d = len(cols) - 5
     if d < 1 or cols[0] != "t":
         raise ValueError(f"{traj_csv} does not look like a trajectory CSV")
-    path = os.path.splitext(traj_csv)[0] + ".gp"
+    path = _plot_path(traj_csv)
     base = os.path.basename(traj_csv)
     curves = [
         f"'{base}' using 1:{i + 2} with lines title 'x{i + 1}'" for i in range(d)
@@ -562,20 +517,19 @@ def main(argv=None):
             return 0
         cfg = load_config(args.config)
         report, code = run(args.command, cfg, args.out)
+        report_path = os.path.join(args.out, cfg.report_path)
+        with open(report_path, "w", encoding="utf-8") as fh:
+            json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
+            fh.write("\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (StructureError, VerdictNoneError, InfeasiblePointError) as exc:
+    except (StructureError, InfeasiblePointError) as exc:
         print(f"not certifiable: {exc}", file=sys.stderr)
         return 2
-    except (HalanayError, ValueError) as exc:
+    except (HalanayError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    report_path = os.path.join(args.out, cfg.report_path)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
-        fh.write("\n")
     for line in _summary_lines(report):
         print(line)
     print(f"note: {GRID_NOTE}", file=sys.stderr)

@@ -45,10 +45,6 @@ class InfeasiblePointError(HalanayError, ValueError):
     """A grid point violates the conditions required by the certificate."""
 
 
-class VerdictNoneError(HalanayError, ValueError):
-    """Neither decay case applies at some grid point."""
-
-
 class StructureError(HalanayError, ValueError):
     """System matrices violate a required sign structure."""
 

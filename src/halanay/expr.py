@@ -95,9 +95,6 @@ class TimeExpr:
             raise ExprEvalError("non-finite result", self.source)
         return res
 
-    def to_string(self):
-        return _fmt(self.ast, 0, self.var_name)
-
 
 def parse(text, var_name):
     """Parse an expression string over the single variable var_name."""
@@ -242,25 +239,3 @@ def _ev(node, x, src):
     except FloatingPointError as exc:
         raise ExprEvalError(str(exc), src[node.span[0] : node.span[1]]) from exc
 
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def _fmt(node, outer, var):
-    if isinstance(node, _Num):
-        return repr(node.value)
-    if isinstance(node, _Var):
-        return var
-    if isinstance(node, _Neg):
-        s = "-" + _fmt(node.child, 3, var)
-        return f"({s})" if outer > 3 else s
-    if isinstance(node, _Call):
-        return f"{node.fn}({_fmt(node.child, 0, var)})"
-    p = _PREC[node.op]
-    if node.op == "^":
-        s = _fmt(node.left, 5, var) + "^" + _fmt(node.right, 3, var)
-    else:
-        # left-assoc: right operand of - and / needs a tighter context
-        rp = p + 1 if node.op in ("-", "/") else p
-        s = _fmt(node.left, p, var) + node.op + _fmt(node.right, rp, var)
-    return f"({s})" if outer > p else s

@@ -11,8 +11,11 @@ determined by which smallness condition the coefficients satisfy. The
 resulting envelope is w0 + M E_alpha(-lambda* t^alpha).
 
 All three certification routes end in certify_sampled, which takes the
-coefficients already sampled on the grid; classify_conditions and
-certify are its wrappers for expression-valued input. Its rate scan
+coefficients already sampled on the grid; certify is its wrapper for
+expression-valued input and samples each coefficient once. Each route
+(certify here, positivity.certify_positive, lmi.certify_lmi) returns
+(verdict, certificate), the certificate None when neither condition
+holds. The rate scan
 (_lambda_grid) solves every grid point in lockstep on arrays, by a
 bracketed Newton iteration that starts with a closed-form step from 0,
 and lambda_at is a one-point call of the same solver. Each returned
@@ -25,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (HalanayError, InfeasiblePointError, MlfDomainError,
-                     VerdictNoneError)
+from .errors import HalanayError, InfeasiblePointError, MlfDomainError
 # ml is not called here; perfbench/tracer.py wraps halanay.halanay.ml by name
 from .mlf import ml, ml_array  # noqa: F401
 
@@ -300,19 +302,17 @@ def classify_conditions(input_):
 
 
 def certify(input_, M):
-    """Scan the grid for the minimal rate and assemble the certificate."""
+    """Classify the sampled coefficients and certify the minimal rate.
+
+    Returns (verdict, certificate); the certificate is None when the
+    verdict is NONE.
+    """
     if M < 0:
         raise ValueError(f"amplitude M must be nonnegative, got {M}")
-    verdict, cert = certify_sampled(
+    return certify_sampled(
         input_.alpha, input_.tau, *_sample(input_), a_bounded=input_.a_bounded,
         M=M,
     )
-    if cert is None:
-        raise VerdictNoneError(
-            "neither decay condition holds on the grid "
-            f"(sigma={verdict.sigma:.6g}, a0={verdict.a0:.6g}, p={verdict.p:.6g})"
-        )
-    return cert
 
 
 def envelope(cert, alpha, t):

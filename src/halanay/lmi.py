@@ -11,6 +11,10 @@ scalar comparison inequality the halanay module certifies, giving
 ||x(t)|| <= sqrt(M2 * E_alpha(-lambda* t^alpha)) with M2 = sup phi^T phi.
 The blocks of the whole grid are assembled as one stack and their top
 eigenvalues come from a single batched symmetric eigen solve.
+
+certify_lmi returns (verdict, certificate) like the other two routes:
+the verdict (LmiReport) holds what the report prints, and the
+certificate is None when the blocks or the scalar conditions fail.
 """
 
 from dataclasses import dataclass
@@ -21,18 +25,10 @@ from . import halanay as _hal
 from .errors import InfeasiblePointError
 from .positivity import sample_matrices
 
-__all__ = ["LmiInput", "LmiReport", "lmi_block", "max_eigen_sym", "certify_lmi"]
+__all__ = ["LmiReport", "lmi_block", "max_eigen_sym", "certify_lmi"]
 
 
 EIGEN_TOL = 1e-10  # semidefiniteness slack on the largest block eigenvalue
-
-
-@dataclass(frozen=True)
-class LmiInput:
-    sys: object  # DelaySystem
-    gamma: object  # TimeExpr, >= 0 on the grid
-    sigma: object  # TimeExpr, >= 0 on the grid
-    grid: object  # ScanGrid
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,6 @@ class LmiReport:
     worst_t: float
     a0: float  # min over grid of gamma
     p: float  # max over grid of sigma/gamma
-    certificate: object  # HalanayCertificate, or None when infeasible
 
 
 def lmi_block(A, B, gamma_val, sigma_val):
@@ -82,18 +77,19 @@ def max_eigen_sym(S):
     return float(top) if top.ndim == 0 else top
 
 
-def certify_lmi(input_, M2):
+def certify_lmi(sys, gamma, sigma, grid, M2):
     """Scan the grid for block feasibility and certify the l2 envelope.
 
-    Infeasibility (a positive eigenvalue beyond EIGEN_TOL, gamma touching 0,
-    or sigma/gamma reaching 1) is reported, not raised; the certificate
-    field is then None.
+    gamma and sigma are TimeExpr, nonnegative on the grid. Returns
+    (verdict, certificate). Infeasibility (a positive eigenvalue beyond
+    EIGEN_TOL, gamma touching 0, or sigma/gamma reaching 1) is reported,
+    not raised; the certificate is then None.
     """
     if M2 < 0:
         raise ValueError(f"amplitude M2 must be nonnegative, got {M2}")
-    sys, ts = input_.sys, input_.grid.times()
-    g_vals = input_.gamma.eval_array(ts)
-    s_vals = input_.sigma.eval_array(ts)
+    ts = grid.times()
+    g_vals = gamma.eval_array(ts)
+    s_vals = sigma.eval_array(ts)
     if np.min(g_vals) < 0 or np.min(s_vals) < 0:
         raise InfeasiblePointError("gamma and sigma must be nonnegative on the grid")
     a_vals, b_vals = sample_matrices(sys, ts)
@@ -114,5 +110,4 @@ def certify_lmi(input_, M2):
         worst_t=float(ts[arg]),
         a0=verdict.a0,
         p=verdict.p,
-        certificate=cert,
-    )
+    ), cert

@@ -22,7 +22,7 @@ from scipy.special import gammaln
 
 from .errors import MlfDomainError, MlfOverflowError, SeriesCapError
 
-__all__ = ["ml", "ml_array", "mittag_leffler_deriv"]
+__all__ = ["ml", "ml_array"]
 
 SERIES_CAP = 10_000
 
@@ -130,11 +130,6 @@ def ml_array(x, alpha, beta=1.0):
         stop = start + block
         out[rows[start:stop]] = _series_rows(ln_y[start:stop], alpha, beta)
     return out.reshape(x.shape)
-
-
-def mittag_leffler_deriv(alpha, x):
-    """d/dx E_alpha(x), computed as E_{alpha,alpha}(x)/alpha."""
-    return ml(x, alpha, alpha) / alpha
 
 
 def _check_orders(alpha, beta):

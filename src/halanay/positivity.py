@@ -58,13 +58,11 @@ class DelaySystem:
 class PositivityVerdict:
     metzler_ok: bool
     nonneg_ok: bool
-    a_fun: np.ndarray  # sampled -max_j sum_i A_ij(t)
-    b_fun: np.ndarray  # sampled  max_j sum_i B_ij(t), clamped at 0
-    a0: float
-    p: float
+    a0: float  # min over grid of a(t) = -max_j sum_i A_ij(t)
+    p: float  # max over grid of b(t)/a(t), b(t) = max_j sum_i B_ij(t)
+    sigma: float  # min over grid of a(t) - b(t)
     theorem_33_ok: bool  # ratio route: a0 > 0 and p < 1
     remark_34_ok: bool  # gap route: min(a - b) > 0 with a bounded
-    sigma: float
 
 
 def sample_matrices(sys, ts):
@@ -144,13 +142,11 @@ def certify_positive(sys, grid, a_bounded=None):
     verdict = PositivityVerdict(
         metzler_ok=metzler_ok,
         nonneg_ok=nonneg_ok,
-        a_fun=a_fun,
-        b_fun=b_fun,
         a0=cond.a0,
         p=cond.p,
+        sigma=cond.sigma,
         # the gap condition implies the ratio one, so any tag but NONE has it
         theorem_33_ok=cond.case_tag != _hal.NONE,
         remark_34_ok=cond.case_tag == _hal.BOUNDED_GAP,
-        sigma=cond.sigma,
     )
     return verdict, cert

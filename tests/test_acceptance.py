@@ -15,7 +15,7 @@ from halanay.cli import load_config
 from halanay.expr import parse
 from halanay.fdde import SolverConfig, check_envelope, solve
 from halanay.halanay import BOUNDED_GAP, RATIO, envelope, lambda_at
-from halanay.lmi import LmiInput, certify_lmi, lmi_block, max_eigen_sym
+from halanay.lmi import certify_lmi, lmi_block, max_eigen_sym
 from halanay.mlf import ml
 from halanay.positivity import (
     DelaySystem,
@@ -151,11 +151,9 @@ def test_05_example3_end_to_end(config_dir):
     cfg = load_config(str(config_dir / "example3.json"))
     sys_ = build_system(cfg)
     m2 = initial_amplitude(sys_, "sq")
-    report = certify_lmi(
-        LmiInput(sys=sys_, gamma=cfg.gamma, sigma=cfg.sigma, grid=cfg.scan), m2
-    )
+    report, cert = certify_lmi(sys_, cfg.gamma, cfg.sigma, cfg.scan, m2)
     assert report.feasible
-    assert report.certificate.lambda_star >= 0.05
+    assert cert.lambda_star >= 0.05
 
     # every grid block is negative semidefinite, and the 2x2 trace/det
     # closed form agrees with the assembled block

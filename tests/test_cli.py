@@ -10,7 +10,6 @@ import pytest
 from halanay.cli import (
     GRID_NOTE,
     RunConfig,
-    config_to_dict,
     emit_plot_script,
     load_config,
     main,
@@ -59,20 +58,10 @@ def test_load_bundled_configs(config_dir):
         assert cfg.analysis == analysis
         assert cfg.dim == dim
         assert cfg.scan == ScanGrid(100.0, 2001)
-        assert cfg.q_single
         assert len(cfg.A) == dim and len(cfg.A[0]) == dim
     cfg3 = load_config(str(config_dir / "example3.json"))
     assert cfg3.gamma is not None and cfg3.sigma is not None
     assert cfg3.gamma.eval(0.0) == 0.3
-
-
-def test_config_round_trip(tmp_path, config_dir):
-    for name in ("example1.json", "example2.json", "example3.json"):
-        cfg = load_config(str(config_dir / name))
-        path = write_cfg(tmp_path, config_to_dict(cfg), name)
-        assert load_config(path) == cfg
-    cfg = load_config(write_cfg(tmp_path, scalar_cfg()))
-    assert load_config(write_cfg(tmp_path, config_to_dict(cfg))) == cfg
 
 
 def test_errors_are_aggregated_with_field_paths(tmp_path):
@@ -91,6 +80,27 @@ def test_errors_are_aggregated_with_field_paths(tmp_path):
     assert "gamma" in paths and "sigma" in paths
     assert "extra_key" in paths
     assert len(paths) >= 5
+
+    # without a valid dim, phi's message names no count
+    for dim in (None, 0):
+        nodim = scalar_cfg(dim=dim, phi="1")
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, nodim))
+        assert ("phi", "expected a list of expression strings") in exc.value.errors
+        assert "dim" in {p for p, _ in exc.value.errors}
+
+
+def test_outputs_may_not_overwrite_each_other(tmp_path):
+    for csv_path, report_path, path in (
+        ("run.csv", "run.csv", "output.report_path"),
+        ("run.csv", "run.gp", "output.report_path"),
+        ("out/run.csv", "out/./run.gp", "output.report_path"),
+        ("run.gp", "report.json", "output.csv_path"),  # the script is run.gp too
+    ):
+        data = scalar_cfg(output={"csv_path": csv_path, "report_path": report_path})
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, data))
+        assert [p for p, _ in exc.value.errors] == [path]
 
 
 def test_missing_or_malformed_file(tmp_path):
@@ -117,7 +127,7 @@ def test_multi_delay_requires_scalar_analysis(tmp_path):
     multi = scalar_cfg(B=[["0.1", "0.1"]], q=["0.5", "1.5"])
     del multi["solver"]
     cfg = load_config(write_cfg(tmp_path, multi))
-    assert len(cfg.q) == 2 and not cfg.q_single
+    assert len(cfg.q) == 2
 
     bad = scalar_cfg(analysis="positive", B=[["0.1", "0.1"]], q=["0.5", "1.5"])
     with pytest.raises(ConfigError) as exc:
@@ -168,13 +178,13 @@ def test_tolerance_must_be_finite(tmp_path):
     assert load_config(write_cfg(tmp_path, data)).tolerance == 0.0
 
 
-def test_scalar_route_samples_each_coefficient_at_most_twice(tmp_path, eval_counts):
+def test_scalar_route_samples_each_coefficient_once(tmp_path, eval_counts):
     multi = scalar_cfg(B=[["0.1", "0.1+0.05*sin(t)"]], q=["0.5", "1.5"])
     cfg = load_config(write_cfg(tmp_path, multi))
     report, code = run("certify", cfg, out_dir=str(tmp_path))
     assert code == 0
     assert report["certificate"]["M"] == pytest.approx(1.0, abs=1e-12)
-    assert eval_counts and max(eval_counts.values()) <= 2
+    assert eval_counts and set(eval_counts.values()) == {1}
 
 
 def test_analysis_specific_validation(tmp_path):
@@ -340,6 +350,19 @@ def test_main_reports_constant_expression_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'1/0'" in err
     assert "Traceback" not in err
+
+
+def test_main_reports_unwritable_output_paths(tmp_path, capsys):
+    # a directory missing under --out is an input error, not a traceback
+    for command, output in (
+        ("verify", {"csv_path": "nodir/x.csv", "report_path": "r.json"}),
+        ("certify", {"csv_path": "x.csv", "report_path": "nodir/r.json"}),
+    ):
+        path = write_cfg(tmp_path, scalar_cfg(output=output))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nodir" in err, command
+        assert "Traceback" not in err
 
 
 def test_main_writes_strict_json(tmp_path, capsys):

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 import halanay.halanay as hal
-from halanay.errors import (
-    HalanayError,
-    InfeasiblePointError,
-    MlfDomainError,
-    VerdictNoneError,
-)
+from halanay.errors import HalanayError, InfeasiblePointError, MlfDomainError
 from halanay.expr import parse
 from halanay.halanay import (
     BOUNDED_GAP,
@@ -312,7 +307,7 @@ def test_negative_samples_are_input_errors():
 
 def test_certificate_for_ratio_example():
     inp = example1_input()
-    cert = certify(inp, M=1.2)
+    _, cert = certify(inp, M=1.2)
     assert cert.case_tag == RATIO
     assert cert.lambda_star >= 0.075
     assert cert.w0 == 0.0
@@ -334,7 +329,7 @@ def test_certificate_for_ratio_example():
 
 
 def test_certificate_for_gap_example():
-    cert = certify(example2_input(), M=0.7)
+    _, cert = certify(example2_input(), M=0.7)
     assert cert.case_tag == BOUNDED_GAP
     assert cert.lambda_star >= 0.02
     assert cert.w0 == 0.0
@@ -346,13 +341,13 @@ def test_offset_formulas_with_forcing():
         alpha=0.65, a=T("0.3"), b=[T("0.2")], q=[T("2")], c=T("0.3"),
         tau=2.0, scan=ScanGrid(50.0, 101),
     )
-    cert = certify(gap, M=0.0)
+    _, cert = certify(gap, M=0.0)
     assert cert.w0 == pytest.approx(3.0, abs=1e-12)  # c*/sigma
     ratio = HalanayInput(
         alpha=0.65, a=T("0.2+0.002*t"), b=[T("0.1+0.0015*t")], q=[T("1")],
         c=T("0.3"), tau=1.0, scan=ScanGrid(100.0, 201),
     )
-    cert2 = certify(ratio, M=0.0)
+    _, cert2 = certify(ratio, M=0.0)
     want = 0.3 / ((1.0 - 0.625) * 0.2)  # c*/((1-p) a0)
     assert cert2.w0 == pytest.approx(want, abs=1e-12)
 
@@ -362,7 +357,7 @@ def test_degenerate_delay_reduces_to_closed_form():
         alpha=0.65, a=T("1+0.5*sin(t)"), b=[T("0.2"), T("0.1")],
         q=[T("0"), T("0")], c=T("0"), tau=1.0, scan=ScanGrid(20.0, 401),
     )
-    cert = certify(inp, M=1.0)
+    _, cert = certify(inp, M=1.0)
     ts = inp.scan.times()
     gap = 1.0 + 0.5 * np.sin(ts) - 0.3
     assert cert.lambda_star == pytest.approx(float(gap.min()), abs=1e-12)
@@ -373,8 +368,9 @@ def test_certify_rejects_none_verdict_and_bad_amplitude():
         alpha=0.65, a=T("0.3"), b=[T("0.4")], q=[T("1")], c=T("0"),
         tau=1.0, scan=ScanGrid(10.0, 101),
     )
-    with pytest.raises(VerdictNoneError):
-        certify(inp, M=1.0)
+    verdict, cert = certify(inp, M=1.0)
+    assert cert is None
+    assert verdict.case_tag == "NONE"
     with pytest.raises(ValueError):
         certify(example1_input(), M=-0.5)
 
@@ -384,7 +380,7 @@ def test_multi_delay_certificate():
         alpha=0.55, a=T("1.0"), b=[T("0.2"), T("0.3")], q=[T("0.5"), T("1.5")],
         c=T("0"), tau=2.0, scan=ScanGrid(30.0, 301),
     )
-    cert = certify(inp, M=2.0)
+    _, cert = certify(inp, M=2.0)
     assert 0.0 < cert.lambda_star <= 1.0
     fn = lambda l: rate_residual(l, 0.55, 1.0, [0.2, 0.3], [0.5, 1.5])
     assert cert.lambda_star == pytest.approx(bisect_root(fn, 0.0, 1.0), abs=1e-8)
@@ -398,7 +394,7 @@ def test_certify_is_deterministic():
 # ----------------------------------------------------------------- envelope
 
 def test_envelope_values_and_monotonicity():
-    cert = certify(example1_input(), M=1.2)
+    _, cert = certify(example1_input(), M=1.2)
     assert envelope(cert, 0.45, 0.0) == pytest.approx(1.2, abs=1e-12)
     ts = np.linspace(0.0, 50.0, 200)
     vals = [envelope(cert, 0.45, float(t)) for t in ts]
@@ -417,13 +413,13 @@ def test_envelope_with_zero_amplitude_is_flat():
         alpha=0.65, a=T("0.3"), b=[T("0.2")], q=[T("2")], c=T("0.3"),
         tau=2.0, scan=ScanGrid(50.0, 101),
     )
-    cert = certify(gap, M=0.0)
+    _, cert = certify(gap, M=0.0)
     for t in (0.0, 1.0, 100.0):
         assert envelope(cert, 0.65, t) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_envelope_uses_tabulated_ml_value():
-    cert = certify(
+    _, cert = certify(
         HalanayInput(
             alpha=0.65, a=T("0.3"), b=[T("0.2")], q=[T("2")], c=T("0"),
             tau=2.0, scan=ScanGrid(100.0, 201),

@@ -5,7 +5,7 @@ from halanay.errors import InfeasiblePointError
 from halanay.expr import parse
 from halanay.halanay import ScanGrid, lambda_at
 from halanay.lmi import (
-    EIGEN_TOL, LmiInput, LmiReport, certify_lmi, lmi_block, max_eigen_sym,
+    EIGEN_TOL, LmiReport, certify_lmi, lmi_block, max_eigen_sym,
 )
 from halanay.positivity import DelaySystem, initial_amplitude
 
@@ -31,11 +31,12 @@ def example3_system():
     )
 
 
-def example3_input():
-    return LmiInput(
-        sys=example3_system(), gamma=T("0.3"), sigma=T("0.2"),
-        grid=ScanGrid(100.0, 2001),
-    )
+GRID3 = ScanGrid(100.0, 2001)
+
+
+def example3_args():
+    """(sys, gamma, sigma, grid) of the paper's example 3."""
+    return example3_system(), T("0.3"), T("0.2"), GRID3
 
 
 def example3_block(t):
@@ -154,30 +155,29 @@ def test_eigen_accuracy_contract_on_graded_scales():
 # -------------------------------------------------------------- certify_lmi
 
 def test_certify_delay_example_feasible():
-    inp = example3_input()
-    rep = certify_lmi(inp, M2=initial_amplitude(inp.sys, "sq"))
+    args = example3_args()
+    rep, cert = certify_lmi(*args, M2=initial_amplitude(args[0], "sq"))
     assert isinstance(rep, LmiReport)
     assert rep.feasible
     assert rep.worst_eigen <= EIGEN_TOL
     assert rep.a0 == pytest.approx(0.3, abs=1e-12)
     assert rep.p == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert rep.certificate is not None
-    assert rep.certificate.lambda_star >= 0.05
-    assert rep.certificate.w0 == 0.0
+    assert cert is not None
+    assert cert.lambda_star >= 0.05
+    assert cert.w0 == 0.0
     # sup of phi^2 over [-2, 0]: the cosine reaches -1 inside the window
-    assert rep.certificate.M == pytest.approx(0.64, abs=1e-6)
+    assert cert.M == pytest.approx(0.64, abs=1e-6)
     # rate agrees with a direct scalar solve at the grid argmin
-    t = rep.certificate.grid_argmin
-    lam = lambda_at(0.65, 0.3, [0.2], [inp.sys.q.eval(t)])
-    assert rep.certificate.lambda_star == pytest.approx(lam, rel=1e-12)
+    t = cert.grid_argmin
+    lam = lambda_at(0.65, 0.3, [0.2], [args[0].q.eval(t)])
+    assert cert.lambda_star == pytest.approx(lam, rel=1e-12)
 
 
 def test_each_coefficient_is_evaluated_once_per_certify(eval_counts):
-    inp = example3_input()
-    rep = certify_lmi(inp, M2=0.64)
+    sys_, gamma, sigma, grid = example3_args()
+    rep, _ = certify_lmi(sys_, gamma, sigma, grid, M2=0.64)
     assert rep.feasible
-    sys_ = inp.sys
-    exprs = [sys_.A[0][0], sys_.B[0][0], sys_.q, inp.gamma, inp.sigma]
+    exprs = [sys_.A[0][0], sys_.B[0][0], sys_.q, gamma, sigma]
     assert sorted(eval_counts) == sorted(id(e) for e in exprs)
     assert set(eval_counts.values()) == {1}
 
@@ -194,11 +194,10 @@ def test_certify_trace_det_cross_check():
 
 
 def test_quadratic_form_never_exceeds_tolerance_when_feasible():
-    inp = example3_input()
-    rep = certify_lmi(inp, M2=0.64)
+    rep, _ = certify_lmi(*example3_args(), M2=0.64)
     assert rep.feasible
     rng = np.random.default_rng(41)
-    ts = inp.grid.times()
+    ts = GRID3.times()
     for t in ts[:: 200]:
         blk = example3_block(float(t))
         for _ in range(50):
@@ -215,15 +214,12 @@ def test_undelayed_negative_definite_block_gives_rate_a0():
         q=T("0.5"), tau=1.0, phi=[S("1"), S("1")],
     )
     # A^T + A + gamma I = [[-1.6, 0.4], [0.4, -1.6]], eigenvalues -2.0, -1.2
-    inp = LmiInput(
-        sys=sys_, gamma=T("0.4"), sigma=T("0"), grid=ScanGrid(10.0, 51),
-    )
-    rep = certify_lmi(inp, M2=2.0)
+    rep, cert = certify_lmi(sys_, T("0.4"), T("0"), ScanGrid(10.0, 51), M2=2.0)
     assert rep.feasible
     assert rep.p == 0.0
     # the -sigma I corner is identically zero, so zero tops the spectrum
     assert rep.worst_eigen == pytest.approx(0.0, abs=1e-12)
-    assert rep.certificate.lambda_star == pytest.approx(0.4, abs=1e-12)
+    assert cert.lambda_star == pytest.approx(0.4, abs=1e-12)
 
 
 def test_zero_gamma_is_infeasible():
@@ -231,10 +227,9 @@ def test_zero_gamma_is_infeasible():
         alpha=0.5, dim=1, A=mat([["-1"]]), B=mat([["0"]]),
         q=T("0.5"), tau=1.0, phi=[S("1")],
     )
-    inp = LmiInput(sys=sys_, gamma=T("0"), sigma=T("0"), grid=ScanGrid(10.0, 51))
-    rep = certify_lmi(inp, M2=1.0)
+    rep, cert = certify_lmi(sys_, T("0"), T("0"), ScanGrid(10.0, 51), M2=1.0)
     assert not rep.feasible
-    assert rep.certificate is None
+    assert cert is None
     assert rep.a0 == 0.0
 
 
@@ -244,11 +239,10 @@ def test_indefinite_block_reports_worst_point():
         q=T("0.5"), tau=1.0, phi=[S("1")],
     )
     # gamma too large: -0.2 + gamma > 0 from some grid point on
-    inp = LmiInput(sys=sys_, gamma=T("0.1+0.01*t"), sigma=T("0.05"),
-                   grid=ScanGrid(20.0, 201))
-    rep = certify_lmi(inp, M2=1.0)
+    rep, cert = certify_lmi(sys_, T("0.1+0.01*t"), T("0.05"),
+                            ScanGrid(20.0, 201), M2=1.0)
     assert not rep.feasible
-    assert rep.certificate is None
+    assert cert is None
     assert rep.worst_eigen > EIGEN_TOL
     blk = lmi_block(
         np.array([[-0.1]]), np.array([[0.05]]),
@@ -262,8 +256,7 @@ def test_negative_weights_are_input_errors():
         alpha=0.5, dim=1, A=mat([["-1"]]), B=mat([["0"]]),
         q=T("0.5"), tau=1.0, phi=[S("1")],
     )
-    inp = LmiInput(sys=sys_, gamma=T("1-t"), sigma=T("0"), grid=ScanGrid(10.0, 51))
     with pytest.raises(InfeasiblePointError):
-        certify_lmi(inp, M2=1.0)
+        certify_lmi(sys_, T("1-t"), T("0"), ScanGrid(10.0, 51), M2=1.0)
     with pytest.raises(ValueError):
-        certify_lmi(example3_input(), M2=-1.0)
+        certify_lmi(*example3_args(), M2=-1.0)

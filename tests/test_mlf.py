@@ -9,7 +9,7 @@ from scipy.special import erfcx
 
 from halanay import mlf
 from halanay.errors import MlfDomainError, MlfOverflowError
-from halanay.mlf import ml, ml_array, mittag_leffler_deriv
+from halanay.mlf import ml, ml_array
 
 from oracles import ml_reference
 
@@ -238,18 +238,19 @@ def test_sub_semigroup_sample():
 
 
 def test_derivative_identity_against_finite_differences():
+    # d/dx E_alpha(x) = E_{alpha,alpha}(x) / alpha, the slope the rate solver uses
     step = 1e-5
     for alpha in (0.45, 0.65, 0.9):
         for x in np.linspace(-10.0, 2.0, 25):
             x = float(x)
             fd = (ml(x + step, alpha) - ml(x - step, alpha)) / (2 * step)
-            assert mittag_leffler_deriv(alpha, x) == pytest.approx(fd, abs=1e-6)
+            assert ml(x, alpha, alpha) / alpha == pytest.approx(fd, abs=1e-6)
 
 
 def test_derivative_anchors():
-    assert mittag_leffler_deriv(1.0, 0.0) == pytest.approx(1.0, abs=1e-14)
-    want = 2.0 / math.sqrt(math.pi)
-    assert mittag_leffler_deriv(0.5, 0.0) == pytest.approx(want, abs=1e-14)
+    # E_alpha'(0) = 1 / Gamma(1 + alpha)
+    for alpha, want in ((1.0, 1.0), (0.5, 2.0 / math.sqrt(math.pi))):
+        assert ml(0.0, alpha, alpha) / alpha == pytest.approx(want, abs=1e-14)
 
 
 def test_deterministic_and_thread_safe():
