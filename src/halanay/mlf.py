@@ -2,12 +2,13 @@
 
 The evaluator works in float64. It sums the Taylor series on the positive
 axis and in the series band of the negative axis (u = |x|^(1/alpha) <=
-6.5). Past the band one quadrature serves every order: the spectral
-integral in an angle variable (`_angle`), with no pole for any alpha < 1.
-Orders beta > 1 step down to (0, 1] by E_{a,b}(z) = (E_{a,b-a}(z) -
-1/Gamma(b-a)) / z; alpha = 1, where the angle form degenerates, has sums
-of its own (`_unit_alpha`). The y-free parts of both routes are cached
-per order, so runs of calls at one order share them.
+6.5, narrowing to 6.5 (alpha/0.2)^2 below alpha = 0.2). Past the band one
+quadrature serves every order: the spectral integral in an angle variable
+(`_angle`), with no pole for any alpha < 1. Orders beta > 1 step down to
+(0, 1] by E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, in at most
+STEP_CAP steps; alpha = 1, where the angle form degenerates, has sums of
+its own (`_unit_alpha`). The y-free parts of both routes are cached per
+order, so runs of calls at one order share them.
 
 ml evaluates one argument; ml_array evaluates an array of them, summing
 the series band of the negative axis for all its elements at once and
@@ -25,10 +26,14 @@ from .errors import MlfDomainError, MlfOverflowError, SeriesCapError
 __all__ = ["ml", "ml_array"]
 
 SERIES_CAP = 10_000
+# most steps the beta > 1 step-down may take, each one an alpha down
+STEP_CAP = 10**6
 
 # the series band on u = |x|^(1/alpha), kept in log form so routing never
-# has to exponentiate a potentially overflowing power
+# has to exponentiate a potentially overflowing power; it narrows below
+# _ALPHA_BAND (_ln_u_band)
 _LN_U_SERIES = math.log(6.5)
+_ALPHA_BAND = 0.2
 # terms per ml_array series block, which bounds its (rows, chunk) matrix
 _BLOCK_TERMS = 1 << 17
 
@@ -72,13 +77,19 @@ def ml(x, alpha, beta=1.0):
             )
         return _series(x, alpha, beta)
 
-    if math.log(-x) / alpha <= _LN_U_SERIES:
+    if math.log(-x) / alpha <= _ln_u_band(alpha):
         return _series(x, alpha, beta)
     if _at_zero(beta) == 0.0:
         # E_{a,b}(-y) is completely monotone in y: 0 <= E <= 1/Gamma(b)
         return 0.0
     if alpha == 1.0:
         return _unit_alpha(-x, beta)
+    if (beta - 1.0) / alpha > STEP_CAP:
+        raise MlfDomainError(
+            f"E_({alpha},{beta}) past the series band needs more than "
+            f"{STEP_CAP} beta step-downs; (beta - 1) / alpha must be at "
+            f"most {STEP_CAP}"
+        )
     betas = []
     while beta > 1.0:
         betas.append(beta)
@@ -119,7 +130,7 @@ def ml_array(x, alpha, beta=1.0):
     # math.log as in ml, not np.log: near its seam the series loses ~10
     # digits to cancellation, so a last-bit change of ln|x| shows in the sum
     ln_y = np.fromiter(map(math.log, (-flat[neg]).tolist()), float, neg.size)
-    band = ln_y / alpha <= _LN_U_SERIES
+    band = ln_y / alpha <= _ln_u_band(alpha)
     rows, ln_y = neg[band], ln_y[band]
     other = ~zero
     other[rows] = False
@@ -137,6 +148,20 @@ def _check_orders(alpha, beta):
         raise MlfDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
     if not math.isfinite(beta) or beta <= 0.0:
         raise MlfDomainError(f"beta must be finite and positive, got {beta!r}")
+
+
+def _ln_u_band(alpha):
+    """ln of the series band's end in u: 6.5, or 6.5 (alpha/0.2)^2 below
+    alpha = 0.2.
+
+    The band's alternating sum loses digits like e^u / alpha^2 for beta =
+    alpha (2e-8 relative at alpha 0.005, u = 6.5), while `_angle` holds
+    ~1e-15 down to u ~ 1e-10; the narrower band keeps the sum's loss at
+    the seam near 1e-13.
+    """
+    if alpha >= _ALPHA_BAND:
+        return _LN_U_SERIES
+    return _LN_U_SERIES + 2.0 * math.log(alpha / _ALPHA_BAND)
 
 
 def _at_zero(beta):
@@ -238,10 +263,11 @@ def _angle(y, alpha, beta):
     ln_u = math.log(y) / alpha
     top = _ANGLE_SPAN * math.ceil(ln_u / _ANGLE_SPAN)
     w, weights, factor = _angle_grid(alpha, beta, top)
-    r = (y * w) ** (1.0 / alpha)
-    vals = np.exp(-r)
+    yw = y * w
+    vals = np.exp(-yw ** (1.0 / alpha))
     if factor is not None:
-        vals *= r ** (1.0 - beta) * factor
+        # r^(1-b) from y w: r itself underflows to 0 at small alpha
+        vals *= yw ** ((1.0 - beta) / alpha) * factor
     return float(np.dot(vals, weights))
 
 
@@ -286,7 +312,9 @@ def _unit_alpha(y, beta):
     Up to y = 60, Kummer's transformation gives a sum whose terms past the
     first share one sign, E_{1,b}(-y) = e^-y / Gamma(b) * sum_k (b-1) /
     (b-1+k) y^k/k!. Beyond, the algebraic series sum_{k>=1} (-1)^(k+1)
-    y^-k / Gamma(b-k) leaves out a part of order e^-y, below e^-60.
+    y^-k / Gamma(b-k) plus its exponential part e^-y y^(1-b) cos(pi (b-1)),
+    which decides the value where 1/Gamma(b-1) nearly vanishes: b near 1
+    (e^-y itself at b = 1) and b near 0.
     """
     if y <= _KUMMER_Y:
         ks = _KS[1:_KUMMER_TERMS]
@@ -295,4 +323,7 @@ def _unit_alpha(y, beta):
         return math.exp(-y) * total * _at_zero(beta)
     ks = _KS[2:_ALGEBRAIC_TERMS + math.ceil(beta)]
     ratios = np.cumprod((ks - beta) / y)  # term k over term 1
-    return _at_zero(beta - 1.0) / y * (1.0 + float(ratios.sum()))
+    # 1/Gamma(b-1) as (b-1)/Gamma(b): b - 1 rounds near the pole at -1
+    algebraic = (beta - 1.0) * _at_zero(beta) / y * (1.0 + float(ratios.sum()))
+    return algebraic + math.exp(-y) * y ** (1.0 - beta) * math.cos(
+        math.pi * (beta - 1.0))

@@ -386,6 +386,12 @@ def test_main_mlf_subcommand(capsys):
     assert printed == pytest.approx(0.9179, abs=5e-4)
     assert main(["mlf", "1.5", "1", "0.0"]) == 1
     assert "error" in capsys.readouterr().err
+    # past the series band beta = 2 would step down 1e9 times at alpha 1e-9
+    assert main(["mlf", "1e-9", "2", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "step-downs" in captured.err
 
 
 def test_console_entry_point_golden_run(tmp_path, config_dir):
@@ -398,6 +404,8 @@ def test_console_entry_point_golden_run(tmp_path, config_dir):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    # the package top level imports no submodule, so -m runs cli only once
+    assert "RuntimeWarning" not in proc.stderr
     assert "column-sum conditions: ratio=True" in proc.stdout
     assert "(RATIO)" in proc.stdout
     assert "report:" in proc.stdout
@@ -413,10 +421,33 @@ def test_console_entry_point_golden_run(tmp_path, config_dir):
     assert np.nanmax(ratio) <= 1.02
 
 
+def run_script(lines):
+    """Run lines of Python in a fresh interpreter that imports src/."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_mlf_import_loads_only_what_it_uses():
+    proc = run_script([
+        "import sys",
+        "import halanay.mlf",
+        "print(*(m for m in sys.modules if m.startswith('halanay')))",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "halanay.mlf" in loaded
+    assert "halanay.cli" not in loaded
+    assert "halanay.fdde" not in loaded
+
+
 def test_runs_without_mpmath(tmp_path, config_dir):
     # mpmath is a test dependency only; with it unimportable, ml past the
     # series band (a beta step-down and alpha = 1) and certify still run
-    script = "\n".join([
+    proc = run_script([
         "import sys",
         "sys.modules['mpmath'] = None",
         "from halanay import cli",
@@ -428,12 +459,6 @@ def test_runs_without_mpmath(tmp_path, config_dir):
         "print(code)",
         "print(report['certificate']['lambda_star'])",
     ])
-    path = os.pathsep.join(filter(None, [str(REPO / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        timeout=300, env={**os.environ, "PYTHONPATH": path},
-    )
     assert proc.returncode == 0, proc.stderr
     ml_a, ml_b, code, lam = proc.stdout.split()
     assert 0.0 < float(ml_a) < 1.0

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import halanay.halanay as hal
 from halanay.errors import HalanayError, InfeasiblePointError, MlfDomainError
@@ -194,6 +195,22 @@ def test_rate_is_monotone_in_coefficients():
         assert lambda_at(alpha, a, [b * 1.2 + 0.01], [q]) <= lam + 1e-12
         # stronger damping never slows it
         assert lambda_at(alpha, a * 1.2, [b], [q]) >= lam - 1e-12
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.floats(0.05, 1.0),
+    a=st.floats(0.05, 50.0),
+    frac=st.floats(0.0, 0.99),
+    qs=st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2),
+)
+def test_rate_is_non_increasing_in_delay(alpha, a, frac, qs):
+    # a longer delay never speeds certified decay; the slack is the
+    # solver's bracket width, 1e-14 max(1, a)
+    q_lo, q_hi = sorted(qs)
+    b = [a * frac]
+    lam_lo = lambda_at(alpha, a, b, [q_lo])
+    assert lambda_at(alpha, a, b, [q_hi]) <= lam_lo + 1e-14 * max(1.0, a)
 
 
 def test_rate_rejects_infeasible_and_negative_inputs():

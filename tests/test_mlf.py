@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +120,36 @@ def test_beyond_band_battery():
         )
 
 
+def test_small_alpha_past_the_band():
+    # the angle form's r^(1-beta) at small alpha, where r itself underflows;
+    # for u this large E_{a,b}(-y) = -sum_k (-y)^-k / Gamma(b - a k)
+    for alpha, beta in ((0.01, 0.5), (0.01, 1.5), (0.01, 2.0), (0.02, 0.999)):
+        for u in (7.0, 12.0):
+            x = -(u**alpha)
+            ref = ml_reference(x, alpha, beta)
+            assert ml(x, alpha, beta) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf("1e-4"), mpmath.mpf("0.9999")
+        want = -mpmath.fsum((-2) ** -k / mpmath.gamma(b - k * a)
+                            for k in range(1, 120))
+    assert ml(-2.0, 1e-4, 0.9999) == pytest.approx(float(want), rel=1e-13)
+
+
+def test_beta_step_down_is_capped():
+    # 5,000 step-downs, under the cap: the loop's value, to the bit
+    assert ml(-2.0, 1e-4, 1.5) == 0.3761273036312127
+    # 1e9 would be minutes and tens of GB; refused before the first step
+    with pytest.raises(MlfDomainError, match="step-downs"):
+        ml(-2.0, 1e-9, 2.0)
+    with pytest.raises(MlfDomainError, match="step-downs"):
+        ml_array(np.full(8, -2.0), 1e-9, 2.0)
+    # inside the band no step-down is taken, and beta with 1/Gamma(beta) = 0
+    # gives 0 before the cap is checked
+    assert ml(-0.5, 1e-9, 2.0) == pytest.approx(
+        ml_reference(-0.5, 1e-9, 2.0), rel=1e-14)
+    assert ml(-2.0, 1e-9, 200.0) == 0.0
+
+
 def test_unit_alpha_against_reference():
     for beta, y in itertools.product((0.4, 1.3, 2.5), (7.0, 20.0, 50.0)):
         ref = ml_reference(-y, 1.0, beta)
@@ -147,8 +178,8 @@ def _u_near(seam):
     return st.floats(seam * (1.0 - 1e-9), seam * (1.0 + 1e-9))
 
 
-# u = |x|^(1/alpha) by regime: zero, series band, the series / window /
-# tail seams at 6.5, 25 and 60, the window and the tail
+# u = |x|^(1/alpha) by regime: zero, the series band, its seam at 6.5 and
+# the angle form past it, from just beyond the seam to u = 1e4
 _U_POINTS = st.one_of(
     st.just(0.0),
     st.floats(0.0, 6.5),
@@ -173,6 +204,51 @@ def test_ml_array_matches_ml_in_every_regime(alpha, us, xs_pos, beta_is_alpha):
     got = ml_array(x, alpha, beta)
     want = np.array([ml(float(v), alpha, beta) for v in x])
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.one_of(st.floats(1e-3, 1.0, exclude_max=True),
+                    st.floats(0.995, 1.0, exclude_max=True)),
+    beta_is_alpha=st.booleans(),
+)
+def test_ml_is_continuous_across_the_series_band_edge(alpha, beta_is_alpha):
+    # the band ends at u = 6.5, or 6.5 (alpha/0.2)^2 below alpha = 0.2; its
+    # sum does not settle within SERIES_CAP terms below alpha ~ 3e-4
+    beta = alpha if beta_is_alpha else 1.0
+    ln_edge = mlf._ln_u_band(alpha)
+    edge = -math.exp(alpha * ln_edge)
+    inside, outside = edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)
+    assert math.log(-inside) / alpha <= ln_edge < math.log(-outside) / alpha
+    v_in, v_out = ml(inside, alpha, beta), ml(outside, alpha, beta)
+    assert abs(v_out - v_in) <= 1e-9 * abs(v_in), (v_in, v_out)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(beta=st.one_of(
+    st.floats(1e-300, 50.0).filter(lambda b: b != 1.0),
+    st.sampled_from([math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+                     1.0 - 1e-9, 1.0 + 1e-9]),
+))
+def test_unit_alpha_is_continuous_across_y_60(beta):
+    # Kummer's sum up to y = 60, the algebraic series and its e^-y part past
+    inside, outside = -60.0 * (1.0 - 1e-12), -60.0 * (1.0 + 1e-12)
+    v_in, v_out = ml(inside, 1.0, beta), ml(outside, 1.0, beta)
+    assert abs(v_out - v_in) <= 1e-9 * abs(v_in), (v_in, v_out)
+
+
+def test_narrow_band_at_small_alpha():
+    # below alpha = 0.2 the band narrows, and ml_array routes as ml does
+    for alpha in (1e-3, 0.01, 0.05, 0.15):
+        edge = math.exp(mlf._ln_u_band(alpha))
+        u = edge * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 6.5 / edge, 10.0])
+        x = -(u**alpha)
+        for beta in (1.0, alpha, 0.5, 2.5):
+            want = [ml(float(v), alpha, beta) for v in x]
+            assert np.array_equal(ml_array(x, alpha, beta), want), (alpha, beta)
+            if alpha >= 0.05:
+                ref = [ml_reference(float(v), alpha, beta) for v in x]
+                np.testing.assert_allclose(want, ref, rtol=1e-12, atol=0.0)
 
 
 def test_ml_array_shapes_blocks_and_errors(monkeypatch):
