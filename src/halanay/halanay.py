@@ -15,12 +15,13 @@ coefficients already sampled on the grid; certify is its wrapper for
 expression-valued input and samples each coefficient once. Each route
 (certify here, positivity.certify_positive, lmi.certify_lmi) returns
 (verdict, certificate), the certificate None when neither condition
-holds. The rate scan
-(_lambda_grid) solves every grid point in lockstep on arrays, by a
-bracketed Newton iteration that starts with a closed-form step from 0,
-and lambda_at is a one-point call of the same solver. Each returned
-rate has a residual verified nonpositive, so lambda never sits above
-the computed root.
+holds. The rate equation has one solver (_lambda_grid), which solves
+points in lockstep on arrays by a bracketed Newton iteration that starts
+with a closed-form step from 0; lambda_at is its one-point call. Each
+returned rate has a residual verified nonpositive, so lambda never sits
+above the computed root. The rate scan (_min_rate) needs only the least
+rate: it solves one seed point, sets aside by one sign test of h every
+point whose rate provably exceeds the seed's, and solves the few left.
 """
 
 import math
@@ -52,6 +53,17 @@ RESIDUAL_BOUND = 1e-10
 # rounds per rate solve; bisection alone needs at most 47 (a bracket of
 # width <= a halved down to 1e-14 max(1, a))
 MAX_ROUNDS = 100
+# The min-rate scan (_min_rate) skips a point when h(U + m) < 0, U the
+# seed's verified rate and m = SCAN_MARGIN max(1, max a). Say every
+# computed h is off by at most E. h' >= 1, so the skipped point's root
+# exceeds U + m - E; the solver returns a rate within w + E of the root
+# (w = 1e-14 max(1, a), its stop tolerance; E again because its bracket
+# follows computed signs). That rate exceeds U >= lambda* when m >= w + 2E.
+# Where computed h < 0, sum_k b_k / E_alpha < a, so E is at most about
+# (eps + 4 ulp) a with eps = 5.7e-11, the worst relative ml error
+# recorded (the series seam): w + 2E < 1.2e-10 max(1, a), and 1e-9
+# leaves 8x room.
+SCAN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,6 +153,36 @@ def _h_grid(lam, alpha, a, bs, qas):
     return h, dh
 
 
+def _checked_sum(alpha, a, bs, qs):
+    """Validate rate-equation samples; returns sum_k b_k at every point."""
+    if not 0.0 < alpha <= 1.0:
+        raise MlfDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+    if not all(np.isfinite(v).all() for v in (a, bs, qs)):
+        raise MlfDomainError("a, b and q samples must be finite")
+    if np.any(a < 0) or np.any(bs < 0) or np.any(qs < 0):
+        raise ValueError("a, b and q samples must be nonnegative")
+    sb = bs.sum(axis=0)
+    if np.any(a <= sb):
+        raise InfeasiblePointError(
+            "a does not exceed sum(b) at every point; no positive rate exists"
+        )
+    return sb
+
+
+def _q_alpha(qs, alpha):
+    # q**alpha in Python floats, as scalar code takes it: np.power can
+    # differ in the last bit, which the series shows near its seam
+    return np.array([[q**alpha for q in row] for row in qs.tolist()])
+
+
+def _first_step(alpha, gap, bs, qas):
+    """The closed-form Newton step from 0 over the bracket [0, gap].
+
+    h'(0) = 1 + sum b q^alpha / Gamma(1 + alpha).
+    """
+    return gap / (1.0 + (bs * qas).sum(axis=0) / math.gamma(1.0 + alpha))
+
+
 def _lambda_grid(alpha, a, bs, qs):
     """The rate at every grid point at once; returns (lambdas, |residuals|).
 
@@ -155,31 +197,19 @@ def _lambda_grid(alpha, a, bs, qs):
     tolerance 1e-14 max(1, a), a point is done when its bracket or its |h|
     at a point with h <= 0 falls below it (h' >= 1, so its step does too)
     and returns that verified low end and its |h|: lambda never exceeds
-    the computed root.
+    the computed root. Points do not interact, so a point's rate does not
+    depend on which other points share the call.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise MlfDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if not all(np.isfinite(v).all() for v in (a, bs, qs)):
-        raise MlfDomainError("a, b and q samples must be finite")
-    if np.any(a < 0) or np.any(bs < 0) or np.any(qs < 0):
-        raise ValueError("a, b and q samples must be nonnegative")
-    sb = bs.sum(axis=0)
-    if np.any(a <= sb):
-        raise InfeasiblePointError(
-            "a does not exceed sum(b) at every point; no positive rate exists"
-        )
+    sb = _checked_sum(alpha, a, bs, qs)
     lams = a.astype(float)
     resid = np.zeros(len(a))
     on = np.flatnonzero(sb > 0.0)
     a, bs = a[on], bs[:, on]
-    # q**alpha in Python floats, as scalar code takes it: np.power can
-    # differ in the last bit, which the series shows near its seam
-    qas = np.array([[q**alpha for q in row] for row in qs[:, on].tolist()])
+    qas = _q_alpha(qs[:, on], alpha)
     lo, hi = np.zeros(len(on)), a - sb[on]
     h_lo = sb[on] - a  # h(0): every E_alpha(0) is 1
     width = 1e-14 * np.maximum(1.0, a)
-    # h'(0) = 1 + sum b q^alpha / Gamma(1 + alpha)
-    lam = hi / (1.0 + (bs * qas).sum(axis=0) / math.gamma(1.0 + alpha))
+    lam = _first_step(alpha, hi, bs, qas)
     step = lam.copy()
     open_ = np.arange(len(on))
     for _ in range(MAX_ROUNDS):
@@ -216,6 +246,45 @@ def _lambda_grid(alpha, a, bs, qs):
     return lams, resid
 
 
+def _min_rate(alpha, a, bs, qs):
+    """The least rate over the points: (lambda*, its first index, the
+    worst |residual| among the points solved).
+
+    Only the least rate matters, so not every point is solved. The seed,
+    the point with the least first Newton step, is solved first: its rate
+    U bounds lambda* above. One evaluation of h(U + margin) per point (one
+    ml_array call per delay, order 1 only) then sets aside every point
+    with h(U + margin) < 0, whose root lies past U + margin and whose rate
+    therefore exceeds U (see SCAN_MARGIN). The rest, those with h >= 0 or
+    h not finite, are solved by _lambda_grid in one lockstep call; since
+    a point's rate does not depend on its neighbours in the call, lambda*
+    and its first argmin are those of a scan of every point.
+    """
+    sb = _checked_sum(alpha, a, bs, qs)
+    qas = _q_alpha(qs, alpha)
+    gap = a - sb
+    seed = int(np.argmin(_first_step(alpha, gap, bs, qas)))
+    lam, res = _lambda_grid(alpha, a[[seed]], bs[:, [seed]], qs[:, [seed]])
+    x = float(lam[0]) + SCAN_MARGIN * max(1.0, float(np.max(a)))
+    # a point whose bracket [0, gap] ends at or below x has its root there
+    # too, so it is solved untested
+    test = np.flatnonzero(gap > x)
+    h = x - a[test]
+    # at alpha = 1, exp(-x q) may underflow: h is then inf or nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b, qa in zip(bs[:, test], qas[:, test]):
+            h += b / ml_array(-x * qa, alpha)
+    solve = np.ones(len(a), dtype=bool)
+    solve[test[h < 0.0]] = False
+    solve[seed] = False
+    rest = np.flatnonzero(solve)
+    lams, resid = _lambda_grid(alpha, a[rest], bs[:, rest], qs[:, rest])
+    rates = np.full(len(a), math.inf)
+    rates[seed], rates[rest] = lam[0], lams
+    arg = int(np.argmin(rates))
+    return float(rates[arg]), arg, float(max(res[0], np.max(resid, initial=0.0)))
+
+
 def _sample(input_):
     """Evaluate all coefficient expressions on the scan grid.
 
@@ -241,7 +310,10 @@ def certify_sampled(alpha, tau, ts, a, bs, qs, c, a_bounded=None, M=None):
     (grid max of a must not grow by more than 1% between halves).
 
     Returns (verdict, certificate); the certificate is None when M is None
-    or the verdict is NONE.
+    or the verdict is NONE. lambda_star and grid_argmin (the first grid
+    time of least rate) are those of solving every point; the min-rate
+    scan solves only the points that can set them, and residual_max is
+    the worst |h| over the points it solved.
     """
     if np.min(bs) < 0 or np.min(c) < 0:
         raise InfeasiblePointError("b and c must be nonnegative on the grid")
@@ -270,19 +342,17 @@ def certify_sampled(alpha, tau, ts, a, bs, qs, c, a_bounded=None, M=None):
     if M is None or tag == NONE:
         return verdict, None
 
-    lams, resid = _lambda_grid(alpha, a, bs, qs)
-    residual_max = float(np.max(resid))
+    lambda_star, arg, residual_max = _min_rate(alpha, a, bs, qs)
     if residual_max > RESIDUAL_BOUND:
         raise HalanayError(
             f"rate-equation residual {residual_max:.3e} exceeds {RESIDUAL_BOUND}"
         )
-    arg = int(np.argmin(lams))
     if tag == BOUNDED_GAP:
         w0 = c_star / sigma
     else:
         w0 = c_star / ((1.0 - p) * a0)
     return verdict, HalanayCertificate(
-        lambda_star=float(lams[arg]),
+        lambda_star=lambda_star,
         w0=w0,
         M=float(M),
         residual_max=residual_max,

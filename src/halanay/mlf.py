@@ -80,7 +80,8 @@ def ml(x, alpha, beta=1.0):
     if math.log(-x) / alpha <= _ln_u_band(alpha):
         return _series(x, alpha, beta)
     if _at_zero(beta) == 0.0:
-        # E_{a,b}(-y) is completely monotone in y: 0 <= E <= 1/Gamma(b)
+        # only at beta > 171, where E_{a,b}(-y) is completely monotone in
+        # y: 0 <= E <= 1/Gamma(b)
         return 0.0
     if alpha == 1.0:
         return _unit_alpha(-x, beta)
@@ -165,10 +166,13 @@ def _ln_u_band(alpha):
 
 
 def _at_zero(beta):
+    """1/Gamma(beta); 0.0 only where it underflows, at large beta."""
     try:
         return 1.0 / math.gamma(beta)
     except OverflowError:
-        return 0.0
+        # Gamma(b) overflows near its pole at 0 too (b < ~6e-309), where
+        # 1/Gamma(b) = b / Gamma(1 + b) is b itself
+        return beta / math.gamma(1.0 + beta) if beta < 1.0 else 0.0
 
 
 def _series_chunk(alpha):
@@ -319,8 +323,11 @@ def _unit_alpha(y, beta):
     if y <= _KUMMER_Y:
         ks = _KS[1:_KUMMER_TERMS]
         terms = np.cumprod(y / ks)  # y^k / k!
-        total = 1.0 + float(np.dot(terms, (beta - 1.0) / (ks - 1.0 + beta)))
-        return math.exp(-y) * total * _at_zero(beta)
+        # 1/Gamma(b) folded into the weights: at subnormal b the k = 1
+        # weight (b-1)/b overflows, while (b-1)/(b Gamma(b)) is near -1
+        rg = _at_zero(beta)
+        total = rg + float(np.dot(terms, (beta - 1.0) * rg / (ks - 1.0 + beta)))
+        return math.exp(-y) * total
     ks = _KS[2:_ALGEBRAIC_TERMS + math.ceil(beta)]
     ratios = np.cumprod((ks - beta) / y)  # term k over term 1
     # 1/Gamma(b-1) as (b-1)/Gamma(b): b - 1 rounds near the pole at -1

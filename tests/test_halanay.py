@@ -133,12 +133,16 @@ def test_rate_never_exceeds_the_computed_root():
 
 
 def test_rate_scan_is_a_few_array_calls(monkeypatch):
-    # a per-point fallback would make ~55 calls per grid point
+    # solving every point one by one would make ~12 calls per grid point
+    # (6 rounds, 2 orders); solving every point in lockstep passes each
+    # point ~6 times per order
     calls = collections.Counter()
+    elements = collections.Counter()
     ml_array = hal.ml_array
 
     def counted(x, alpha, beta=1.0):
         calls[beta] += 1
+        elements[beta] += np.size(x)
         return ml_array(x, alpha, beta)
 
     monkeypatch.setattr(hal, "ml_array", counted)
@@ -152,6 +156,80 @@ def test_rate_scan_is_a_few_array_calls(monkeypatch):
     )
     certify(two, M=2.0)
     assert max(calls.values()) <= 2 * 16, calls
+    # the min-rate scan passes each point once, at order 1, to test it
+    # against the seed's rate; only the few points it cannot set aside
+    # are solved
+    elements.clear()
+    inp = example2_input()
+    certify(inp, M=0.7)
+    n = inp.scan.n_points
+    assert elements[1.0] <= n + 64, elements
+    assert elements[inp.alpha] <= 64, elements
+
+
+def _exhaustive_min_rate(alpha, a, bs, qs):
+    lams, resid = hal._lambda_grid(alpha, a, bs, qs)
+    arg = int(np.argmin(lams))
+    return float(lams[arg]), arg, float(np.max(resid))
+
+
+def _rate_grids(rng, alpha, m):
+    """Seeded (a, bs, qs) grids of 1..3 delays that stress the min-rate scan."""
+    n = 300
+    t = np.linspace(0.0, 100.0, n)
+    # smooth coefficients, whose neighbours near the argmin nearly tie
+    a = 1.0 + 0.5 * np.sin(0.07 * t + rng.uniform(0, 6)) + 0.004 * t
+    frac = rng.uniform(0.2, 0.6) + 0.3 * np.cos(0.05 * t) ** 2
+    raw = rng.uniform(0.2, 1.0, (m, 1)) * (1.0 + 0.3 * np.sin(
+        np.outer(rng.uniform(0.1, 1.0, m), t)))
+    bs = raw / raw.sum(axis=0) * a * frac
+    qs = rng.uniform(0.5, 2.0, (m, 1)) * (1.5 + np.cos(
+        np.outer(rng.uniform(0.1, 1.0, m), t)))
+    yield a, bs, qs
+    # independent points, with sum(b) = 0 and q = 0 at some of them
+    a = np.exp(rng.uniform(math.log(0.05), math.log(50.0), n))
+    raw = rng.uniform(0.0, 1.0, (m, n))
+    bs = raw / raw.sum(axis=0) * a * rng.uniform(0.05, 0.95, n)
+    bs[:, rng.integers(0, n, 20)] = 0.0
+    qs = rng.uniform(0.0, 20.0 if alpha == 1.0 else 5.0, (m, n))
+    qs[:, rng.integers(0, n, 20)] = 0.0
+    yield a, bs, qs
+    # constant coefficients: every point ties and the argmin is index 0
+    yield (np.full(n, 1.3), np.full((m, n), 0.4 / m),
+           np.tile(rng.uniform(0.0, 3.0, (m, 1)), n))
+    # near ties: two points whose roots differ by far less than the scan's
+    # margin, the lower one second, above a field of slower points
+    a = np.full(n, 2.0)
+    a[[40, 210]] = 1.0, 1.0 - 1e-12
+    yield a, np.full((m, n), 0.3 / m), np.ones((m, n))
+    # fields of near ties within a few ulps of a, where the solver's stop
+    # tolerance alone can order the returned rates against their roots
+    for _ in range(20):
+        a = 1.0 - rng.integers(0, 40, n) * np.finfo(float).eps
+        yield (a, np.full((m, n), rng.uniform(0.1, 0.6) / m),
+               np.full((m, n), rng.uniform(0.0, 3.0)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
+def test_min_rate_scan_matches_the_exhaustive_scan(alpha, m):
+    rng = np.random.default_rng(int(100 * alpha) + m)
+    for a, bs, qs in _rate_grids(rng, alpha, m):
+        want = _exhaustive_min_rate(alpha, a, bs, qs)
+        lam, arg, resid = hal._min_rate(alpha, a, bs, qs)
+        assert (lam, arg) == want[:2]
+        assert resid <= want[2]
+    if alpha == 1.0 and m < 3:
+        # the seed (q = 0) decays fast; at its rate exp(-lambda q) underflows
+        # at the q = 20 point, whose h is then inf (b / 0) or, with a
+        # second delay term of b = 0, nan (0 / 0); that point, though its
+        # first Newton step is larger, holds the least rate
+        a = np.array([40.0, 50.0, 45.0])
+        bs = np.array([[1.0, 1e-12, 2.0], [0.0, 0.0, 0.0]])[:m]
+        qs = np.array([[0.0, 20.0, 0.0], [0.0, 20.0, 0.0]])[:m]
+        want = _exhaustive_min_rate(alpha, a, bs, qs)
+        assert want[1] == 1
+        assert hal._min_rate(alpha, a, bs, qs)[:2] == want[:2]
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0])

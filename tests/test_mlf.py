@@ -150,6 +150,29 @@ def test_beta_step_down_is_capped():
     assert ml(-2.0, 1e-9, 200.0) == 0.0
 
 
+@pytest.mark.parametrize("beta", [1e-310, 1e-300, 1e-5])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+def test_tiny_beta_obeys_the_shift_identity(alpha, beta):
+    # E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z). At b = 1e-310, Gamma(b)
+    # overflows, yet 1/Gamma(b) = b and the value past the band is of order
+    # one; ml_reference stops on its first term there, so the identity
+    # checks instead. b is taken as (a + b) - a, which is exact, so that a
+    # + b does not round; at subnormal b that difference is 0, and b
+    # itself is off by less than any rounding
+    c = alpha + beta
+    b = c - alpha or beta
+    assert ml(0.0, alpha, b) == pytest.approx(b / math.gamma(1.0 + b), rel=1e-15)
+    for z in (0.7, -0.5, -1.0, -10.0, -59.0, -61.0, -100.0):
+        lhs = ml(z, alpha, b)
+        rhs = ml(0.0, alpha, b) + z * ml(z, alpha, c)
+        scale = abs(ml(0.0, alpha, b)) + abs(z * ml(z, alpha, c))
+        assert abs(lhs - rhs) <= 1e-13 * scale, (z, lhs, rhs)
+        assert ml_array(np.full(6, z), alpha, b)[0] == lhs
+    if beta == 1e-310 and alpha == 0.5:
+        assert ml(0.0, alpha, beta) == 1e-310
+        assert ml(-10.0, alpha, beta) == pytest.approx(-0.0277966, abs=1e-7)
+
+
 def test_unit_alpha_against_reference():
     for beta, y in itertools.product((0.4, 1.3, 2.5), (7.0, 20.0, 50.0)):
         ref = ml_reference(-y, 1.0, beta)
