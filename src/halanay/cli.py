@@ -27,7 +27,7 @@ from .errors import (
 )
 from .expr import parse
 from .fdde import SolverConfig, check_envelope, solve, write_csv
-from .halanay import HalanayInput, ScanGrid, certify, envelope as decay_envelope
+from .halanay import ScanGrid, certify, envelope as decay_envelope
 # classify_conditions is not called here; perfbench/tracer.py wraps it by name
 from .halanay import classify_conditions  # noqa: F401
 from .lmi import certify_lmi
@@ -215,6 +215,8 @@ def load_config(path):
     if a_bounded is not None and not isinstance(a_bounded, bool):
         errors.append(("a_bounded", f"expected true/false, got {a_bounded!r}"))
         a_bounded = None
+    elif a_bounded is not None and analysis == "lmi":
+        errors.append(("a_bounded", "needs analysis = positive or halanay-scalar"))
 
     scan = None
     raw_scan = data.get("scan")
@@ -307,20 +309,6 @@ def _build_system(cfg):
     )
 
 
-def _scalar_input(cfg):
-    # decay coefficient is the negated self-interaction term
-    return HalanayInput(
-        alpha=cfg.alpha,
-        a=parse(f"-({cfg.A[0][0].source})", "t"),
-        b=list(cfg.B[0]),
-        q=list(cfg.q),
-        c=parse("0", "t"),
-        tau=cfg.tau,
-        scan=cfg.scan,
-        a_bounded=cfg.a_bounded,
-    )
-
-
 def _strict_json(obj):
     """The report with every non-finite float replaced by None (JSON null)."""
     if isinstance(obj, dict):
@@ -333,14 +321,25 @@ def _strict_json(obj):
 def _certify(cfg):
     """Run the configured analysis; returns (verdict_json, certificate, norm_tag)."""
     if cfg.analysis == "halanay-scalar":
-        verdict, cert = certify(_scalar_input(cfg), M=initial_amplitude(cfg, "l1"))
+        ts = cfg.scan.times()
+        # the decay coefficient is the negated self-interaction term; given
+        # directly, a negative one is an input error, not a NONE verdict
+        a = -cfg.A[0][0].eval_array(ts)
+        if np.min(a) < 0:
+            raise InfeasiblePointError("a must be nonnegative on the grid")
+        verdict, cert = certify(
+            cfg.alpha, cfg.tau, ts, a,
+            np.vstack([b.eval_array(ts) for b in cfg.B[0]]),
+            np.vstack([q.eval_array(ts) for q in cfg.q]),
+            np.zeros_like(ts), initial_amplitude(cfg, "l1"),
+            a_bounded=cfg.a_bounded,
+        )
     elif cfg.analysis == "positive":
         verdict, cert = certify_positive(_build_system(cfg), cfg.scan,
                                          a_bounded=cfg.a_bounded)
     else:
-        sys_ = _build_system(cfg)
-        verdict, cert = certify_lmi(sys_, cfg.gamma, cfg.sigma, cfg.scan,
-                                    initial_amplitude(sys_, "sq"))
+        verdict, cert = certify_lmi(_build_system(cfg), cfg.gamma, cfg.sigma,
+                                    cfg.scan)
     return asdict(verdict), cert, "l2" if cfg.analysis == "lmi" else "l1"
 
 

@@ -10,22 +10,25 @@ and the certificate takes the grid minimum together with an offset w0
 determined by which smallness condition the coefficients satisfy. The
 resulting envelope is w0 + M E_alpha(-lambda* t^alpha).
 
-All three certification routes end in certify_sampled, which takes the
-coefficients already sampled on the grid; certify is its wrapper for
-expression-valued input and samples each coefficient once. Each route
-(certify here, positivity.certify_positive, lmi.certify_lmi) returns
-(verdict, certificate), the certificate None when neither condition
-holds. The rate equation has one solver (_lambda_grid), which solves
-points in lockstep on arrays by a bracketed Newton iteration that starts
-with a closed-form step from 0; lambda_at is its one-point call. Each
-returned rate has a residual verified nonpositive, so lambda never sits
-above the computed root. The rate scan (_min_rate) needs only the least
-rate: it solves one seed point, sets aside by one sign test of h every
-point whose rate provably exceeds the seed's, and solves the few left.
+All three certification routes reduce to this inequality and end in
+certify, which takes the coefficients already sampled on the grid:
+positivity.certify_positive passes column sums, lmi.certify_lmi its
+gamma and sigma, and the scalar route the configured coefficients.
+classify_conditions, its first half, gives the verdict alone. Each route
+returns (verdict, certificate), the certificate None when neither
+condition holds.
+
+The rate equation has one solver (_lambda_grid), which solves points in
+lockstep on arrays by a bracketed Newton iteration that starts with a
+closed-form step from 0; lambda_at is its one-point call. Each returned
+rate has a residual verified nonpositive, so lambda never sits above the
+computed root. The rate scan (_min_rate) needs only the least rate: it
+solves one seed point, sets aside by one sign test of h every point
+whose rate provably exceeds the seed's, and solves the few left.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +40,9 @@ __all__ = [
     "ScanGrid",
     "ConditionVerdict",
     "HalanayCertificate",
-    "HalanayInput",
     "lambda_at",
     "classify_conditions",
     "certify",
-    "certify_sampled",
     "envelope",
 ]
 
@@ -103,27 +104,6 @@ class HalanayCertificate:
     case_tag: str
     t_max: float
     n_points: int
-
-
-@dataclass(frozen=True)
-class HalanayInput:
-    alpha: float
-    a: object  # TimeExpr
-    b: list  # list of TimeExpr
-    q: list  # list of TimeExpr, same length as b
-    c: object  # TimeExpr
-    tau: float
-    scan: ScanGrid
-    # None = detect boundedness of a from the grid; True/False = assert it
-    a_bounded: object = field(default=None)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if len(self.b) != len(self.q) or not self.b:
-            raise ValueError("b and q must have equal nonzero length")
 
 
 def lambda_at(alpha, a_val, b_vals, q_vals):
@@ -285,47 +265,35 @@ def _min_rate(alpha, a, bs, qs):
     return float(rates[arg]), arg, float(max(res[0], np.max(resid, initial=0.0)))
 
 
-def _sample(input_):
-    """Evaluate all coefficient expressions on the scan grid.
+def classify_conditions(tau, a, bs, qs, c, a_bounded=None):
+    """Decide which smallness condition the sampled coefficients satisfy.
 
-    A negative decay coefficient is an input error here, where a is given
-    directly; certify_sampled itself reads it as a NONE verdict.
-    """
-    ts = input_.scan.times()
-    a = input_.a.eval_array(ts)
-    if np.min(a) < 0:
-        raise InfeasiblePointError("a must be nonnegative on the grid")
-    bs = np.vstack([b.eval_array(ts) for b in input_.b])
-    qs = np.vstack([q.eval_array(ts) for q in input_.q])
-    return ts, a, bs, qs, input_.c.eval_array(ts)
-
-
-def certify_sampled(alpha, tau, ts, a, bs, qs, c, a_bounded=None, M=None):
-    """Classify sampled coefficients and, given an amplitude M, certify them.
-
-    a and c hold one sample per grid time ts; bs and qs hold one row per
+    a and c hold one sample per grid time; bs and qs hold one row per
     delay term. The gap condition needs a bounded above; since
     boundedness is not decidable from finitely many samples, it is taken
     from a_bounded when given, else from a two-half growth heuristic
-    (grid max of a must not grow by more than 1% between halves).
-
-    Returns (verdict, certificate); the certificate is None when M is None
-    or the verdict is NONE. lambda_star and grid_argmin (the first grid
-    time of least rate) are those of solving every point; the min-rate
-    scan solves only the points that can set them, and residual_max is
-    the worst |h| over the points it solved.
+    (grid max of a must not grow by more than 1% between halves). A
+    negative a is a NONE verdict, not an error.
     """
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive, got {tau}")
+    n = np.shape(a)
+    if (len(n) != 1 or np.shape(c) != n or np.ndim(bs) != 2
+            or np.shape(bs) != np.shape(qs) or np.shape(bs)[1:] != n
+            or not len(bs)):
+        raise ValueError(
+            "a and c need one sample per grid time, and bs and qs the same "
+            "number (at least one) of such rows"
+        )
     if np.min(bs) < 0 or np.min(c) < 0:
         raise InfeasiblePointError("b and c must be nonnegative on the grid")
     slack = 1e-9 * max(1.0, tau)
     if np.min(qs) < -slack or np.max(qs) > tau + slack:
         raise InfeasiblePointError(f"delays must stay within [0, {tau}] on the grid")
-    qs = np.clip(qs, 0.0, None)
     sum_b = bs.sum(axis=0)
     sigma = float(np.min(a - sum_b))
     a0 = float(np.min(a))
     p = float(np.max(sum_b / a)) if a0 > 0.0 else math.inf
-    c_star = float(np.max(c))
     if a_bounded is None:
         half = len(a) // 2
         a_bounded = float(np.max(a[half:])) <= 1.01 * float(np.max(a[:half]))
@@ -335,22 +303,47 @@ def certify_sampled(alpha, tau, ts, a, bs, qs, c, a_bounded=None, M=None):
         tag = RATIO
     else:
         tag = NONE
-    verdict = ConditionVerdict(
-        case_tag=tag, sigma=sigma, a0=a0, p=p, c_star=c_star,
+    return ConditionVerdict(
+        case_tag=tag, sigma=sigma, a0=a0, p=p, c_star=float(np.max(c)),
         a_bounded=bool(a_bounded),
     )
-    if M is None or tag == NONE:
+
+
+def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
+    """Classify sampled coefficients and certify their least rate.
+
+    The one core of all three routes: ts are the grid times, a and c hold
+    one sample per time, bs and qs one row per delay term, and M is the
+    envelope's amplitude. alpha, tau, M and the shapes are checked first,
+    whatever the verdict.
+
+    Returns (verdict, certificate); the certificate is None when the
+    verdict is NONE. lambda_star and grid_argmin (the first grid time of
+    least rate) are those of solving every point; the min-rate scan
+    solves only the points that can set them, and residual_max is the
+    worst |h| over the points it solved.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not M >= 0.0:
+        raise ValueError(f"amplitude M must be nonnegative, got {M}")
+    if np.shape(ts) != np.shape(a):
+        raise ValueError("ts and a must have one sample per grid time")
+    verdict = classify_conditions(tau, a, bs, qs, c, a_bounded)
+    tag = verdict.case_tag
+    if tag == NONE:
         return verdict, None
 
-    lambda_star, arg, residual_max = _min_rate(alpha, a, bs, qs)
+    lambda_star, arg, residual_max = _min_rate(
+        alpha, a, bs, np.clip(qs, 0.0, None))
     if residual_max > RESIDUAL_BOUND:
         raise HalanayError(
             f"rate-equation residual {residual_max:.3e} exceeds {RESIDUAL_BOUND}"
         )
     if tag == BOUNDED_GAP:
-        w0 = c_star / sigma
+        w0 = verdict.c_star / verdict.sigma
     else:
-        w0 = c_star / ((1.0 - p) * a0)
+        w0 = verdict.c_star / ((1.0 - verdict.p) * verdict.a0)
     return verdict, HalanayCertificate(
         lambda_star=lambda_star,
         w0=w0,
@@ -360,28 +353,6 @@ def certify_sampled(alpha, tau, ts, a, bs, qs, c, a_bounded=None, M=None):
         case_tag=tag,
         t_max=float(ts[-1]),
         n_points=len(ts),
-    )
-
-
-def classify_conditions(input_):
-    """Decide which smallness condition the sampled coefficients satisfy."""
-    verdict, _ = certify_sampled(
-        input_.alpha, input_.tau, *_sample(input_), a_bounded=input_.a_bounded
-    )
-    return verdict
-
-
-def certify(input_, M):
-    """Classify the sampled coefficients and certify the minimal rate.
-
-    Returns (verdict, certificate); the certificate is None when the
-    verdict is NONE.
-    """
-    if M < 0:
-        raise ValueError(f"amplitude M must be nonnegative, got {M}")
-    return certify_sampled(
-        input_.alpha, input_.tau, *_sample(input_), a_bounded=input_.a_bounded,
-        M=M,
     )
 
 

@@ -8,7 +8,9 @@ At each grid time the block matrix
 must be negative semidefinite. Together with gamma bounded away from 0
 and sup sigma/gamma < 1, the squared norm V = x^T x then obeys the same
 scalar comparison inequality the halanay module certifies, giving
-||x(t)|| <= sqrt(M2 * E_alpha(-lambda* t^alpha)) with M2 = sup phi^T phi.
+||x(t)|| <= sqrt(M2 * E_alpha(-lambda* t^alpha)) with M2 = sup phi^T phi;
+halanay.certify certifies gamma and sigma as its a and b, and
+halanay.classify_conditions alone classifies them when a block fails.
 The blocks of the whole grid are assembled as one stack and their top
 eigenvalues come from a single batched symmetric eigen solve.
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import halanay as _hal
 from .errors import InfeasiblePointError
-from .positivity import sample_matrices
+from .positivity import initial_amplitude, sample_matrices
 
 __all__ = ["LmiReport", "lmi_block", "max_eigen_sym", "certify_lmi"]
 
@@ -77,16 +79,16 @@ def max_eigen_sym(S):
     return float(top) if top.ndim == 0 else top
 
 
-def certify_lmi(sys, gamma, sigma, grid, M2):
+def certify_lmi(sys, gamma, sigma, grid):
     """Scan the grid for block feasibility and certify the l2 envelope.
 
-    gamma and sigma are TimeExpr, nonnegative on the grid. Returns
-    (verdict, certificate). Infeasibility (a positive eigenvalue beyond
-    EIGEN_TOL, gamma touching 0, or sigma/gamma reaching 1) is reported,
-    not raised; the certificate is then None.
+    gamma and sigma are TimeExpr, nonnegative on the grid; the amplitude
+    is M2 = sup phi^T phi. Returns (verdict, certificate). Infeasibility
+    (a positive eigenvalue beyond EIGEN_TOL, gamma touching 0, or
+    sigma/gamma reaching 1) is reported, not raised; the certificate is
+    then None.
     """
-    if M2 < 0:
-        raise ValueError(f"amplitude M2 must be nonnegative, got {M2}")
+    M2 = initial_amplitude(sys, "sq")
     ts = grid.times()
     g_vals = gamma.eval_array(ts)
     s_vals = sigma.eval_array(ts)
@@ -100,10 +102,12 @@ def certify_lmi(sys, gamma, sigma, grid, M2):
     worst_eigen = float(eigs[arg])
     # gamma and sigma play a and b of the scalar inequality; its verdict is
     # NONE exactly when min gamma = 0 or max sigma/gamma >= 1
-    verdict, cert = _hal.certify_sampled(
-        sys.alpha, sys.tau, ts, g_vals, s_vals[None], sys.q.eval_array(ts)[None],
-        np.zeros_like(ts), M=M2 if worst_eigen <= EIGEN_TOL else None,
-    )
+    coeffs = (g_vals, s_vals[None], sys.q.eval_array(ts)[None],
+              np.zeros_like(ts))
+    if worst_eigen <= EIGEN_TOL:
+        verdict, cert = _hal.certify(sys.alpha, sys.tau, ts, *coeffs, M2)
+    else:
+        verdict, cert = _hal.classify_conditions(sys.tau, *coeffs), None
     return LmiReport(
         feasible=cert is not None,
         worst_eigen=worst_eigen,

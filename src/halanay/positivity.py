@@ -3,8 +3,8 @@
 A delay system x' (in the Caputo sense) = A(t) x + B(t) x(t - q(t)) is
 order preserving when A(t) is Metzler and B(t) is nonnegative. Column
 sums of A and B then bound the l1 norm of any nonnegative solution by a
-scalar comparison inequality, which halanay.certify_sampled certifies
-from the same sampled arrays. The resulting envelope is
+scalar comparison inequality, which halanay.certify certifies from the
+same sampled arrays. The resulting envelope is
 sup_s ||phi(s)||_1 times E_alpha(-lambda* t^alpha).
 """
 
@@ -20,8 +20,6 @@ __all__ = [
     "DelaySystem",
     "PositivityVerdict",
     "sample_matrices",
-    "structure_check",
-    "column_sums",
     "certify_positive",
     "initial_amplitude",
 ]
@@ -78,27 +76,6 @@ def sample_matrices(sys, ts):
     return out[0], out[1]
 
 
-def _structure(a_vals, b_vals):
-    off = ~np.eye(len(a_vals), dtype=bool)
-    metzler_ok = bool(np.min(a_vals[off], initial=np.inf) >= SIGN_SLACK)
-    nonneg_ok = bool(np.min(b_vals) >= SIGN_SLACK)
-    return metzler_ok, nonneg_ok
-
-
-def _column_sums(a_vals, b_vals):
-    return -a_vals.sum(axis=0).max(axis=0), b_vals.sum(axis=0).max(axis=0)
-
-
-def structure_check(sys, grid):
-    """(Metzler A, nonnegative B) sampled on the grid, with rounding slack."""
-    return _structure(*sample_matrices(sys, grid.times()))
-
-
-def column_sums(sys, grid):
-    """Sampled a(t) = -max_j sum_i A_ij(t) and b(t) = max_j sum_i B_ij(t)."""
-    return _column_sums(*sample_matrices(sys, grid.times()))
-
-
 def initial_amplitude(sys, kind="l1"):
     """sup over s in [-tau, 0] of ||phi(s)||_1 ('l1') or phi(s)^T phi(s) ('sq').
 
@@ -124,7 +101,9 @@ def certify_positive(sys, grid, a_bounded=None):
     """
     ts = grid.times()
     a_vals, b_vals = sample_matrices(sys, ts)
-    metzler_ok, nonneg_ok = _structure(a_vals, b_vals)
+    off = ~np.eye(sys.dim, dtype=bool)
+    metzler_ok = bool(np.min(a_vals[off], initial=np.inf) >= SIGN_SLACK)
+    nonneg_ok = bool(np.min(b_vals) >= SIGN_SLACK)
     if not (metzler_ok and nonneg_ok):
         bad = []
         if not metzler_ok:
@@ -132,12 +111,13 @@ def certify_positive(sys, grid, a_bounded=None):
         if not nonneg_ok:
             bad.append("B has a negative entry on the grid")
         raise StructureError("; ".join(bad))
-    a_fun, b_fun = _column_sums(a_vals, b_vals)
-    # B passed the structure check; clamping only absorbs rounding in the sums
-    b_fun = np.maximum(b_fun, 0.0)
-    cond, cert = _hal.certify_sampled(
+    # the column sums: a(t) = -max_j sum_i A_ij(t), b(t) = max_j sum_i B_ij(t);
+    # B passed the structure check, so clamping b only absorbs rounding
+    a_fun = -a_vals.sum(axis=0).max(axis=0)
+    b_fun = np.maximum(b_vals.sum(axis=0).max(axis=0), 0.0)
+    cond, cert = _hal.certify(
         sys.alpha, sys.tau, ts, a_fun, b_fun[None], sys.q.eval_array(ts)[None],
-        np.zeros_like(ts), a_bounded=a_bounded, M=initial_amplitude(sys, "l1"),
+        np.zeros_like(ts), initial_amplitude(sys, "l1"), a_bounded=a_bounded,
     )
     verdict = PositivityVerdict(
         metzler_ok=metzler_ok,

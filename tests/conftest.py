@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from halanay.expr import TimeExpr
+from halanay.positivity import sample_matrices
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,3 +31,10 @@ def eval_counts(monkeypatch):
 def on_grid(fn, traj):
     """fn(t) at every node of a trajectory, as check_envelope takes it."""
     return np.array([fn(t) for t in traj.grid])
+
+
+def column_sums(sys_, ts):
+    """a(t) = -max_j sum_i A_ij(t) and b(t) = max_j sum_i B_ij(t) at ts,
+    summed here from the sampled matrices."""
+    A, B = sample_matrices(sys_, ts)
+    return -A.sum(axis=0).max(axis=0), B.sum(axis=0).max(axis=0)

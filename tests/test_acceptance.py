@@ -17,14 +17,9 @@ from halanay.fdde import SolverConfig, check_envelope, solve
 from halanay.halanay import BOUNDED_GAP, RATIO, envelope, lambda_at
 from halanay.lmi import certify_lmi, lmi_block, max_eigen_sym
 from halanay.mlf import ml
-from halanay.positivity import (
-    DelaySystem,
-    certify_positive,
-    column_sums,
-    initial_amplitude,
-)
+from halanay.positivity import DelaySystem, certify_positive, initial_amplitude
 
-from conftest import on_grid
+from conftest import column_sums, on_grid
 from oracles import bisect_root, char_poly_max_eig, rk4_dde
 
 
@@ -92,7 +87,7 @@ def test_03_example1_end_to_end(config_dir):
     sys_ = build_system(cfg)
 
     ts = cfg.scan.times()
-    a_vals, b_vals = column_sums(sys_, cfg.scan)
+    a_vals, b_vals = column_sums(sys_, ts)
     assert np.max(np.abs(a_vals - (0.2 + 0.002 * ts))) < 1e-12
     assert np.max(np.abs(b_vals - (0.1 + 0.0015 * ts))) < 1e-12
 
@@ -128,7 +123,7 @@ def test_04_example2_end_to_end(config_dir):
     assert verdict.sigma >= 0.1
 
     ts = cfg.scan.times()
-    a_vals, b_vals = column_sums(sys_, cfg.scan)
+    a_vals, b_vals = column_sums(sys_, ts)
     qs = (1.0 + np.exp(-ts)) / 2.0
     ml_q = np.array([ml(-0.02 * q**0.75, 0.75) for q in qs])
     assert np.max(0.02 - a_vals + b_vals / ml_q) < 0.0
@@ -151,7 +146,8 @@ def test_05_example3_end_to_end(config_dir):
     cfg = load_config(str(config_dir / "example3.json"))
     sys_ = build_system(cfg)
     m2 = initial_amplitude(sys_, "sq")
-    report, cert = certify_lmi(sys_, cfg.gamma, cfg.sigma, cfg.scan, m2)
+    report, cert = certify_lmi(sys_, cfg.gamma, cfg.sigma, cfg.scan)
+    assert cert.M == m2
     assert report.feasible
     assert cert.lambda_star >= 0.05
 

@@ -199,6 +199,20 @@ def test_analysis_specific_validation(tmp_path):
     assert load_config(write_cfg(tmp_path, ok)).gamma is not None
 
 
+def test_a_bounded_needs_a_scalar_or_positive_analysis(tmp_path, config_dir):
+    # the lmi route has no a to bound: the key used to be ignored silently
+    data = json.loads((config_dir / "example3.json").read_text())
+    for flag in (False, True):
+        data["a_bounded"] = flag
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, data))
+        assert [p for p, _ in exc.value.errors] == ["a_bounded"]
+    for analysis in ("positive", "halanay-scalar"):
+        cfg = load_config(write_cfg(tmp_path, scalar_cfg(
+            analysis=analysis, a_bounded=False)))
+        assert cfg.a_bounded is False
+
+
 # ---------------------------------------------------------------------- run
 
 def test_run_verify_reports_certificate_and_envelope(tmp_path, config_dir):
@@ -239,6 +253,19 @@ def test_run_certify_none_verdict_exits_two(tmp_path):
     assert code == 2
     assert report["certificate"] is None
     assert report["verdict"]["case_tag"] == "NONE"
+
+
+def test_scalar_route_rejects_negative_decay(tmp_path, capsys):
+    # a scalar a = -A[0][0] is given directly, so a < 0 is an input error
+    # (not certifiable), while the column sums of the positive route read
+    # it as a NONE verdict
+    path = write_cfg(tmp_path, scalar_cfg(A=[["0.1-0.01*t"]]))
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "a must be nonnegative" in capsys.readouterr().err
+    cfg = load_config(write_cfg(tmp_path, scalar_cfg(
+        analysis="positive", A=[["0.1-0.01*t"]])))
+    report, code = run("certify", cfg, out_dir=str(tmp_path))
+    assert code == 2 and report["certificate"] is None
 
 
 def test_run_simulate_without_certificate_still_writes_csv(tmp_path):

@@ -12,7 +12,6 @@ from halanay.halanay import (
     BOUNDED_GAP,
     NONE,
     RATIO,
-    HalanayInput,
     ScanGrid,
     certify,
     classify_conditions,
@@ -35,28 +34,28 @@ def rate_residual(lam, alpha, a, bs, qs):
     return acc
 
 
-def example1_input(scan=None):
-    return HalanayInput(
-        alpha=0.45,
-        a=T("0.2+0.002*t"),
-        b=[T("0.1+0.0015*t")],
-        q=[T("2-cos(t)^4")],
-        c=T("0"),
-        tau=2.0,
-        scan=scan or ScanGrid(100.0, 2001),
-    )
+def problem(alpha, tau, a, b, q, c="0", scan=None):
+    """(alpha, tau, ts, a, bs, qs, c) sampled on the scan grid, the leading
+    arguments of certify; b and q list one expression per delay term."""
+    ts = (scan or ScanGrid(100.0, 2001)).times()
+    return (alpha, tau, ts, T(a).eval_array(ts),
+            np.vstack([T(e).eval_array(ts) for e in b]),
+            np.vstack([T(e).eval_array(ts) for e in q]), T(c).eval_array(ts))
 
 
-def example2_input():
-    return HalanayInput(
-        alpha=0.75,
-        a=T("1.6+1.2/sqrt(1+t)"),
-        b=[T("1.5+t*sin(t)^2/(1+t^2)")],
-        q=[T("(1+exp(-t))/2")],
-        c=T("0"),
-        tau=1.0,
-        scan=ScanGrid(100.0, 2001),
-    )
+def classify(prob, a_bounded=None):
+    """classify_conditions on the coefficients of a problem tuple."""
+    return classify_conditions(prob[1], *prob[3:], a_bounded=a_bounded)
+
+
+def example1(scan=None):
+    return problem(0.45, 2.0, "0.2+0.002*t", ["0.1+0.0015*t"], ["2-cos(t)^4"],
+                   scan=scan)
+
+
+def example2():
+    return problem(0.75, 1.0, "1.6+1.2/sqrt(1+t)", ["1.5+t*sin(t)^2/(1+t^2)"],
+                   ["(1+exp(-t))/2"])
 
 
 # ---------------------------------------------------------------- lambda_at
@@ -146,25 +145,23 @@ def test_rate_scan_is_a_few_array_calls(monkeypatch):
         return ml_array(x, alpha, beta)
 
     monkeypatch.setattr(hal, "ml_array", counted)
-    certify(example1_input(ScanGrid(100.0, 501)), M=1.2)
+    certify(*example1(ScanGrid(100.0, 501)), M=1.2)
     assert set(calls) == {1.0, 0.45}
     assert max(calls.values()) <= 16, calls
     calls.clear()
-    two = HalanayInput(
-        alpha=0.55, a=T("1.0+0.1*sin(t)"), b=[T("0.2"), T("0.3")],
-        q=[T("0.5"), T("1.5")], c=T("0"), tau=2.0, scan=ScanGrid(30.0, 501),
-    )
-    certify(two, M=2.0)
+    two = problem(0.55, 2.0, "1.0+0.1*sin(t)", ["0.2", "0.3"], ["0.5", "1.5"],
+                  scan=ScanGrid(30.0, 501))
+    certify(*two, M=2.0)
     assert max(calls.values()) <= 2 * 16, calls
     # the min-rate scan passes each point once, at order 1, to test it
     # against the seed's rate; only the few points it cannot set aside
     # are solved
     elements.clear()
-    inp = example2_input()
-    certify(inp, M=0.7)
-    n = inp.scan.n_points
+    prob = example2()
+    certify(*prob, M=0.7)
+    n = len(prob[2])
     assert elements[1.0] <= n + 64, elements
-    assert elements[inp.alpha] <= 64, elements
+    assert elements[prob[0]] <= 64, elements
 
 
 def _exhaustive_min_rate(alpha, a, bs, qs):
@@ -331,7 +328,7 @@ def test_rate_rejects_invalid_orders_and_nonfinite_samples(args):
 # ------------------------------------------------------- classify_conditions
 
 def test_classifier_ratio_route():
-    v = classify_conditions(example1_input())
+    v = classify(example1())
     assert v.case_tag == RATIO
     assert v.a0 == pytest.approx(0.2, abs=1e-12)
     # the ratio climbs toward 0.75 off-grid; on [0, 100] it tops out at 0.625
@@ -342,18 +339,15 @@ def test_classifier_ratio_route():
 
 
 def test_classifier_bounded_gap_route():
-    v = classify_conditions(example2_input())
+    v = classify(example2())
     assert v.case_tag == BOUNDED_GAP
     assert v.sigma >= 0.1
     assert v.a_bounded
 
 
 def test_classifier_prefers_gap_when_both_hold():
-    inp = HalanayInput(
-        alpha=0.65, a=T("0.3"), b=[T("0.2")], q=[T("2")], c=T("0"),
-        tau=2.0, scan=ScanGrid(100.0, 201),
-    )
-    v = classify_conditions(inp)
+    v = classify(problem(0.65, 2.0, "0.3", ["0.2"], ["2"],
+                         scan=ScanGrid(100.0, 201)))
     assert v.case_tag == BOUNDED_GAP
     assert v.sigma == pytest.approx(0.1, abs=1e-12)
     # the ratio-route numbers are still reported
@@ -362,47 +356,42 @@ def test_classifier_prefers_gap_when_both_hold():
 
 
 def test_classifier_none_when_gap_reverses():
-    inp = HalanayInput(
-        alpha=0.65, a=T("0.3"), b=[T("0.4")], q=[T("1")], c=T("0"),
-        tau=1.0, scan=ScanGrid(10.0, 101),
-    )
-    v = classify_conditions(inp)
+    v = classify(problem(0.65, 1.0, "0.3", ["0.4"], ["1"],
+                         scan=ScanGrid(10.0, 101)))
     assert v.case_tag == NONE
 
 
 def test_classifier_respects_user_boundedness_flag():
-    inp = example1_input()
-    v = classify_conditions(inp)
+    prob = example1()
+    v = classify(prob)
     assert v.case_tag == RATIO  # heuristic sees a(t) growing
-    forced = HalanayInput(
-        alpha=inp.alpha, a=inp.a, b=list(inp.b), q=list(inp.q), c=inp.c,
-        tau=inp.tau, scan=inp.scan, a_bounded=True,
-    )
-    v2 = classify_conditions(forced)
+    v2 = classify(prob, a_bounded=True)
     assert v2.case_tag == BOUNDED_GAP
     assert v2.sigma == pytest.approx(0.1, abs=1e-12)
+    # certify takes the flag the same way
+    verdict, cert = certify(*prob, M=1.2, a_bounded=True)
+    assert verdict == v2 and cert.case_tag == BOUNDED_GAP
 
 
 def test_negative_samples_are_input_errors():
-    inp = HalanayInput(
-        alpha=0.65, a=T("1-t"), b=[T("0.1")], q=[T("0.5")], c=T("0"),
-        tau=1.0, scan=ScanGrid(10.0, 51),
-    )
+    scan = ScanGrid(10.0, 51)
     with pytest.raises(InfeasiblePointError):
-        classify_conditions(inp)
-    bad_q = HalanayInput(
-        alpha=0.65, a=T("1"), b=[T("0.1")], q=[T("t")], c=T("0"),
-        tau=1.0, scan=ScanGrid(10.0, 51),
-    )
+        classify(problem(0.65, 1.0, "1", ["0.1-t"], ["0.5"], scan=scan))
     with pytest.raises(InfeasiblePointError):
-        classify_conditions(bad_q)
+        classify(problem(0.65, 1.0, "1", ["0.1"], ["0.5"], c="-t", scan=scan))
+    with pytest.raises(InfeasiblePointError):
+        classify(problem(0.65, 1.0, "1", ["0.1"], ["t"], scan=scan))
+    # a negative a, as column sums of an unstable system give, is a verdict
+    prob = problem(0.65, 1.0, "1-t", ["0.1"], ["0.5"], scan=scan)
+    assert classify(prob).case_tag == NONE
+    assert certify(*prob, M=1.0) == (classify(prob), None)
 
 
 # ------------------------------------------------------------------ certify
 
 def test_certificate_for_ratio_example():
-    inp = example1_input()
-    _, cert = certify(inp, M=1.2)
+    prob = example1()
+    _, cert = certify(*prob, M=1.2)
     assert cert.case_tag == RATIO
     assert cert.lambda_star >= 0.075
     assert cert.w0 == 0.0
@@ -410,21 +399,18 @@ def test_certificate_for_ratio_example():
     assert cert.residual_max <= 1e-10
     assert cert.t_max == 100.0 and cert.n_points == 2001
     # grid minimality: spot-check lambda(t) at a few grid points
-    ts = inp.scan.times()
-    for t in ts[:: 400]:
-        a = inp.a.eval(float(t))
-        b = [inp.b[0].eval(float(t))]
-        q = [inp.q[0].eval(float(t))]
-        assert cert.lambda_star <= lambda_at(0.45, a, b, q) + 1e-12
+    _, _, ts, a, bs, qs, _ = prob
+    for i in range(0, len(ts), 400):
+        rate = lambda_at(0.45, a[i], bs[:, i], qs[:, i])
+        assert cert.lambda_star <= rate + 1e-12
     # the argmin really is a grid point whose rate equals lambda_star
-    a = inp.a.eval(cert.grid_argmin)
-    b = [inp.b[0].eval(cert.grid_argmin)]
-    q = [inp.q[0].eval(cert.grid_argmin)]
-    assert lambda_at(0.45, a, b, q) == pytest.approx(cert.lambda_star, rel=1e-12)
+    i = int(np.flatnonzero(ts == cert.grid_argmin)[0])
+    assert lambda_at(0.45, a[i], bs[:, i], qs[:, i]) == pytest.approx(
+        cert.lambda_star, rel=1e-12)
 
 
 def test_certificate_for_gap_example():
-    _, cert = certify(example2_input(), M=0.7)
+    _, cert = certify(*example2(), M=0.7)
     assert cert.case_tag == BOUNDED_GAP
     assert cert.lambda_star >= 0.02
     assert cert.w0 == 0.0
@@ -432,64 +418,69 @@ def test_certificate_for_gap_example():
 
 
 def test_offset_formulas_with_forcing():
-    gap = HalanayInput(
-        alpha=0.65, a=T("0.3"), b=[T("0.2")], q=[T("2")], c=T("0.3"),
-        tau=2.0, scan=ScanGrid(50.0, 101),
-    )
-    _, cert = certify(gap, M=0.0)
+    gap = problem(0.65, 2.0, "0.3", ["0.2"], ["2"], c="0.3",
+                  scan=ScanGrid(50.0, 101))
+    _, cert = certify(*gap, M=0.0)
     assert cert.w0 == pytest.approx(3.0, abs=1e-12)  # c*/sigma
-    ratio = HalanayInput(
-        alpha=0.65, a=T("0.2+0.002*t"), b=[T("0.1+0.0015*t")], q=[T("1")],
-        c=T("0.3"), tau=1.0, scan=ScanGrid(100.0, 201),
-    )
-    _, cert2 = certify(ratio, M=0.0)
+    ratio = problem(0.65, 1.0, "0.2+0.002*t", ["0.1+0.0015*t"], ["1"],
+                    c="0.3", scan=ScanGrid(100.0, 201))
+    _, cert2 = certify(*ratio, M=0.0)
     want = 0.3 / ((1.0 - 0.625) * 0.2)  # c*/((1-p) a0)
     assert cert2.w0 == pytest.approx(want, abs=1e-12)
 
 
 def test_degenerate_delay_reduces_to_closed_form():
-    inp = HalanayInput(
-        alpha=0.65, a=T("1+0.5*sin(t)"), b=[T("0.2"), T("0.1")],
-        q=[T("0"), T("0")], c=T("0"), tau=1.0, scan=ScanGrid(20.0, 401),
-    )
-    _, cert = certify(inp, M=1.0)
-    ts = inp.scan.times()
-    gap = 1.0 + 0.5 * np.sin(ts) - 0.3
+    prob = problem(0.65, 1.0, "1+0.5*sin(t)", ["0.2", "0.1"], ["0", "0"],
+                   scan=ScanGrid(20.0, 401))
+    _, cert = certify(*prob, M=1.0)
+    gap = 1.0 + 0.5 * np.sin(prob[2]) - 0.3
     assert cert.lambda_star == pytest.approx(float(gap.min()), abs=1e-12)
 
 
 def test_certify_rejects_none_verdict_and_bad_amplitude():
-    inp = HalanayInput(
-        alpha=0.65, a=T("0.3"), b=[T("0.4")], q=[T("1")], c=T("0"),
-        tau=1.0, scan=ScanGrid(10.0, 101),
-    )
-    verdict, cert = certify(inp, M=1.0)
+    prob = problem(0.65, 1.0, "0.3", ["0.4"], ["1"], scan=ScanGrid(10.0, 101))
+    verdict, cert = certify(*prob, M=1.0)
     assert cert is None
     assert verdict.case_tag == "NONE"
-    with pytest.raises(ValueError):
-        certify(example1_input(), M=-0.5)
+    # M is checked whatever the verdict
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            certify(*example1(), M=bad)
+        with pytest.raises(ValueError):
+            certify(*prob, M=bad)
 
 
 def test_multi_delay_certificate():
-    inp = HalanayInput(
-        alpha=0.55, a=T("1.0"), b=[T("0.2"), T("0.3")], q=[T("0.5"), T("1.5")],
-        c=T("0"), tau=2.0, scan=ScanGrid(30.0, 301),
-    )
-    _, cert = certify(inp, M=2.0)
+    prob = problem(0.55, 2.0, "1.0", ["0.2", "0.3"], ["0.5", "1.5"],
+                   scan=ScanGrid(30.0, 301))
+    _, cert = certify(*prob, M=2.0)
     assert 0.0 < cert.lambda_star <= 1.0
     fn = lambda l: rate_residual(l, 0.55, 1.0, [0.2, 0.3], [0.5, 1.5])
     assert cert.lambda_star == pytest.approx(bisect_root(fn, 0.0, 1.0), abs=1e-8)
 
 
+def test_delay_rows_of_unequal_count_are_rejected():
+    # two b rows against one q row: pairing rows would drop the second
+    # delay term and certify 0.90276, twice the rate the two terms allow
+    n = 11
+    ts = np.linspace(0.0, 10.0, n)
+    a, c = np.full(n, 2.0), np.zeros(n)
+    bs = np.full((2, n), 0.5)
+    with pytest.raises(ValueError):
+        certify(0.5, 2.0, ts, a, bs, np.ones((1, n)), c, M=1.0)
+    _, cert = certify(0.5, 2.0, ts, a, bs, np.ones((2, n)), c, M=1.0)
+    assert cert.lambda_star == pytest.approx(0.44699, abs=1e-5)
+
+
 def test_certify_is_deterministic():
-    inp = example1_input()
-    assert certify(inp, M=1.2) == certify(inp, M=1.2)
+    prob = example1()
+    assert certify(*prob, M=1.2) == certify(*prob, M=1.2)
 
 
 # ----------------------------------------------------------------- envelope
 
 def test_envelope_values_and_monotonicity():
-    _, cert = certify(example1_input(), M=1.2)
+    _, cert = certify(*example1(), M=1.2)
     assert envelope(cert, 0.45, 0.0) == pytest.approx(1.2, abs=1e-12)
     ts = np.linspace(0.0, 50.0, 200)
     vals = [envelope(cert, 0.45, float(t)) for t in ts]
@@ -504,21 +495,16 @@ def test_envelope_values_and_monotonicity():
 
 
 def test_envelope_with_zero_amplitude_is_flat():
-    gap = HalanayInput(
-        alpha=0.65, a=T("0.3"), b=[T("0.2")], q=[T("2")], c=T("0.3"),
-        tau=2.0, scan=ScanGrid(50.0, 101),
-    )
-    _, cert = certify(gap, M=0.0)
+    gap = problem(0.65, 2.0, "0.3", ["0.2"], ["2"], c="0.3",
+                  scan=ScanGrid(50.0, 101))
+    _, cert = certify(*gap, M=0.0)
     for t in (0.0, 1.0, 100.0):
         assert envelope(cert, 0.65, t) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_envelope_uses_tabulated_ml_value():
     _, cert = certify(
-        HalanayInput(
-            alpha=0.65, a=T("0.3"), b=[T("0.2")], q=[T("2")], c=T("0"),
-            tau=2.0, scan=ScanGrid(100.0, 201),
-        ),
+        *problem(0.65, 2.0, "0.3", ["0.2"], ["2"], scan=ScanGrid(100.0, 201)),
         M=1.0,
     )
     # lambda* for constant data is the single-point rate
@@ -535,23 +521,16 @@ def test_input_validation():
         ScanGrid(0.0, 100)
     with pytest.raises(ValueError):
         ScanGrid(10.0, 1)
-    with pytest.raises(ValueError):
-        HalanayInput(
-            alpha=1.5, a=T("1"), b=[T("0")], q=[T("0")], c=T("0"),
-            tau=1.0, scan=ScanGrid(10.0, 11),
-        )
-    with pytest.raises(ValueError):
-        HalanayInput(
-            alpha=0.5, a=T("1"), b=[T("0"), T("0")], q=[T("0")], c=T("0"),
-            tau=1.0, scan=ScanGrid(10.0, 11),
-        )
-    with pytest.raises(ValueError):
-        HalanayInput(
-            alpha=0.5, a=T("1"), b=[], q=[], c=T("0"),
-            tau=1.0, scan=ScanGrid(10.0, 11),
-        )
-    with pytest.raises(ValueError):
-        HalanayInput(
-            alpha=0.5, a=T("1"), b=[T("0")], q=[T("0")], c=T("0"),
-            tau=-1.0, scan=ScanGrid(10.0, 11),
-        )
+    _, tau, ts, a, bs, qs, c = problem(0.5, 1.0, "1", ["0"], ["0"],
+                                       scan=ScanGrid(10.0, 11))
+    for args in (
+        (1.5, tau, ts, a, bs, qs, c),  # alpha outside (0, 1]
+        (0.5, tau, ts, a, np.vstack([bs, bs]), qs, c),  # 2 b rows, 1 q row
+        (0.5, tau, ts, a, bs[:0], qs[:0], c),  # no delay rows
+        (0.5, -1.0, ts, a, bs, qs, c),  # tau
+        (0.5, tau, ts[:-1], a, bs, qs, c),  # one time short
+        (0.5, tau, ts, a, bs, qs, c[:-1]),  # c one sample short
+        (0.5, tau, ts, a, bs[:, :-1], qs[:, :-1], c),  # rows one sample short
+    ):
+        with pytest.raises(ValueError):
+            certify(*args, M=1.0)

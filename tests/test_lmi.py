@@ -156,7 +156,7 @@ def test_eigen_accuracy_contract_on_graded_scales():
 
 def test_certify_delay_example_feasible():
     args = example3_args()
-    rep, cert = certify_lmi(*args, M2=initial_amplitude(args[0], "sq"))
+    rep, cert = certify_lmi(*args)
     assert isinstance(rep, LmiReport)
     assert rep.feasible
     assert rep.worst_eigen <= EIGEN_TOL
@@ -167,6 +167,7 @@ def test_certify_delay_example_feasible():
     assert cert.w0 == 0.0
     # sup of phi^2 over [-2, 0]: the cosine reaches -1 inside the window
     assert cert.M == pytest.approx(0.64, abs=1e-6)
+    assert cert.M == initial_amplitude(args[0], "sq")
     # rate agrees with a direct scalar solve at the grid argmin
     t = cert.grid_argmin
     lam = lambda_at(0.65, 0.3, [0.2], [args[0].q.eval(t)])
@@ -175,9 +176,9 @@ def test_certify_delay_example_feasible():
 
 def test_each_coefficient_is_evaluated_once_per_certify(eval_counts):
     sys_, gamma, sigma, grid = example3_args()
-    rep, _ = certify_lmi(sys_, gamma, sigma, grid, M2=0.64)
+    rep, _ = certify_lmi(sys_, gamma, sigma, grid)
     assert rep.feasible
-    exprs = [sys_.A[0][0], sys_.B[0][0], sys_.q, gamma, sigma]
+    exprs = [sys_.A[0][0], sys_.B[0][0], sys_.q, gamma, sigma, *sys_.phi]
     assert sorted(eval_counts) == sorted(id(e) for e in exprs)
     assert set(eval_counts.values()) == {1}
 
@@ -194,7 +195,7 @@ def test_certify_trace_det_cross_check():
 
 
 def test_quadratic_form_never_exceeds_tolerance_when_feasible():
-    rep, _ = certify_lmi(*example3_args(), M2=0.64)
+    rep, _ = certify_lmi(*example3_args())
     assert rep.feasible
     rng = np.random.default_rng(41)
     ts = GRID3.times()
@@ -214,7 +215,7 @@ def test_undelayed_negative_definite_block_gives_rate_a0():
         q=T("0.5"), tau=1.0, phi=[S("1"), S("1")],
     )
     # A^T + A + gamma I = [[-1.6, 0.4], [0.4, -1.6]], eigenvalues -2.0, -1.2
-    rep, cert = certify_lmi(sys_, T("0.4"), T("0"), ScanGrid(10.0, 51), M2=2.0)
+    rep, cert = certify_lmi(sys_, T("0.4"), T("0"), ScanGrid(10.0, 51))
     assert rep.feasible
     assert rep.p == 0.0
     # the -sigma I corner is identically zero, so zero tops the spectrum
@@ -227,7 +228,7 @@ def test_zero_gamma_is_infeasible():
         alpha=0.5, dim=1, A=mat([["-1"]]), B=mat([["0"]]),
         q=T("0.5"), tau=1.0, phi=[S("1")],
     )
-    rep, cert = certify_lmi(sys_, T("0"), T("0"), ScanGrid(10.0, 51), M2=1.0)
+    rep, cert = certify_lmi(sys_, T("0"), T("0"), ScanGrid(10.0, 51))
     assert not rep.feasible
     assert cert is None
     assert rep.a0 == 0.0
@@ -240,7 +241,7 @@ def test_indefinite_block_reports_worst_point():
     )
     # gamma too large: -0.2 + gamma > 0 from some grid point on
     rep, cert = certify_lmi(sys_, T("0.1+0.01*t"), T("0.05"),
-                            ScanGrid(20.0, 201), M2=1.0)
+                            ScanGrid(20.0, 201))
     assert not rep.feasible
     assert cert is None
     assert rep.worst_eigen > EIGEN_TOL
@@ -257,6 +258,4 @@ def test_negative_weights_are_input_errors():
         q=T("0.5"), tau=1.0, phi=[S("1")],
     )
     with pytest.raises(InfeasiblePointError):
-        certify_lmi(sys_, T("1-t"), T("0"), ScanGrid(10.0, 51), M2=1.0)
-    with pytest.raises(ValueError):
-        certify_lmi(*example3_args(), M2=-1.0)
+        certify_lmi(sys_, T("1-t"), T("0"), ScanGrid(10.0, 51))

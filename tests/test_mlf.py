@@ -323,6 +323,45 @@ def test_monotone_in_argument():
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+# u = |x|^(1/alpha) as a multiple of the series band's end (u = 6.5, or
+# 6.5 (alpha/0.2)^2 below alpha = 0.2): inside the band, at its edge and
+# past it
+_BAND_MULTIPLES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+    st.floats(1.0, 1e3),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.one_of(st.floats(1e-3, 0.2), st.floats(0.2, 1.0),
+                    st.floats(0.995, 1.0), st.just(1.0)),
+    first=_BAND_MULTIPLES,
+    second=st.one_of(st.integers(0, 64), _BAND_MULTIPLES),
+)
+def test_ml_is_non_increasing_on_the_negative_axis(alpha, first, second):
+    # E_alpha(-x) falls as x grows; the second point lies 0-64 ulps past
+    # the first, or anywhere. Past the band the values never rise. Inside
+    # it, and from inside to past its edge, a pair a few ulps apart may
+    # rise by the series' rounding (up to 3.5e-11 relative) or by the jump
+    # between the series and the angle form at the edge (up to 5.1e-10,
+    # beta = 1 as alpha -> 1), so there the slack is 5.1e-10 relative
+    ln_edge = mlf._ln_u_band(alpha)
+    x = (math.exp(ln_edge) * first) ** alpha
+    if isinstance(second, int):
+        y = x
+        for _ in range(second):
+            y = math.nextafter(y, math.inf)
+    else:
+        y = (math.exp(ln_edge) * second) ** alpha
+    lo, hi = min(x, y), max(x, y)
+    v_lo, v_hi = ml(-lo, alpha), ml(-hi, alpha)
+    in_band = lo == 0.0 or math.log(lo) / alpha <= ln_edge
+    slack = 5.1e-10 * v_lo if in_band else 0.0
+    assert v_hi <= v_lo + slack, (alpha, lo, hi, v_lo, v_hi)
+
+
 def test_sub_semigroup_sample():
     # small version of the big battery in the acceptance tests
     rng = np.random.default_rng(99)

@@ -7,10 +7,10 @@ from halanay.halanay import BOUNDED_GAP, NONE, RATIO, ScanGrid, lambda_at
 from halanay.positivity import (
     DelaySystem,
     certify_positive,
-    column_sums,
     initial_amplitude,
-    structure_check,
 )
+
+from conftest import column_sums
 
 
 def T(src):
@@ -62,11 +62,19 @@ def example2_system():
 GRID = ScanGrid(100.0, 2001)
 
 
-# ---------------------------------------------------------- structure_check
+# ------------------------------------------------------- structure checks
+
+def structure_error(sys_):
+    """The StructureError message certify_positive raises for sys_."""
+    with pytest.raises(StructureError) as exc:
+        certify_positive(sys_, GRID)
+    return str(exc.value)
+
 
 def test_structure_of_bundled_examples():
-    assert structure_check(example1_system(), GRID) == (True, True)
-    assert structure_check(example2_system(), GRID) == (True, True)
+    for sys_ in (example1_system(), example2_system()):
+        verdict, _ = certify_positive(sys_, GRID)
+        assert verdict.metzler_ok and verdict.nonneg_ok
 
 
 def test_identity_matrix_is_metzler():
@@ -75,7 +83,10 @@ def test_identity_matrix_is_metzler():
         B=mat([["0", "0"], ["0", "0"]]), q=T("0.5"), tau=1.0,
         phi=[S("1"), S("1")],
     )
-    assert structure_check(sys_, GRID) == (True, True)
+    # growing, so no certificate, but the structure holds
+    verdict, cert = certify_positive(sys_, GRID)
+    assert verdict.metzler_ok and verdict.nonneg_ok
+    assert cert is None
 
 
 def test_negative_delay_matrix_entry_fails():
@@ -83,9 +94,7 @@ def test_negative_delay_matrix_entry_fails():
         alpha=0.65, dim=1, A=mat([["-0.2-0.002*t"]]), B=mat([["-0.02*sqrt(t)"]]),
         q=T("1.5"), tau=2.0, phi=[S("0.3-0.5*cos(2*s)")],
     )
-    metzler_ok, nonneg_ok = structure_check(sys_, GRID)
-    assert metzler_ok
-    assert not nonneg_ok
+    assert structure_error(sys_) == "B has a negative entry on the grid"
 
 
 def test_negative_off_diagonal_fails():
@@ -94,24 +103,27 @@ def test_negative_off_diagonal_fails():
         B=mat([["0", "0"], ["0", "0"]]), q=T("0.5"), tau=1.0,
         phi=[S("1"), S("1")],
     )
-    metzler_ok, nonneg_ok = structure_check(sys_, GRID)
-    assert not metzler_ok
-    assert nonneg_ok
+    assert structure_error(sys_) == (
+        "A has a negative off-diagonal entry on the grid")
 
 
-# ------------------------------------------------------------- column_sums
+# ------------------------------------------------------------- column sums
 
 def test_column_sums_match_closed_forms():
     ts = GRID.times()
-    a_fun, b_fun = column_sums(example1_system(), GRID)
-    np.testing.assert_allclose(a_fun, 0.2 + 0.002 * ts, atol=1e-12)
-    np.testing.assert_allclose(b_fun, 0.1 + 0.0015 * ts, atol=1e-12)
-
-    a_fun2, b_fun2 = column_sums(example2_system(), GRID)
-    np.testing.assert_allclose(a_fun2, 1.6 + 1.2 / np.sqrt(1 + ts), atol=1e-12)
-    np.testing.assert_allclose(
-        b_fun2, 1.5 + ts * np.sin(ts) ** 2 / (1 + ts**2), atol=1e-12
-    )
+    for sys_, a_want, b_want in (
+        (example1_system(), 0.2 + 0.002 * ts, 0.1 + 0.0015 * ts),
+        (example2_system(), 1.6 + 1.2 / np.sqrt(1 + ts),
+         1.5 + ts * np.sin(ts) ** 2 / (1 + ts**2)),
+    ):
+        a_fun, b_fun = column_sums(sys_, ts)
+        np.testing.assert_allclose(a_fun, a_want, atol=1e-12)
+        np.testing.assert_allclose(b_fun, b_want, atol=1e-12)
+        # the verdict's margins are those of the same column sums
+        verdict, _ = certify_positive(sys_, GRID)
+        assert verdict.a0 == float(np.min(a_fun))
+        assert verdict.p == float(np.max(b_fun / a_fun))
+        assert verdict.sigma == float(np.min(a_fun - b_fun))
 
 
 def test_column_sums_trivial_diagonal():
@@ -120,9 +132,13 @@ def test_column_sums_trivial_diagonal():
         B=mat([["0", "0"], ["0", "0"]]), q=T("0.5"), tau=1.0,
         phi=[S("1"), S("1")],
     )
-    a_fun, b_fun = column_sums(sys_, ScanGrid(10.0, 11))
+    grid = ScanGrid(10.0, 11)
+    a_fun, b_fun = column_sums(sys_, grid.times())
     assert np.all(a_fun == 1.0)
     assert np.all(b_fun == 0.0)
+    verdict, cert = certify_positive(sys_, grid)
+    assert (verdict.a0, verdict.p, verdict.sigma) == (1.0, 0.0, 1.0)
+    assert cert.lambda_star == 1.0
 
 
 def test_column_sums_brute_force_on_random_constant_matrices():
@@ -138,12 +154,27 @@ def test_column_sums_brute_force_on_random_constant_matrices():
             B=[[T(repr(float(B[i, j]))) for j in range(d)] for i in range(d)],
             q=T("0.5"), tau=1.0, phi=[S("1")] * d,
         )
-        a_fun, b_fun = column_sums(sys_, grid)
+        a_fun, b_fun = column_sums(sys_, grid.times())
         want_a = -max(A[:, j].sum() for j in range(d))
         want_b = max(B[:, j].sum() for j in range(d))
         assert np.all(a_fun == a_fun[0])
         assert a_fun[0] == pytest.approx(want_a, abs=1e-12)
         assert b_fun[0] == pytest.approx(want_b, abs=1e-12)
+        # the same matrices with the order-preserving signs, through
+        # certify_positive's own column sums
+        off = ~np.eye(d, dtype=bool)
+        A[off], B = np.abs(A[off]), np.abs(B)
+        sys_ = DelaySystem(
+            alpha=0.5, dim=d,
+            A=[[T(repr(float(A[i, j]))) for j in range(d)] for i in range(d)],
+            B=[[T(repr(float(B[i, j]))) for j in range(d)] for i in range(d)],
+            q=T("0.5"), tau=1.0, phi=[S("1")] * d,
+        )
+        want_a = -max(A[:, j].sum() for j in range(d))
+        want_b = max(B[:, j].sum() for j in range(d))
+        verdict, _ = certify_positive(sys_, grid)
+        assert verdict.a0 == pytest.approx(want_a, abs=1e-12)
+        assert verdict.sigma == pytest.approx(want_a - want_b, abs=1e-12)
 
 
 # -------------------------------------------------------- initial_amplitude
@@ -210,9 +241,9 @@ def test_certify_decoupled_identity_decay():
 def test_certificate_consistency_with_rate_precondition():
     sys_ = example1_system()
     verdict, cert = certify_positive(sys_, GRID)
-    a_fun, b_fun = column_sums(sys_, GRID)
-    assert np.all(a_fun > b_fun)
     ts = GRID.times()
+    a_fun, b_fun = column_sums(sys_, ts)
+    assert np.all(a_fun > b_fun)
     for i in range(0, len(ts), 500):
         q = sys_.q.eval(float(ts[i]))
         lam = lambda_at(sys_.alpha, float(a_fun[i]), [float(b_fun[i])], [q])
