@@ -18,13 +18,13 @@ classify_conditions, its first half, gives the verdict alone. Each route
 returns (verdict, certificate), the certificate None when neither
 condition holds.
 
-The rate equation has one solver (_lambda_grid), which solves points in
-lockstep on arrays by a bracketed Newton iteration that starts with a
-closed-form step from 0; lambda_at is its one-point call. Each returned
-rate has a residual verified nonpositive, so lambda never sits above the
-computed root. The rate scan (_min_rate) needs only the least rate: it
-solves one seed point, sets aside by one sign test of h every point
-whose rate provably exceeds the seed's, and solves the few left.
+The rate equation has one solver (_rate), a bracketed Newton iteration
+on Python floats at one point, which starts with a closed-form step from
+0; lambda_at is its validated one-point call. Each returned rate has a
+residual verified nonpositive, so lambda never sits above the computed
+root. The rate scan (_min_rate) needs only the least rate: by array sign
+tests of h it sets aside every point whose rate provably exceeds one
+solved, and solves the few left, each distinct point once.
 """
 
 import math
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HalanayError, InfeasiblePointError, MlfDomainError
-# ml is not called here; perfbench/tracer.py wraps halanay.halanay.ml by name
-from .mlf import ml, ml_array  # noqa: F401
+# _rate calls ml by this module's name, which perfbench/tracer.py wraps
+from .mlf import ml, ml_array
 
 __all__ = [
     "ScanGrid",
@@ -109,28 +109,18 @@ class HalanayCertificate:
 def lambda_at(alpha, a_val, b_vals, q_vals):
     """Unique positive root of the rate equation at one sample point.
 
-    A one-point call of the grid solver (_lambda_grid), so it validates
-    and solves exactly as a rate scan does and returns the rate a scan
-    returns at that point, never above the computed root.
+    Validated and solved (_rate) exactly as a point of a rate scan is, so
+    it returns the rate a scan returns at that point, never above the
+    computed root.
     """
     bs = np.array(b_vals, dtype=float)
     qs = np.array(q_vals, dtype=float)
     if bs.shape != qs.shape:
         raise ValueError("b_vals and q_vals must have equal length")
     a = np.array([a_val], dtype=float)
-    return float(_lambda_grid(alpha, a, bs[:, None], qs[:, None])[0][0])
-
-
-def _h_grid(lam, alpha, a, bs, qas):
-    """h(lambda) and h'(lambda) at many points, q^alpha precomputed."""
-    h = lam - a
-    dh = 1.0
-    for b, qa in zip(bs, qas):
-        x = -lam * qa
-        e1 = ml_array(x, alpha)
-        h += b / e1
-        dh = dh + b * qa * ml_array(x, alpha, alpha) / (alpha * e1 * e1)
-    return h, dh
+    _checked_sum(alpha, a, bs[:, None], qs[:, None])
+    qas = [q**alpha for q in qs.tolist()]  # as _q_alpha takes them
+    return _rate(alpha, float(a[0]), bs.tolist(), qas)[0]
 
 
 def _checked_sum(alpha, a, bs, qs):
@@ -141,7 +131,7 @@ def _checked_sum(alpha, a, bs, qs):
         raise MlfDomainError("a, b and q samples must be finite")
     if np.any(a < 0) or np.any(bs < 0) or np.any(qs < 0):
         raise ValueError("a, b and q samples must be nonnegative")
-    sb = bs.sum(axis=0)
+    sb = sum(bs)  # row by row, as _rate sums; numpy sums (K, 1) pairwise
     if np.any(a <= sb):
         raise InfeasiblePointError(
             "a does not exceed sum(b) at every point; no positive rate exists"
@@ -155,114 +145,124 @@ def _q_alpha(qs, alpha):
     return np.array([[q**alpha for q in row] for row in qs.tolist()])
 
 
-def _first_step(alpha, gap, bs, qas):
-    """The closed-form Newton step from 0 over the bracket [0, gap].
+def _first_step(alpha, gap, bq):
+    """The closed-form Newton step from 0 over the bracket [0, gap], bq
+    the sum of b q^alpha: h'(0) = 1 + bq / Gamma(1 + alpha)."""
+    return gap / (1.0 + bq / math.gamma(1.0 + alpha))
 
-    h'(0) = 1 + sum b q^alpha / Gamma(1 + alpha).
+
+def _div(n, d):
+    """n / d, or IEEE's +-inf or nan (0 / 0) at d = 0, where Python raises."""
+    return n / d if d else n * math.copysign(math.inf, d)
+
+
+def _rate(alpha, a, bs, qas):
+    """The rate at one point, on floats; returns (lambda, |h(lambda)|).
+
+    bs and qas hold b_k and q_k^alpha, one per delay term, and sb = sum(bs)
+    was validated below a. h rises strictly from h(0) = sb - a < 0 to
+    h(a - sb) >= 0 (E_alpha <= 1). Over that bracket runs a bracketed
+    (rtsafe-style) Newton, one ml call per delay and order a round, from a
+    closed-form first step; later steps are taken if strictly inside the
+    bracket and at most half the last. Else it bisects or, if the step is
+    under 1e6 tolerances (stalled at the root), doubles it across the root.
+    It stops when the bracket, or |h| at a point with h <= 0, falls below
+    1e-14 max(1, a) (h' >= 1, so the step does too) and returns that
+    verified low end and its |h|: lambda never exceeds the computed root.
     """
-    return gap / (1.0 + (bs * qas).sum(axis=0) / math.gamma(1.0 + alpha))
-
-
-def _lambda_grid(alpha, a, bs, qs):
-    """The rate at every grid point at once; returns (lambdas, |residuals|).
-
-    a holds one sample per point, bs and qs one row per delay term. h rises
-    strictly from h(0) = sum(b) - a < 0 and, since E_alpha <= 1,
-    h(a - sum(b)) >= 0. Over that bracket all points run a bracketed
-    (rtsafe-style) Newton in lockstep, one ml_array call per delay and
-    order a round. The first step, from 0, is in closed form; later ones
-    are taken if strictly inside the bracket and at most half the last
-    step. Else the point bisects, or, if the step is under 1e6 tolerances
-    (stalled at the root), doubles it to land across the root. With
-    tolerance 1e-14 max(1, a), a point is done when its bracket or its |h|
-    at a point with h <= 0 falls below it (h' >= 1, so its step does too)
-    and returns that verified low end and its |h|: lambda never exceeds
-    the computed root. Points do not interact, so a point's rate does not
-    depend on which other points share the call.
-    """
-    sb = _checked_sum(alpha, a, bs, qs)
-    lams = a.astype(float)
-    resid = np.zeros(len(a))
-    on = np.flatnonzero(sb > 0.0)
-    a, bs = a[on], bs[:, on]
-    qas = _q_alpha(qs[:, on], alpha)
-    lo, hi = np.zeros(len(on)), a - sb[on]
-    h_lo = sb[on] - a  # h(0): every E_alpha(0) is 1
-    width = 1e-14 * np.maximum(1.0, a)
-    lam = _first_step(alpha, hi, bs, qas)
-    step = lam.copy()
-    open_ = np.arange(len(on))
+    sb = sum(bs)
+    if not sb > 0.0:
+        return a, 0.0
+    lo, hi, h_lo = 0.0, a - sb, sb - a  # h(0): every E_alpha(0) is 1
+    width = 1e-14 * max(1.0, a)
+    lam = step = _first_step(alpha, hi, sum(b * qa for b, qa in zip(bs, qas)))
     for _ in range(MAX_ROUNDS):
-        if not open_.size:
-            break
-        # at alpha = 1, exp(-lambda q) may underflow: h is then inf, h' nan
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            h, dh = _h_grid(lam, alpha, a[open_], bs[:, open_], qas[:, open_])
-            dx = h / dh
-        below = h <= 0.0
-        lo[open_[below]], h_lo[open_[below]] = lam[below], h[below]
-        hi[open_[~below]] = lam[~below]
-        l, u, w = lo[open_], hi[open_], width[open_]
-        done = (below & (-h < w)) | (u - l < w)
-        size = np.abs(dx)
+        # at alpha = 1, exp(-lambda q) and its square may underflow: h is
+        # then inf (b / 0) or nan (0 / 0), h' inf or nan
+        h, dh = lam - a, 1.0
+        for b, qa in zip(bs, qas):
+            x = -lam * qa
+            e1 = ml(x, alpha)
+            h += _div(b, e1)
+            dh += _div(b * qa * ml(x, alpha, alpha), alpha * e1 * e1)
+        dx = h / dh
+        if h <= 0.0:
+            lo, h_lo = lam, h
+        else:
+            hi = lam
+        if -width < h <= 0.0 or hi - lo < width:
+            return lo, abs(h_lo)
         # nan and inf fail the bracket tests
+        size = abs(dx)
         newton = lam - dx
-        take = (l < newton) & (newton < u) & (2.0 * size <= step)
+        if lo < newton < hi and 2.0 * size <= step:
+            lam, step = newton, size
+            continue
         across = lam - 2.0 * dx
-        across = np.where(across == lam,
-                          np.nextafter(lam, np.where(dx > 0.0, l, u)), across)
-        cross = ~take & (size < 1e6 * w) & (l < across) & (across < u)
-        lam = np.where(take, newton, np.where(cross, across, 0.5 * (l + u)))
-        step = np.where(take | cross, size, 0.5 * (u - l))
-        keep = ~done
-        lam, step, open_ = lam[keep], step[keep], open_[keep]
-    if open_.size:
-        raise HalanayError(
-            f"rate equation unsolved after {MAX_ROUNDS} rounds at "
-            f"{open_.size} points"
-        )
-    lams[on] = lo
-    resid[on] = np.abs(h_lo)
-    return lams, resid
+        if across == lam:
+            across = math.nextafter(lam, lo if dx > 0.0 else hi)
+        if size < 1e6 * width and lo < across < hi:
+            lam, step = across, size
+        else:
+            lam, step = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    raise HalanayError(
+        f"rate equation unsolved after {MAX_ROUNDS} rounds at a = {a!r}")
+
+
+def _points(cols, a, bs, qas):
+    """The points cols as _rate's arguments, float tuples that key a dict."""
+    return zip(a[cols].tolist(), map(tuple, bs[:, cols].T.tolist()),
+               map(tuple, qas[:, cols].T.tolist()))
 
 
 def _min_rate(alpha, a, bs, qs):
     """The least rate over the points: (lambda*, its first index, the
     worst |residual| among the points solved).
 
-    Only the least rate matters, so not every point is solved. The seed,
-    the point with the least first Newton step, is solved first: its rate
-    U bounds lambda* above. One evaluation of h(U + margin) per point (one
-    ml_array call per delay, order 1 only) then sets aside every point
-    with h(U + margin) < 0, whose root lies past U + margin and whose rate
-    therefore exceeds U (see SCAN_MARGIN). The rest, those with h >= 0 or
-    h not finite, are solved by _lambda_grid in one lockstep call; since
-    a point's rate does not depend on its neighbours in the call, lambda*
-    and its first argmin are those of a scan of every point.
+    Only the least rate matters. The seed, the point of least first
+    Newton step, is solved first; its rate U bounds lambda* above. A sign
+    test of h(U + margin) at every point (one ml_array call per delay, at
+    order 1) sets aside those with h < 0, whose rates exceed U (see
+    SCAN_MARGIN). The rest (h >= 0 or not finite) are solved once per
+    distinct point, the largest h first. The first step only guesses the
+    least rate (it overestimates most where h curves most), so when a
+    solved rate falls below U, U takes it and the unsolved rest are tested
+    again. A point's rate depends on its own samples alone: lambda* and
+    its first argmin are those of a scan of every point.
     """
-    sb = _checked_sum(alpha, a, bs, qs)
+    gap = a - _checked_sum(alpha, a, bs, qs)
     qas = _q_alpha(qs, alpha)
-    gap = a - sb
-    seed = int(np.argmin(_first_step(alpha, gap, bs, qas)))
-    lam, res = _lambda_grid(alpha, a[[seed]], bs[:, [seed]], qs[:, [seed]])
-    x = float(lam[0]) + SCAN_MARGIN * max(1.0, float(np.max(a)))
-    # a point whose bracket [0, gap] ends at or below x has its root there
-    # too, so it is solved untested
-    test = np.flatnonzero(gap > x)
-    h = x - a[test]
-    # at alpha = 1, exp(-x q) may underflow: h is then inf or nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for b, qa in zip(bs[:, test], qas[:, test]):
-            h += b / ml_array(-x * qa, alpha)
-    solve = np.ones(len(a), dtype=bool)
-    solve[test[h < 0.0]] = False
-    solve[seed] = False
-    rest = np.flatnonzero(solve)
-    lams, resid = _lambda_grid(alpha, a[rest], bs[:, rest], qs[:, rest])
+    margin = SCAN_MARGIN * max(1.0, float(np.max(a)))
+    seed = int(np.argmin(_first_step(alpha, gap, (bs * qas).sum(axis=0))))
+    (point,) = _points([seed], a, bs, qas)
+    solved = {point: _rate(alpha, *point)}
     rates = np.full(len(a), math.inf)
-    rates[seed], rates[rest] = lam[0], lams
+    rates[seed] = lam = solved[point][0]
+    left = np.flatnonzero(np.arange(len(a)) != seed)
+    while len(left):
+        x = lam + margin
+        # a point whose bracket [0, gap] ends at or below x has its root
+        # there too, so it is solved untested (first, as h = inf)
+        cols = left[gap[left] > x]
+        h = np.full(len(a), math.inf)
+        h[cols] = x - a[cols]
+        # at alpha = 1, exp(-x q) may underflow: h is then inf or nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for b, qa in zip(bs[:, cols], qas[:, cols]):
+                h[cols] += b / ml_array(-x * qa, alpha)
+        left = left[~(h[left] < 0.0)]
+        left = left[np.argsort(-h[left], kind="stable")]
+        got = []
+        for point in _points(left, a, bs, qas):
+            if point not in solved:
+                solved[point] = _rate(alpha, *point)
+            got.append(solved[point][0])
+            if got[-1] < lam:
+                break
+        rates[left[:len(got)]] = got
+        lam, left = min([lam, *got]), left[len(got):]
     arg = int(np.argmin(rates))
-    return float(rates[arg]), arg, float(max(res[0], np.max(resid, initial=0.0)))
+    return float(rates[arg]), arg, max(res for _, res in solved.values())
 
 
 def classify_conditions(tau, a, bs, qs, c, a_bounded=None):

@@ -34,6 +34,27 @@ def rate_residual(lam, alpha, a, bs, qs):
     return acc
 
 
+def solve_every_point(alpha, a, bs, qs):
+    """(rates, |residuals|) of the solver at every point: the exhaustive
+    scan."""
+    hal._checked_sum(alpha, a, bs, qs)
+    points = hal._points(np.arange(len(a)), a, bs, hal._q_alpha(qs, alpha))
+    return np.array([hal._rate(alpha, *p) for p in points]).reshape(-1, 2).T
+
+
+def counting_ml(monkeypatch):
+    """Count the solver's ml calls by order (beta)."""
+    calls = collections.Counter()
+    ml_ = hal.ml
+
+    def counted(x, alpha, beta=1.0):
+        calls[beta] += 1
+        return ml_(x, alpha, beta)
+
+    monkeypatch.setattr(hal, "ml", counted)
+    return calls
+
+
 def problem(alpha, tau, a, b, q, c="0", scan=None):
     """(alpha, tau, ts, a, bs, qs, c) sampled on the scan grid, the leading
     arguments of certify; b and q list one expression per delay term."""
@@ -101,7 +122,7 @@ def test_rate_grid_matches_bisection_per_point():
         bs[:, ::7] = 0.0  # points without delayed feedback
         qs = rng.uniform(0.0, 5.0, (m, n))
         qs[:, ::5] = 0.0  # points without delay
-        lams, resid = hal._lambda_grid(alpha, a, bs, qs)
+        lams, resid = solve_every_point(alpha, a, bs, qs)
         for i in range(n):
             a_i, b_i, q_i = float(a[i]), bs[:, i].tolist(), qs[:, i].tolist()
             fn = lambda l: rate_residual(l, alpha, a_i, b_i, q_i)
@@ -111,19 +132,19 @@ def test_rate_grid_matches_bisection_per_point():
             h = rate_residual(float(lams[i]), alpha, a_i, b_i, q_i)
             assert resid[i] == pytest.approx(abs(h), abs=1e-15)
     with pytest.raises(InfeasiblePointError):
-        hal._lambda_grid(0.5, np.array([1.0, 0.3]), np.array([[0.2, 0.3]]),
-                         np.ones((1, 2)))
+        solve_every_point(0.5, np.array([1.0, 0.3]), np.array([[0.2, 0.3]]),
+                          np.ones((1, 2)))
 
 
 def test_rate_never_exceeds_the_computed_root():
-    # 2000 seeded tuples, solved one by one and as grids of 100 points at a
-    # time: every returned rate leaves a nonpositive residual
+    # 2000 seeded tuples, solved one by one and as the points of grids of
+    # 100: every returned rate leaves a nonpositive residual
     rng = np.random.default_rng(2000)
     for alpha in rng.uniform(0.3, 1.0, 20).tolist():
         a = rng.uniform(0.05, 2.0, 100)
         b = a * rng.uniform(0.05, 0.95, 100)
         q = rng.uniform(0.0, 3.0, 100)
-        lams, _ = hal._lambda_grid(alpha, a, b[None, :], q[None, :])
+        lams, _ = solve_every_point(alpha, a, b[None, :], q[None, :])
         for a_i, b_i, q_i, lam_grid in zip(a.tolist(), b.tolist(), q.tolist(),
                                            lams.tolist()):
             lam = lambda_at(alpha, a_i, [b_i], [q_i])
@@ -132,40 +153,54 @@ def test_rate_never_exceeds_the_computed_root():
 
 
 def test_rate_scan_is_a_few_array_calls(monkeypatch):
-    # solving every point one by one would make ~12 calls per grid point
-    # (6 rounds, 2 orders); solving every point in lockstep passes each
-    # point ~6 times per order
-    calls = collections.Counter()
+    # solving every point would make ~6 rounds of one ml call per delay and
+    # order per grid point; the min-rate scan passes each point once, at
+    # order 1 and in one ml_array call per delay, to test it against the
+    # seed's rate, and solves only the few points it cannot set aside
+    arrays = collections.Counter()
     elements = collections.Counter()
     ml_array = hal.ml_array
 
     def counted(x, alpha, beta=1.0):
-        calls[beta] += 1
+        arrays[beta] += 1
         elements[beta] += np.size(x)
         return ml_array(x, alpha, beta)
 
     monkeypatch.setattr(hal, "ml_array", counted)
+    solver = counting_ml(monkeypatch)
     certify(*example1(ScanGrid(100.0, 501)), M=1.2)
-    assert set(calls) == {1.0, 0.45}
-    assert max(calls.values()) <= 16, calls
-    calls.clear()
+    assert arrays == {1.0: 1}, arrays
+    assert 0 < solver[0.45] <= 64, solver
+    arrays.clear()
+    solver.clear()
     two = problem(0.55, 2.0, "1.0+0.1*sin(t)", ["0.2", "0.3"], ["0.5", "1.5"],
                   scan=ScanGrid(30.0, 501))
     certify(*two, M=2.0)
-    assert max(calls.values()) <= 2 * 16, calls
-    # the min-rate scan passes each point once, at order 1, to test it
-    # against the seed's rate; only the few points it cannot set aside
-    # are solved
+    assert arrays == {1.0: 2}, arrays
+    assert 0 < solver[0.55] <= 2 * 64, solver
     elements.clear()
+    solver.clear()
     prob = example2()
     certify(*prob, M=0.7)
-    n = len(prob[2])
-    assert elements[1.0] <= n + 64, elements
-    assert elements[prob[0]] <= 64, elements
+    assert elements[1.0] <= len(prob[2]), elements
+    assert 0 < solver[prob[0]] <= 64, solver
+
+
+def test_constant_coefficients_solve_one_point(monkeypatch):
+    # every point of a constant problem survives the scan's sign test; the
+    # scan solves them as one point, with the ml calls of one lambda_at
+    calls = counting_ml(monkeypatch)
+    lam = lambda_at(0.65, 0.3, [0.2], [2.0])
+    one = calls[0.65]
+    calls.clear()
+    prob = problem(0.65, 2.0, "0.3", ["0.2"], ["2"])
+    _, cert = certify(*prob, M=1.0)
+    assert len(prob[2]) == 2001 and 0 < one == calls[0.65], (one, calls)
+    assert cert.lambda_star == lam and cert.grid_argmin == 0.0
 
 
 def _exhaustive_min_rate(alpha, a, bs, qs):
-    lams, resid = hal._lambda_grid(alpha, a, bs, qs)
+    lams, resid = solve_every_point(alpha, a, bs, qs)
     arg = int(np.argmin(lams))
     return float(lams[arg]), arg, float(np.max(resid))
 
@@ -229,6 +264,25 @@ def test_min_rate_scan_matches_the_exhaustive_scan(alpha, m):
         assert hal._min_rate(alpha, a, bs, qs)[:2] == want[:2]
 
 
+@pytest.mark.parametrize("alpha", [0.99, 1.0])
+def test_min_rate_scan_tightens_its_bound(alpha, monkeypatch):
+    # the seed, the least first Newton step, need not hold the least rate:
+    # the first step overestimates the rate most where h curves most
+    # (alpha near 1, large b q). Along this ramp the seed is the q = 0 end
+    # while the least rate lies at the q = 20 end, and 68 (alpha 0.99) or
+    # 82 (alpha 1) of the 501 points pass the seed's sign test; tested
+    # again at the first survivor's lower rate, all but a few are set aside
+    t = np.linspace(0.0, 1.0, 501)
+    a, bs, qs = 1.0 + 9.0 * t, (0.96 + 4.04 * t)[None, :], (20.0 * t)[None, :]
+    want = _exhaustive_min_rate(alpha, a, bs, qs)
+    rate = hal._rate
+    calls = []
+    monkeypatch.setattr(hal, "_rate", lambda *p: calls.append(p) or rate(*p))
+    lam, arg, resid = hal._min_rate(alpha, a, bs, qs)
+    assert (lam, arg) == want[:2] and arg == 500 and resid <= want[2]
+    assert len(calls) <= 4, len(calls)
+
+
 @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0])
 def test_rate_solve_converges_on_stiff_points(alpha, monkeypatch):
     # a up to 50, b/a up to 1 - 1e-6, q up to 20: at alpha = 1 and large q,
@@ -241,21 +295,75 @@ def test_rate_solve_converges_on_stiff_points(alpha, monkeypatch):
     q = rng.uniform(0.0, 20.0, n)
     q[::8] = 20.0
     b = a * frac
-    rounds = collections.Counter()
-    h_grid = hal._h_grid
+    calls = counting_ml(monkeypatch)
+    hal._checked_sum(alpha, a, b[None, :], q[None, :])
+    qas = hal._q_alpha(q[None, :], alpha)
+    for i, point in enumerate(hal._points(np.arange(n), a, b[None, :], qas)):
+        calls.clear()
+        lam, resid = hal._rate(alpha, *point)
+        # one delay term: one ml call per order a round
+        assert sum(calls.values()) <= 2 * (hal.MAX_ROUNDS // 4), (i, calls)
+        assert resid <= hal.RESIDUAL_BOUND
+        assert 0.0 < lam <= a[i]
+        assert rate_residual(lam, alpha, a[i], [b[i]], [q[i]]) <= 0.0
 
-    def counted(*args):
-        rounds["h"] += 1
-        return h_grid(*args)
 
-    monkeypatch.setattr(hal, "_h_grid", counted)
-    lams, resid = hal._lambda_grid(alpha, a, b[None, :], q[None, :])
-    assert rounds["h"] <= hal.MAX_ROUNDS // 4, rounds
-    assert np.max(resid) <= hal.RESIDUAL_BOUND
-    for lam, a_i, b_i, q_i in zip(lams.tolist(), a.tolist(), b.tolist(),
-                                  q.tolist()):
-        assert 0.0 < lam <= a_i
-        assert rate_residual(lam, alpha, a_i, [b_i], [q_i]) <= 0.0
+def _pinned_args():
+    rng = np.random.default_rng(13)
+    for k in range(12):
+        alpha = 1.0 if k % 4 == 0 else float(rng.uniform(0.05, 1.0))
+        a = float(np.exp(rng.uniform(math.log(0.05), math.log(50.0))))
+        m = int(rng.integers(1, 4))
+        raw = rng.uniform(0.0, 1.0, m)
+        bs = (raw / raw.sum() * a * rng.uniform(0.05, 0.99)).tolist()
+        qs = rng.uniform(0.0, 20.0 if alpha == 1.0 else 5.0, m).tolist()
+        yield alpha, a, bs, qs
+    # at alpha = 1 and q = 20, the second point's first step lands where
+    # exp(-lambda q) underflows (b / 0 = inf in h), and later steps where
+    # only its square in h' does
+    for a, b in ((50.0, 49.9), (49.0, 1e-3), (30.0, 29.0)):
+        yield 1.0, a, [b], [20.0]
+
+
+def test_rates_are_pinned():
+    # exact rates recorded from the lockstep array solver that the scalar
+    # one replaced; the same arithmetic in the same order gives them bit
+    # for bit
+    want = [
+        0.006197431405562925, 0.04392644711106713, 0.009832283477620066,
+        0.14723522888034726, 0.030126864204852867, 0.8330601101450942,
+        0.007373395912183364, 0.3461591869593386, 0.11592057146956604,
+        0.5354091530853208, 0.11001746234631747, 0.005091171800527703,
+        0.00010000013330035589, 0.539425292685825, 0.0016922570757732847,
+    ]
+    assert [lambda_at(*args) for args in _pinned_args()] == want
+
+
+def test_rates_of_many_delays_stay_within_the_stop_tolerance():
+    # with 8 or more delay terms the array solver summed sum(b) and
+    # sum(b q^alpha) of one point pairwise, as numpy does, where _rate sums
+    # in order; the steps, and so the rates, may then differ within the
+    # solver's stop tolerance 1e-14 max(1, a). Recorded from the array
+    # solver, 4 of these 10 rates moved, by 3 to 69 ulp
+    want = [
+        0.07265401085866813, 0.12172501766487638, 0.48812504774699367,
+        0.3373689948831967, 0.5447719405110385, 1.2554634875744588,
+        0.6448074378556534, 0.39483603995887584, 0.7962891435670245,
+        0.16408543851605628,
+    ]
+    rng = np.random.default_rng(8)
+    for old in want:
+        m = int(rng.integers(8, 13))
+        alpha = float(rng.uniform(0.2, 1.0))
+        a = float(rng.uniform(0.5, 30.0))
+        raw = rng.uniform(0.0, 1.0, m)
+        bs = (raw / raw.sum() * a * rng.uniform(0.3, 0.99)).tolist()
+        qs = rng.uniform(0.0, 5.0, m).tolist()
+        lam = lambda_at(alpha, a, bs, qs)
+        assert abs(lam - old) <= 1e-14 * max(1.0, a)
+        # a scan sums sum(b) as lambda_at does and returns the same rate
+        two = np.array([bs, bs]).T, np.array([qs, qs]).T
+        assert hal._min_rate(alpha, np.full(2, a), *two)[0] == lam
 
 
 def test_rate_is_monotone_in_coefficients():
