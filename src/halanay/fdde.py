@@ -14,11 +14,23 @@ otherwise.
 The system is linear, so the rule is solved BLOCK steps at a time: the
 states and delayed states of one block are one linear system in that
 block's states, and numpy solves it in one call. The history sums over
-earlier blocks come from FFT convolutions on a dyadic split (Hairer,
-Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): after block
-t - 1, with span = t & -t, blocks [t - span, t) feed blocks [t, t + span),
-so every pair of blocks is summed once and a solve of n nodes costs
+earlier blocks come from convolutions on a dyadic split (Hairer, Lubich
+and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): after block t - 1,
+with span = t & -t, blocks [t - span, t) feed blocks [t, t + span), so
+every pair of blocks is summed once and a solve of n nodes costs
 O(n log^2 n).
+
+Only part of a block's work depends on the states. Its matrix
+I - W A - W C (W the in-block weights, A the block's A_i, C the
+couplings of nodes whose delayed time falls inside their own block)
+does not; it is built per block, with no stack over the whole
+trajectory: -W A is one broadcast product, and C is added only at the
+nodes found before the loop. The states enter through the known
+delayed part fc = B xd, the right-hand side sums + W fc, the solve,
+f = A x + C x + fc and the history convolution. The history weights
+depend on the span alone, so each distinct span's operator is built
+once per solve: a Toeplitz matrix up to DIRECT_SPAN steps, where a
+direct product beats an FFT, and the weights' spectrum beyond it.
 
 Companion routines re-check certified envelopes and the
 quadratic-Lyapunov inequality on the computed trajectory.
@@ -45,6 +57,7 @@ __all__ = [
 
 MAX_NODES = 10**7  # memory guard: per-node coefficient stacks and weight tables
 BLOCK = 32  # steps per linear solve
+DIRECT_SPAN = 128  # longest history span applied as a matrix, not by FFT
 CSV_ROWS = 1024  # rows per formatted chunk in write_csv
 
 
@@ -97,64 +110,83 @@ def solve(sys, cfg):
     d = sys.dim
     n = int(round(cfg.t_end / cfg.h))
     times = cfg.h * np.arange(n + 1)
-    # (n+1, d, d) views of A and B; a clamped node uses x itself as its
+    # A and B as [row, column, node]; a clamped node uses x itself as its
     # delayed state, so it gets A + B and 0
-    a_samp, b_samp = (np.moveaxis(m, -1, 0) for m in sample_matrices(sys, times))
+    a_samp, b_samp = sample_matrices(sys, times)
     hist, lo, w_lo, w_hi, clamp = _delay_plan(sys, times, cfg.h)
-    a_samp[clamp] += b_samp[clamp]
-    b_samp[clamp] = 0.0
-    # columns of x_lo and x_(lo + 1) inside each node's block; a node of an
-    # earlier block is in the known part already and gets weight 0 here
-    col_lo = lo - 1 - (np.maximum(np.arange(n + 1) - 1, 0) // BLOCK) * BLOCK
-    in_lo = np.where(col_lo >= 0, w_lo, 0.0)
-    in_hi = np.where(col_lo >= -1, w_hi, 0.0)
-    col_hi = np.maximum(col_lo + 1, 0)
-    col_lo = np.maximum(col_lo, 0)
+    a_samp[..., clamp] += b_samp[..., clamp]
+    b_samp[..., clamp] = 0.0
+    # in-block couplings: x_lo and x_(lo + 1) at columns col and col + 1
+    # of the node's own block, kept at the nodes that have one; a node of
+    # an earlier block is in the known part already and gets weight 0 here
+    col = lo - 1 - (np.maximum(np.arange(n + 1) - 1, 0) // BLOCK) * BLOCK
+    c_wlo = np.where(col >= 0, w_lo, 0.0)
+    c_whi = np.where(col >= -1, w_hi, 0.0)
+    c_node = np.flatnonzero((c_wlo != 0.0) | (c_whi != 0.0))
+    c_col, c_wlo, c_whi = col[c_node], c_wlo[c_node], c_whi[c_node]
+    # the couplings of block t - 1 are [c_cut[t - 1], c_cut[t])
+    c_cut = np.searchsorted(c_node, np.arange(1, n + 1 + BLOCK, BLOCK)).tolist()
+    w_lo, w_hi = w_lo[:, None], w_hi[:, None]
 
     c_corr = cfg.h**sys.alpha / math.gamma(sys.alpha + 2.0)
     weights, end_weights = _trapezoid_weights(sys.alpha, cfg.h, n)
-    # W: the same weights inside one block, plus the weight c_corr of the
-    # current node, which makes the rule implicit
+    # -W: minus the same weights inside one block and the weight c_corr of
+    # the current node, which makes the rule implicit; neg_rep[j, (i, b)]
+    # is -W[j, i], so -W A of a block is one product with the rows of A
     size = min(BLOCK, n)
-    lag = np.subtract.outer(np.arange(size), np.arange(size)) - 1
-    tri = np.where(lag >= 0, weights[np.maximum(lag, 0)], 0.0)
-    tri += c_corr * np.eye(size)
+    neg_tri = -(_toeplitz(weights, -1, size) + c_corr * np.eye(size))
+    neg_rep = np.repeat(neg_tri, d, axis=1)
 
     states = np.zeros((n + 1, d))
     rhs = np.zeros((n + 1, d))
     x0 = np.array([p.eval(0.0) for p in sys.phi])
     states[0] = x0
-    rhs[0] = a_samp[0] @ x0 + b_samp[0] @ hist[0]
+    rhs[0] = a_samp[..., 0] @ x0 + b_samp[..., 0] @ hist[0]
     # x0 plus the trapezoid sums over the nodes of earlier blocks; node 0
     # carries its own end weight
     sums = np.zeros((n + 1, d))
     sums[1:] = end_weights[:, None] * rhs[0]
     sums += x0
+    carriers = {}  # span -> _carrier(weights, span), built on first use
 
-    for k0 in range(1, n + 1, BLOCK):
+    for t, k0 in enumerate(range(1, n + 1, BLOCK), start=1):
         k1 = min(k0 + BLOCK, n + 1)
         m = k1 - k0
-        blk = slice(k0, k1)
-        rows = np.arange(m)
-        ae, be = a_samp[blk], b_samp[blk]
-        # f_j = A'_j x_j + B'_j xd_j = (F x)_j + fc_j in the block's states:
-        # fc holds the delayed states known from earlier blocks (this
-        # block's states are still zero), F the in-block couplings
-        xd = (hist[blk] + w_lo[blk, None] * states[lo[blk]]
-              + w_hi[blk, None] * states[lo[blk] + 1])
-        f_mat = np.zeros((m, d, m, d))
-        f_mat[rows, :, col_lo[blk]] += in_lo[blk, None, None] * be
-        f_mat[rows, :, col_hi[blk]] += in_hi[blk, None, None] * be
-        f_mat[rows, :, rows] += ae
-        f_aug = np.concatenate(
-            [f_mat.reshape(m, d, m * d), be @ xd[..., None]], axis=2)
-        # the rule x = sums + W (F x + fc), linear in [block states, 1]
-        y = (tri[:m, :m] @ f_aug.reshape(m, -1)).reshape(m * d, -1)
-        y[:, -1] += sums[blk].ravel()
-        x = np.linalg.solve(np.eye(m * d) - y[:, :-1], y[:, -1])
-        states[blk] = x.reshape(m, d)
-        rhs[blk] = (f_aug.reshape(m * d, -1) @ np.append(x, 1.0)).reshape(m, d)
-        finite = np.isfinite(states[blk]) & np.isfinite(rhs[blk])
+        # a_blk[a, (i, b)] = A_i[a, b], b_blk[a, b, i] = B_i[a, b]
+        a_blk = a_samp[..., k0:k1].transpose(0, 2, 1).reshape(d, m * d)
+        b_blk = b_samp[..., k0:k1]
+        neg_w = neg_tri[:m, :m]
+        # f = A x + B xd = A x + C x + fc, C the couplings to this block's
+        # own states and fc = B xd over the states known from earlier
+        # blocks (this block's are still zero); the rule x = sums + W f is
+        # (I - W A - W C) x = sums + W fc
+        xd = (hist[k0:k1] + w_lo[k0:k1] * states[lo[k0:k1]]
+              + w_hi[k0:k1] * states[lo[k0:k1] + 1])
+        fc = np.einsum("abi,ib->ia", b_blk, xd)
+        # C order: the reshape and ravel below are views, so the diagonal
+        # += 1 lands in lhs
+        lhs = np.multiply(neg_rep[:m, None, :m * d], a_blk, order="C")
+        c0, c1 = c_cut[t - 1], c_cut[t]
+        if c0 < c1:
+            # the rows of C at the block's nodes that have couplings
+            at, cols = c_node[c0:c1] - k0, c_col[c0:c1]
+            b_at = b_blk[..., at].transpose(2, 0, 1)
+            rows = np.arange(c1 - c0)
+            c_at = np.zeros((c1 - c0, d, m, d))
+            c_at[rows, :, np.maximum(cols, 0)] = c_wlo[c0:c1, None, None] * b_at
+            c_at[rows, :, cols + 1] += c_whi[c0:c1, None, None] * b_at
+            c_at = c_at.reshape(c1 - c0, d, m * d)
+            lhs += (neg_w[:, at] @ c_at.reshape(c1 - c0, -1)).reshape(lhs.shape)
+        lhs = lhs.reshape(m * d, m * d)
+        lhs.ravel()[::m * d + 1] += 1.0
+        x = np.linalg.solve(lhs, (sums[k0:k1] - neg_w @ fc).ravel())
+        x = x.reshape(m, d)
+        f = np.einsum("aib,ib->ia", a_blk.reshape(d, m, d), x) + fc
+        if c0 < c1:
+            f[at] += c_at @ x.ravel()
+        states[k0:k1] = x
+        rhs[k0:k1] = f
+        finite = np.isfinite(x) & np.isfinite(f)
         if not finite.all():
             t_bad = times[k0 + int(np.argmin(finite.all(axis=1)))]
             raise StepSizeError(
@@ -163,13 +195,17 @@ def solve(sys, cfg):
             )
 
         # dyadic split: blocks [t - span, t) feed blocks [t, t + span)
-        t = (k0 - 1) // BLOCK + 1
         span = (t & -t) * BLOCK
         if k1 <= n:
             end = min(k1 + span, n + 1)
-            conv = _fft_convolve(rhs[k1 - span:k1], weights[:2 * span - 1],
-                                 2 * span)
-            sums[k1:end] += conv[span - 1:span - 1 + end - k1]
+            op = carriers.get(span)
+            if op is None:
+                op = carriers[span] = _carrier(weights, span)
+            if span <= DIRECT_SPAN:
+                sums[k1:end] += op[:end - k1] @ rhs[k1 - span:k1]
+            else:
+                conv = _fft_convolve(rhs[k1 - span:k1], op, 2 * span)
+                sums[k1:end] += conv[span - 1:span - 1 + end - k1]
 
     return Trajectory(
         grid=times,
@@ -229,10 +265,28 @@ def _trapezoid_weights(alpha, h, n):
     return weights, end_weights
 
 
-def _fft_convolve(f, w, size):
-    """Circular convolution of length size of f (along axis 0) with each row of w."""
-    spec = np.fft.rfft(w, size)[..., None] * np.fft.rfft(f, size, axis=0)
-    return np.fft.irfft(spec, size, axis=-2)
+def _toeplitz(weights, shift, size):
+    """The size x size matrix of weights[shift + r - c], 0 out of range."""
+    lag = shift + np.subtract.outer(np.arange(size), np.arange(size))
+    inside = (lag >= 0) & (lag < len(weights))
+    return np.where(inside, weights[np.where(inside, lag, 0)], 0.0)
+
+
+def _carrier(weights, span):
+    """How the rhs of span nodes enters the sums of the next span nodes.
+
+    Output r takes weights[span - 1 + r - c] times input c: a Toeplitz
+    matrix up to DIRECT_SPAN, the spectrum of those weights beyond it.
+    """
+    if span <= DIRECT_SPAN:
+        return _toeplitz(weights, span - 1, span)
+    return np.fft.rfft(weights[:2 * span - 1], 2 * span)
+
+
+def _fft_convolve(f, spec, size):
+    """Circular convolution of length size of f (along axis 0) with the
+    sequence whose rfft is spec."""
+    return np.fft.irfft(spec[:, None] * np.fft.rfft(f, size, axis=0), size, axis=0)
 
 
 def caputo_l1(values, alpha, h):
@@ -254,7 +308,8 @@ def caputo_l1(values, alpha, h):
         return steps / h
     n = len(steps)
     w = np.diff(np.arange(n + 1, dtype=float) ** (1.0 - alpha))
-    conv = _fft_convolve(steps[:, None], w, 1 << (2 * n - 2).bit_length())
+    size = 1 << (2 * n - 2).bit_length()
+    conv = _fft_convolve(steps[:, None], np.fft.rfft(w, size), size)
     return conv[:n, 0] * h**-alpha / math.gamma(2.0 - alpha)
 
 

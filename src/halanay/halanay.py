@@ -113,14 +113,20 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
     it returns the rate a scan returns at that point, never above the
     computed root.
     """
-    bs = np.array(b_vals, dtype=float)
-    qs = np.array(q_vals, dtype=float)
-    if bs.shape != qs.shape:
+    a = float(a_val)
+    bs = [float(b) for b in b_vals]
+    qs = [float(q) for q in q_vals]
+    if len(bs) != len(qs):
         raise ValueError("b_vals and q_vals must have equal length")
-    a = np.array([a_val], dtype=float)
-    _checked_sum(alpha, a, bs[:, None], qs[:, None])
-    qas = [q**alpha for q in qs.tolist()]  # as _q_alpha takes them
-    return _rate(alpha, float(a[0]), bs.tolist(), qas)[0]
+    # _checked_sum's tests on floats; where one fails, _checked_sum
+    # raises the error a scan of this point raises
+    vals = [a, *bs, *qs]
+    if not (0.0 < alpha <= 1.0 and all(map(math.isfinite, vals))
+            and min(vals) >= 0.0 and a > sum(bs)):
+        _checked_sum(alpha, np.array([a]), np.array(bs)[:, None],
+                     np.array(qs)[:, None])
+    qas = [q**alpha for q in qs]  # as _q_alpha takes them
+    return _rate(alpha, a, bs, qas)[0]
 
 
 def _checked_sum(alpha, a, bs, qs):

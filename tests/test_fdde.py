@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from halanay import fdde
 from halanay.cli import load_config
 from halanay.errors import StepSizeError
 from halanay.expr import parse
 from halanay.fdde import (
     BLOCK,
+    DIRECT_SPAN,
     SolverConfig,
     Trajectory,
     caputo_l1,
@@ -189,45 +191,61 @@ def bundled(config_dir, name, q=None):
     ("example2.json", "0.004", 0.8, 80),  # clamped, under one step
     ("example3.json", "0.013", 1.3, 0),   # interpolates inside the block
     ("example1.json", "0.005+0.02*sin(3*t)^2", 1.3, None),
+    # long enough to carry history both as a matrix and by FFT
+    ("example1.json", "0.005+0.02*sin(3*t)^2", 6.01, None),
+    ("example3.json", None, 6.01, 0),
 ])
 def test_solve_matches_direct_trapezoid(config_dir, name, q, t_end, clamps):
     sys_ = bundled(config_dir, name, q)
     traj = solve(sys_, SolverConfig(t_end=t_end, h=0.01))
     ts, xs, fs = trapezoid_direct(sys_, t_end, 0.01)
-    assert len(ts) - 1 == round(t_end / 0.01)
-    if len(ts) - 1 >= BLOCK:
-        assert (len(ts) - 1) % BLOCK != 0
+    n = len(ts) - 1
+    assert n == round(t_end / 0.01)
+    if n >= BLOCK:
+        assert n % BLOCK != 0
+    if t_end > 6.0:
+        spans = {(t & -t) * BLOCK for t in range(1, (n - 1) // BLOCK + 1)}
+        assert min(spans) <= DIRECT_SPAN < max(spans)
     scale = np.abs(xs).max()
     assert np.abs(traj.states - xs).max() <= 1e-12 * scale
     assert np.abs(traj.rhs - fs).max() <= 1e-12 * np.abs(fs).max()
     if clamps is not None:
         assert len(traj.clamped) == clamps
     else:
-        assert 0 < len(traj.clamped) < len(ts) - 1
+        assert 0 < len(traj.clamped) < n
 
 
 def test_solve_is_one_linear_solve_per_block(monkeypatch):
-    # the history enters through one FFT convolution per block, the block
-    # states through one linear solve; nothing runs once per step
-    calls = {"solve": 0, "rfft": 0}
-    lin_solve, rfft = np.linalg.solve, np.fft.rfft
+    # the block states come from one linear solve per block; the history
+    # weights of each dyadic span are transformed once, not per block
+    calls = {"solve": 0, "carrier": 0, "weight_rfft": 0}
+    lin_solve, rfft, carrier = np.linalg.solve, np.fft.rfft, fdde._carrier
 
     def counted_solve(*args):
         calls["solve"] += 1
         return lin_solve(*args)
 
-    def counted_rfft(*args, **kwargs):
-        calls["rfft"] += 1
-        return rfft(*args, **kwargs)
+    def counted_rfft(a, *args, **kwargs):
+        if np.ndim(a) == 1:  # the weights; the rhs goes in as (span, d)
+            calls["weight_rfft"] += 1
+        return rfft(a, *args, **kwargs)
+
+    def counted_carrier(*args):
+        calls["carrier"] += 1
+        return carrier(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(np.fft, "rfft", counted_rfft)
-    for t_end, blocks in ((10.0, 32), (10.24, 32), (10.25, 33), (0.2, 1)):
-        calls.update(solve=0, rfft=0)
+    monkeypatch.setattr(fdde, "_carrier", counted_carrier)
+    for t_end, blocks in ((10.0, 32), (10.24, 32), (10.25, 33), (0.2, 1),
+                          (80.0, 250)):
+        calls.update(solve=0, carrier=0, weight_rfft=0)
         traj = solve(scalar_decay(0.65), SolverConfig(t_end=t_end, h=0.01))
         n = len(traj.grid) - 1
         assert blocks == -(-n // BLOCK)
-        assert calls == {"solve": blocks, "rfft": 2 * (blocks - 1)}
+        spans = {t & -t for t in range(1, blocks)}
+        assert calls["solve"] == blocks
+        assert calls["weight_rfft"] <= calls["carrier"] <= len(spans)
 
 
 def test_solve_leaves_no_garbage():

@@ -433,6 +433,37 @@ def test_rate_rejects_invalid_orders_and_nonfinite_samples(args):
         lambda_at(*args)
 
 
+@pytest.mark.parametrize("args", [
+    (1.5, math.nan, [-1.0], [1.0]),          # alpha before finiteness
+    (0.0, 1.0, [], []),
+    (0.5, -1.0, [math.inf], [1.0]),          # finiteness before sign
+    (0.5, 0.1, [-0.1], [1.0]),               # sign before a > sum(b)
+    (0.5, 0.1, [0.3], [-1.0]),
+    (0.5, -0.1, [], []),
+    (0.5, 0.1, [0.05, 0.06], [1.0, 2.0]),
+    (0.5, 0.0, [], []),                      # no delay term: a > 0 still
+    (np.float64(0.5), np.float32(0.25), np.array([0.3]), np.array([1.0])),
+    (np.float64(1.5), 0.3, np.array([0.1]), np.array([1.0])),
+])
+def test_lambda_at_raises_what_the_scan_validation_raises(args):
+    alpha, a, bs, qs = args
+    with pytest.raises(Exception) as want:
+        hal._checked_sum(alpha, np.array([a], dtype=float),
+                         np.array(bs, dtype=float)[:, None],
+                         np.array(qs, dtype=float)[:, None])
+    with pytest.raises(Exception) as got:
+        lambda_at(*args)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_lambda_at_takes_numpy_scalars_and_no_delay_terms():
+    assert lambda_at(0.5, 0.3, [], []) == 0.3
+    want = lambda_at(0.65, 0.3, [0.2], [2.0])
+    assert lambda_at(np.float64(0.65), np.float64(0.3), np.array([0.2]),
+                     np.array([2.0])) == want
+
+
 # ------------------------------------------------------- classify_conditions
 
 def test_classifier_ratio_route():
