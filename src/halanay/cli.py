@@ -38,7 +38,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "run",
-    "emit_plot_script",
     "main",
 ]
 
@@ -343,32 +342,19 @@ def _certify(cfg):
     return asdict(verdict), cert, "l2" if cfg.analysis == "lmi" else "l1"
 
 
-def _envelope_values(cfg, cert, norm_tag, ts):
-    env = decay_envelope(cert, cfg.alpha, ts)
-    return np.sqrt(env) if norm_tag == "l2" else env
-
-
 def _plot_path(traj_csv):
     return os.path.splitext(traj_csv)[0] + ".gp"
 
 
-def emit_plot_script(traj_csv, envelope=True):
+def _plot_script(traj_csv, d, envelope):
     """Write a gnuplot script next to the CSV; returns the script path.
 
-    The script plots every state component against t, plus the envelope
+    The script plots the d state components against t, plus the envelope
     column when requested.
     """
-    with open(traj_csv, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        has_data = bool(fh.readline().strip())
-    if not header or not has_data:
-        raise ValueError(f"{traj_csv} holds no trajectory rows")
-    cols = header.split(",")
-    d = len(cols) - 5
-    if d < 1 or cols[0] != "t":
-        raise ValueError(f"{traj_csv} does not look like a trajectory CSV")
     path = _plot_path(traj_csv)
-    base = os.path.basename(traj_csv)
+    # '' is a quote inside a gnuplot single-quoted string
+    base = os.path.basename(traj_csv).replace("'", "''")
     curves = [
         f"'{base}' using 1:{i + 2} with lines title 'x{i + 1}'" for i in range(d)
     ]
@@ -400,10 +386,12 @@ def _simulate(cfg, cert, norm_tag, out_dir):
     traj = solve(_build_system(cfg), cfg.solver)
     env_vals = None
     if cert is not None:
-        env_vals = _envelope_values(cfg, cert, norm_tag, traj.grid)
+        env_vals = decay_envelope(cert, cfg.alpha, traj.grid)
+        if norm_tag == "l2":
+            env_vals = np.sqrt(env_vals)
     csv_path = os.path.join(out_dir, cfg.csv_path)
     write_csv(traj, csv_path, envelope_values=env_vals, norm_tag=norm_tag)
-    plot_path = emit_plot_script(csv_path, envelope=cert is not None)
+    plot_path = _plot_script(csv_path, traj.states.shape[1], cert is not None)
     sim_json = {
         "t_end": cfg.solver.t_end,
         "h": cfg.solver.h,
@@ -443,12 +431,7 @@ def run(command, cfg, out_dir="."):
     traj, env_vals, sim_json = _simulate(cfg, cert, norm_tag, out_dir)
     report["simulation"] = sim_json
     chk = check_envelope(traj, norm_tag, env_vals, cfg.tolerance)
-    report["envelope_check"] = {
-        "max_ratio": chk.max_ratio,
-        "first_violation_t": chk.first_violation_t,
-        "tolerance": chk.tolerance,
-        "passed": chk.passed,
-    }
+    report["envelope_check"] = asdict(chk)
     return report, 0 if chk.passed else 2
 
 

@@ -95,10 +95,7 @@ class EnvelopeCheck:
     max_ratio: float
     first_violation_t: object  # float, or None when the bound holds
     tolerance: float
-
-    @property
-    def passed(self):
-        return self.max_ratio <= 1.0 + self.tolerance
+    passed: bool  # max_ratio <= 1 + tolerance; False when max_ratio is nan
 
 
 def solve(sys, cfg):
@@ -128,8 +125,7 @@ def solve(sys, cfg):
     c_cut = np.searchsorted(c_node, np.arange(1, n + 1 + BLOCK, BLOCK)).tolist()
     w_lo, w_hi = w_lo[:, None], w_hi[:, None]
 
-    c_corr = cfg.h**sys.alpha / math.gamma(sys.alpha + 2.0)
-    weights, end_weights = _trapezoid_weights(sys.alpha, cfg.h, n)
+    weights, end_weights, c_corr = _trapezoid_weights(sys.alpha, cfg.h, n)
     # -W: minus the same weights inside one block and the weight c_corr of
     # the current node, which makes the rule implicit; neg_rep[j, (i, b)]
     # is -W[j, i], so -W A of a block is one product with the rows of A
@@ -255,14 +251,14 @@ def _trapezoid_weights(alpha, h, n):
 
     weights[k - 1 - j] is the weight of node j at node k for 0 < j < k;
     end_weights[k - 1] is the weight of node 0 at node k. The weight of
-    node k itself is c_corr = h^alpha / Gamma(alpha + 2).
+    node k itself is c_corr = h^alpha / Gamma(alpha + 2), returned third.
     """
     c_corr = h**alpha / math.gamma(alpha + 2.0)
     pa = np.arange(n + 1, dtype=float) ** alpha
     pa1 = np.arange(n + 2, dtype=float) ** (alpha + 1.0)
     weights = (pa1[2:] + pa1[:-2] - 2.0 * pa1[1:-1]) * c_corr
     end_weights = c_corr * (pa1[:n] - (np.arange(n) - alpha) * pa[1:])
-    return weights, end_weights
+    return weights, end_weights, c_corr
 
 
 def _toeplitz(weights, shift, size):
@@ -338,7 +334,8 @@ def check_envelope(traj, norm_tag, envelope_values, tolerance):
     if bad.size:
         first = float(traj.grid[bad[0]])
     return EnvelopeCheck(
-        max_ratio=max_ratio, first_violation_t=first, tolerance=tolerance
+        max_ratio=max_ratio, first_violation_t=first, tolerance=tolerance,
+        passed=max_ratio <= 1.0 + tolerance,
     )
 
 

@@ -105,35 +105,24 @@ def ml_array(x, alpha, beta=1.0):
     """Evaluate E_{alpha,beta} elementwise on an array of real x.
 
     Negative elements inside the series band are summed together, one
-    Taylor series per row in blocks of rows; x == 0 gives 1/Gamma(beta)
-    and every other element (positive, or past the band) goes through ml,
-    so each value is the one ml returns, whichever route it takes.
-    Returns an array of the shape of x.
+    Taylor series per row in blocks of rows, and every other element goes
+    through ml, so each value is the one ml returns. At alpha = beta = 1,
+    where ml takes exp, no row is summed here. Returns an array of the
+    shape of x.
     """
     _check_orders(alpha, beta)
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise MlfDomainError("argument must be finite")
-    if x.size <= 4:  # ml per element is faster than a block here
-        vals = [ml(v, alpha, beta) for v in x.ravel().tolist()]
-        return np.array(vals, dtype=np.float64).reshape(x.shape)
-    if alpha == 1.0 and beta == 1.0:
-        if x.size and x.max() > _EXP_MAX:
-            raise MlfOverflowError(f"exp({x.max()}) exceeds float64 range")
-        vals = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
-        return vals.reshape(x.shape)
-
     flat = x.ravel()
     out = np.empty(flat.shape)
-    zero = flat == 0.0
-    out[zero] = _at_zero(beta)
-    neg = np.flatnonzero(flat < 0.0)
+    neg = np.flatnonzero((flat < 0.0) & ((alpha, beta) != (1.0, 1.0)))
     # math.log as in ml, not np.log: near its seam the series loses ~10
     # digits to cancellation, so a last-bit change of ln|x| shows in the sum
     ln_y = np.fromiter(map(math.log, (-flat[neg]).tolist()), float, neg.size)
     band = ln_y / alpha <= _ln_u_band(alpha)
     rows, ln_y = neg[band], ln_y[band]
-    other = ~zero
+    other = np.ones(flat.shape, dtype=bool)
     other[rows] = False
     for i in np.flatnonzero(other):
         out[i] = ml(float(flat[i]), alpha, beta)
@@ -195,10 +184,12 @@ def _series(x, alpha, beta):
             # |x|^(1/alpha) <= 6.5 here, so no term can overflow
             np.exp(terms, out=terms)
             terms[1::2] *= -1.0
+            total += float(terms.sum())
         else:
+            # an overflow, in a term or in their sum, is raised just below
             with np.errstate(over="ignore"):
                 np.exp(terms, out=terms)
-        total += float(terms.sum())
+                total += float(terms.sum())
         if not math.isfinite(total):
             raise MlfOverflowError(
                 f"E_({alpha},{beta})({x}) exceeds float64 range"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,6 @@ import pytest
 from halanay.cli import (
     GRID_NOTE,
     RunConfig,
-    emit_plot_script,
     load_config,
     main,
     run,
@@ -223,6 +223,8 @@ def test_run_verify_reports_certificate_and_envelope(tmp_path, config_dir):
     assert report["verdict"]["feasible"]
     assert report["certificate"]["lambda_star"] >= 0.05
     assert report["envelope_check"]["passed"]
+    assert list(report["envelope_check"]) == [
+        "max_ratio", "first_violation_t", "tolerance", "passed"]
     assert report["norm"] == "l2"
     assert report["note"] == GRID_NOTE
     json.dumps(report)  # fully serializable
@@ -299,7 +301,11 @@ def test_run_simulate_requires_solver_section(tmp_path):
     assert code == 0
 
 
-# --------------------------------------------------------- emit_plot_script
+# -------------------------------------------------------------- plot script
+
+def plotted_columns(script):
+    return [int(c) for c in re.findall(r"using 1:(\d+)", script)]
+
 
 def test_plot_script_contents(tmp_path, config_dir):
     cfg = load_config(str(config_dir / "example1.json"))
@@ -312,12 +318,40 @@ def test_plot_script_contents(tmp_path, config_dir):
     assert "set datafile separator ','" in script
 
 
-def test_plot_script_refuses_empty_trajectory(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("t,x1,norm_l1,norm_l2,envelope,ratio\n")
-    with pytest.raises(ValueError):
-        emit_plot_script(str(empty))
-    assert not (tmp_path / "empty.gp").exists()
+@pytest.mark.parametrize("name, dim", [
+    ("example3.json", 1), ("example2.json", 2), ("example1.json", 3)])
+def test_plot_script_plots_each_component_and_the_envelope(
+        tmp_path, config_dir, name, dim):
+    data = json.loads((config_dir / name).read_text())
+    data["solver"]["t_end"] = 0.5
+    data["output"]["csv_path"] = "run.csv"
+    cfg = load_config(write_cfg(tmp_path, data))
+    run("simulate", cfg, out_dir=str(tmp_path))
+    script = (tmp_path / "run.gp").read_text()
+    # x1..x_dim in columns 2..dim+1; the envelope column is dim + 4
+    assert plotted_columns(script) == [*range(2, dim + 2), dim + 4]
+    assert "title 'envelope'" in script
+
+
+def test_plot_script_without_certificate_has_no_envelope(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, scalar_cfg(B=[["0.4"]])))
+    report, _ = run("simulate", cfg, out_dir=str(tmp_path))
+    assert report["certificate"] is None
+    script = (tmp_path / "run.gp").read_text()
+    assert plotted_columns(script) == [2]
+    assert "envelope" not in script
+
+
+def test_plot_script_quotes_file_names_for_gnuplot(tmp_path):
+    # gnuplot writes a quote inside a single-quoted string as ''
+    data = scalar_cfg(output={"csv_path": "it's.csv", "report_path": "r.json"})
+    cfg = load_config(write_cfg(tmp_path, data))
+    run("simulate", cfg, out_dir=str(tmp_path))
+    assert (tmp_path / "it's.csv").exists()
+    lines = (tmp_path / "it's.gp").read_text().splitlines()
+    assert "set title 'it''s.csv'" in lines
+    assert "    'it''s.csv' using 1:2 with lines title 'x1', \\" in lines
+    assert all(line.count("'") % 2 == 0 for line in lines)
 
 
 # --------------------------------------------------------------------- main
@@ -419,6 +453,18 @@ def test_main_mlf_subcommand(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "step-downs" in captured.err
+
+
+def test_mlf_overflow_is_an_error_line_even_with_warnings_as_errors():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "halanay.cli",
+         "mlf", "0.5", "1", "26.9"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "exceeds float64 range" in proc.stderr
 
 
 def test_console_entry_point_golden_run(tmp_path, config_dir):

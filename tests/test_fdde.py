@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -343,6 +344,14 @@ def test_envelope_violation_is_located():
     assert not later.passed
     assert later.first_violation_t is not None
     assert later.first_violation_t > 0.5
+
+
+def test_nan_norms_never_pass():
+    traj = solve(scalar_decay(0.65), SolverConfig(t_end=1.0, h=0.01))
+    lost = dataclasses.replace(traj, norms_l1=np.full_like(traj.norms_l1, np.nan))
+    chk = check_envelope(lost, "l1", on_grid(lambda t: 2.0, lost), 0.02)
+    assert math.isnan(chk.max_ratio)
+    assert chk.passed is False
 
 
 def test_envelope_argument_validation():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -226,7 +227,19 @@ def test_ml_array_matches_ml_in_every_regime(alpha, us, xs_pos, beta_is_alpha):
     x = np.array([-(u**alpha) for u in us] + xs_pos)
     got = ml_array(x, alpha, beta)
     want = np.array([ml(float(v), alpha, beta) for v in x])
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1.0, 1.0), (1.0, 2.0), (0.6, 1.0), (0.6, 0.6), (0.5, 2.0)])
+def test_ml_array_equals_ml_at_exp_zero_and_few_elements(alpha, beta):
+    # alpha = beta = 1 (exp), x = 0 (1/Gamma(beta)) and arrays of 0-4
+    # elements all go through ml; the band rows are summed in a block
+    pool = [0.0, -0.0, -0.3, -1.2, -2.5, -40.0, 0.7, 3.0, -1e-300]
+    for size in range(len(pool) + 1):
+        x = np.array(pool[:size])
+        want = np.array([ml(float(v), alpha, beta) for v in x])
+        assert np.array_equal(ml_array(x, alpha, beta), want), (size, x)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -289,6 +302,17 @@ def test_ml_array_shapes_blocks_and_errors(monkeypatch):
         ml_array([0.5], 1.5)
     with pytest.raises(MlfOverflowError):
         ml_array([0.5, 710.0], 1.0)
+
+
+def test_overflow_raises_without_a_numpy_warning():
+    # the positive-axis sum overflows before ml can refuse it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, x in ((0.5, 26.9), (0.8, 192.0), (0.99, 671.0)):
+            with pytest.raises(MlfOverflowError):
+                ml(x, alpha)
+            with pytest.raises(MlfOverflowError):
+                ml_array(np.full(6, x), alpha)
 
 
 def test_positive_on_negative_axis():
