@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HalanayError, InfeasiblePointError, MlfDomainError
-# _rate calls ml by this module's name, which perfbench/tracer.py wraps
-from .mlf import ml, ml_array
+# perfbench/tracer.py wraps ml by this module's name; _rate calls ml_pair
+from .mlf import ml, ml_array, ml_pair  # noqa: F401
 
 __all__ = [
     "ScanGrid",
@@ -61,9 +61,10 @@ MAX_ROUNDS = 100
 # (w = 1e-14 max(1, a), its stop tolerance; E again because its bracket
 # follows computed signs). That rate exceeds U >= lambda* when m >= w + 2E.
 # Where computed h < 0, sum_k b_k / E_alpha < a, so E is at most about
-# (eps + 4 ulp) a with eps = 5.7e-11, the worst relative ml error
-# recorded (the series seam): w + 2E < 1.2e-10 max(1, a), and 1e-9
-# leaves 8x room.
+# (eps + 4 ulp) a with eps = 5.6e-14, the worst relative ml error
+# measured (a jump across the series seam at alpha ~ 1e-3; 7.2e-15 from
+# alpha = 0.01 on, against mpmath): w + 2E < 1.3e-13 max(1, a), and 1e-9
+# leaves over 7000x room.
 SCAN_MARGIN = 1e-9
 
 
@@ -168,13 +169,14 @@ def _rate(alpha, a, bs, qas):
     bs and qas hold b_k and q_k^alpha, one per delay term, and sb = sum(bs)
     was validated below a. h rises strictly from h(0) = sb - a < 0 to
     h(a - sb) >= 0 (E_alpha <= 1). Over that bracket runs a bracketed
-    (rtsafe-style) Newton, one ml call per delay and order a round, from a
-    closed-form first step; later steps are taken if strictly inside the
-    bracket and at most half the last. Else it bisects or, if the step is
-    under 1e6 tolerances (stalled at the root), doubles it across the root.
-    It stops when the bracket, or |h| at a point with h <= 0, falls below
-    1e-14 max(1, a) (h' >= 1, so the step does too) and returns that
-    verified low end and its |h|: lambda never exceeds the computed root.
+    (rtsafe-style) Newton, one ml_pair call (E_alpha and E_alpha,alpha)
+    per delay a round, from a closed-form first step; later steps are
+    taken if strictly inside the bracket and at most half the last. Else
+    it bisects or, if the step is under 1e6 tolerances (stalled at the
+    root), doubles it across the root. It stops when the bracket, or |h|
+    at a point with h <= 0, falls below 1e-14 max(1, a) (h' >= 1, so the
+    step does too) and returns that verified low end and its |h|: lambda
+    never exceeds the computed root.
     """
     sb = sum(bs)
     if not sb > 0.0:
@@ -188,9 +190,9 @@ def _rate(alpha, a, bs, qas):
         h, dh = lam - a, 1.0
         for b, qa in zip(bs, qas):
             x = -lam * qa
-            e1 = ml(x, alpha)
+            e1, e2 = ml_pair(x, alpha)
             h += _div(b, e1)
-            dh += _div(b * qa * ml(x, alpha, alpha), alpha * e1 * e1)
+            dh += _div(b * qa * e2, alpha * e1 * e1)
         dx = h / dh
         if h <= 0.0:
             lo, h_lo = lam, h

@@ -1,41 +1,59 @@
 """Two-parameter Mittag-Leffler function on the real line.
 
 The evaluator works in float64. It sums the Taylor series on the positive
-axis and in the series band of the negative axis (u = |x|^(1/alpha) <=
-6.5, narrowing to 6.5 (alpha/0.2)^2 below alpha = 0.2). Past the band one
+axis, and on the negative axis near the origin, up to a seam on |x|: 0.8
+at beta = 1 (and u = |x|^(1/alpha) = 1.5 from alpha = 0.2 on), 0.65 at
+beta < 1, and 1 at beta > 1. Its 1/Gamma and ln Gamma rows come from
+math.gamma and math.lgamma, cached per order. Past the seam one
 quadrature serves every order: the spectral integral in an angle variable
 (`_angle`), with no pole for any alpha < 1. Orders beta > 1 step down to
 (0, 1] by E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, in at most
 STEP_CAP steps; alpha = 1, where the angle form degenerates, has sums of
 its own (`_unit_alpha`). The y-free parts of both routes are cached per
-order, so runs of calls at one order share them.
+order, so runs of calls at one order share them. Against 40-digit sums,
+values hold 1e-14 relative for alpha in [0.01, 1] and beta in {1, alpha,
+1.5}, across the seams.
 
-ml evaluates one argument; ml_array evaluates an array of them, summing
-the series band of the negative axis for all its elements at once and
-passing every other element to ml, so both return the same values.
+ml evaluates one argument. ml_array evaluates an array of them: it sums
+the series rows of the negative axis together, and the angle rows
+together per span of ln u, with the arithmetic ml does on one row, and
+passes every other element to ml, so both return the same values.
+ml_pair gives E_alpha and E_alpha,alpha at one argument from one pass
+over the same terms, as the rate solver needs them.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import MlfDomainError, MlfOverflowError, SeriesCapError
 
-__all__ = ["ml", "ml_array"]
+__all__ = ["ml", "ml_array", "ml_pair"]
 
 SERIES_CAP = 10_000
 # most steps the beta > 1 step-down may take, each one an alpha down
 STEP_CAP = 10**6
 
-# the series band on u = |x|^(1/alpha), kept in log form so routing never
-# has to exponentiate a potentially overflowing power; it narrows below
-# _ALPHA_BAND (_ln_u_band)
-_LN_U_SERIES = math.log(6.5)
-_ALPHA_BAND = 0.2
-# terms per ml_array series block, which bounds its (rows, chunk) matrix
-_BLOCK_TERMS = 1 << 17
+# the seams of the negative-axis series (_series_edge), placed by a
+# seeded mpmath battery. Past them the angle form takes over at beta <= 1:
+# at beta = 1 past |x| = 0.8 and, from alpha = 0.2 on, past u =
+# |x|^(1/alpha) = 1.5 (the angle form loses digits at small |x|, the
+# series at large u). At beta < 1 the terms swell before they fall
+# (1/Gamma(a k + b) ~ a k + b at small a), so that sum cancels most and
+# its seam sits lowest, at |x| = 0.65
+_LN_SEAM_BELOW_ONE = math.log(0.65)
+_LN_SEAM = math.log(0.8)
+_LN_U_SEAM = math.log(1.5)
+_ALPHA_U_SEAM = 0.2
+# terms per series chunk: below the seam every term past alpha k = 14
+# (22 from alpha = 0.2 on, where u reaches 1.5), or past k = 176 (|t_k|
+# <= 1.13 |x|^k), is under 1e-16, so the tail test on a chunk's last 4
+# terms passes after one chunk
+_CHUNK_CAP = 180
+# entries per ml_array block, which bounds its (rows, terms or nodes)
+# matrix
+_BLOCK_ENTRIES = 1 << 16
 
 _EXP_MAX = 709.782712893384
 _LN_OVER = math.log(740.0)
@@ -53,8 +71,13 @@ _KUMMER_Y = 60.0
 _KUMMER_TERMS = 160
 _ALGEBRAIC_TERMS = 24
 
-# term indices, sliced per series chunk or _unit_alpha sum
+# sums over the last axis, pairwise as ndarray.sum but without its wrapper
+_add = np.add.reduce
+# term indices, sliced per series chunk or _unit_alpha sum, and (-1)^k
 _KS = np.arange(SERIES_CAP, dtype=np.float64)
+_SIGNS = 1.0 - 2.0 * (_KS % 2.0)
+
+
 def ml(x, alpha, beta=1.0):
     """Evaluate E_{alpha,beta}(x) for real x, alpha in (0,1], beta > 0."""
     _check_orders(alpha, beta)
@@ -75,19 +98,22 @@ def ml(x, alpha, beta=1.0):
             raise MlfOverflowError(
                 f"E_({alpha},{beta})({x}) exceeds float64 range"
             )
-        return _series(x, alpha, beta)
+        return _series(math.log(x), alpha, beta, False)
 
-    if math.log(-x) / alpha <= _ln_u_band(alpha):
-        return _series(x, alpha, beta)
-    if _at_zero(beta) == 0.0:
+    ln_y = math.log(-x)
+    if ln_y <= _series_edge(alpha, beta):
+        return _series(ln_y, alpha, beta, True)
+    if beta > 1.0 and _at_zero(beta) == 0.0:
         # only at beta > 171, where E_{a,b}(-y) is completely monotone in
         # y: 0 <= E <= 1/Gamma(b)
         return 0.0
     if alpha == 1.0:
         return _unit_alpha(-x, beta)
+    if beta <= 1.0:
+        return _angle(-x, ln_y, alpha, beta)
     if (beta - 1.0) / alpha > STEP_CAP:
         raise MlfDomainError(
-            f"E_({alpha},{beta}) past the series band needs more than "
+            f"E_({alpha},{beta}) past the series seam needs more than "
             f"{STEP_CAP} beta step-downs; (beta - 1) / alpha must be at "
             f"most {STEP_CAP}"
         )
@@ -95,20 +121,41 @@ def ml(x, alpha, beta=1.0):
     while beta > 1.0:
         betas.append(beta)
         beta -= alpha
-    val = _angle(-x, alpha, beta)
+    val = _angle(-x, ln_y, alpha, beta)
     for b in reversed(betas):
         val = (val - _at_zero(b - alpha)) / x
     return val
 
 
+def ml_pair(x, alpha):
+    """E_alpha(x) and E_{alpha,alpha}(x), from one pass on the negative axis.
+
+    E_alpha is ml(x, alpha) to the bit. Over the series terms t_k,
+    E_{a,a}(x) = (a / x) sum_k k t_k; over the angle nodes, E_{a,a}(-y) =
+    (1/y) sum_j W_j r_j e^(-r_j), the y-derivative of E_a(-y) = sum_j W_j
+    e^(-r_j). Elsewhere (x >= 0, alpha = 1) it is two ml calls.
+    """
+    _check_orders(alpha, 1.0)
+    if not (math.isfinite(x) and x < 0.0 and alpha < 1.0):
+        return ml(x, alpha), ml(x, alpha, alpha)
+    ln_y = math.log(-x)
+    if ln_y <= _series_edge(alpha, 1.0):
+        e, moment = _series(ln_y, alpha, 1.0, True, pair=True)
+        return e, alpha * moment / x
+    e, moment = _angle(-x, ln_y, alpha, 1.0, pair=True)
+    return e, moment / -x
+
+
 def ml_array(x, alpha, beta=1.0):
     """Evaluate E_{alpha,beta} elementwise on an array of real x.
 
-    Negative elements inside the series band are summed together, one
-    Taylor series per row in blocks of rows, and every other element goes
-    through ml, so each value is the one ml returns. At alpha = beta = 1,
-    where ml takes exp, no row is summed here. Returns an array of the
-    shape of x.
+    Negative elements below the series seam are summed together, in one
+    Taylor series per row. Those past it, at alpha < 1 and beta <= 1 (no
+    step-down), go through the angle form together, per span of ln u.
+    Both take blocks of rows. Each row gets ml's arithmetic, and every
+    other element goes through ml, so each value is the one ml returns.
+    At alpha = beta = 1, where ml takes exp, no row is summed here.
+    Returns an array of the shape of x.
     """
     _check_orders(alpha, beta)
     x = np.asarray(x, dtype=np.float64)
@@ -117,41 +164,55 @@ def ml_array(x, alpha, beta=1.0):
     flat = x.ravel()
     out = np.empty(flat.shape)
     neg = np.flatnonzero((flat < 0.0) & ((alpha, beta) != (1.0, 1.0)))
-    # math.log as in ml, not np.log: near its seam the series loses ~10
-    # digits to cancellation, so a last-bit change of ln|x| shows in the sum
+    # math.log as in ml, not np.log, which may differ in the last bit
     ln_y = np.fromiter(map(math.log, (-flat[neg]).tolist()), float, neg.size)
-    band = ln_y / alpha <= _ln_u_band(alpha)
-    rows, ln_y = neg[band], ln_y[band]
+    series = ln_y <= _series_edge(alpha, beta)
+    if series.any():
+        rows, ln_s = neg[series], ln_y[series]
+        terms = _series_row(alpha, beta, 0, True).size
+        block = max(1, _BLOCK_ENTRIES // terms)
+        for start in range(0, rows.size, block):
+            stop = start + block
+            out[rows[start:stop]] = _series_rows(ln_s[start:stop], alpha, beta)
+    angle = ~series if alpha < 1.0 and beta <= 1.0 else np.zeros_like(series)
+    rows, ln_y = neg[angle], ln_y[angle]
+    tops = _ANGLE_SPAN * np.ceil(ln_y / alpha / _ANGLE_SPAN)
+    for top in np.unique(tops).tolist():
+        span = rows[tops == top]
+        nodes = _angle_grid(alpha, beta, top)[1].size
+        block = max(1, _BLOCK_ENTRIES // nodes)
+        for start in range(0, span.size, block):
+            part = span[start:start + block]
+            out[part] = _angle_rows(-flat[part], top, alpha, beta)
     other = np.ones(flat.shape, dtype=bool)
-    other[rows] = False
-    for i in np.flatnonzero(other):
+    other[neg[series]] = other[rows] = False
+    for i in np.flatnonzero(other).tolist():
         out[i] = ml(float(flat[i]), alpha, beta)
-    block = max(1, _BLOCK_TERMS // _series_chunk(alpha))
-    for start in range(0, rows.size, block):
-        stop = start + block
-        out[rows[start:stop]] = _series_rows(ln_y[start:stop], alpha, beta)
     return out.reshape(x.shape)
 
 
 def _check_orders(alpha, beta):
-    if not math.isfinite(alpha) or not 0.0 < alpha <= 1.0:
+    # chained comparisons are false at nan, and the bounds exclude inf
+    if not 0.0 < alpha <= 1.0:
         raise MlfDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if not math.isfinite(beta) or beta <= 0.0:
+    if not 0.0 < beta < math.inf:
         raise MlfDomainError(f"beta must be finite and positive, got {beta!r}")
 
 
-def _ln_u_band(alpha):
-    """ln of the series band's end in u: 6.5, or 6.5 (alpha/0.2)^2 below
-    alpha = 0.2.
-
-    The band's alternating sum loses digits like e^u / alpha^2 for beta =
-    alpha (2e-8 relative at alpha 0.005, u = 6.5), while `_angle` holds
-    ~1e-15 down to u ~ 1e-10; the narrower band keeps the sum's loss at
-    the seam near 1e-13.
-    """
-    if alpha >= _ALPHA_BAND:
-        return _LN_U_SERIES
-    return _LN_U_SERIES + 2.0 * math.log(alpha / _ALPHA_BAND)
+def _series_edge(alpha, beta):
+    """ln y at the seam of the negative-axis series: E(-y) is summed
+    where ln y is at most this."""
+    if beta == 1.0:
+        if alpha < _ALPHA_U_SEAM:
+            return _LN_SEAM
+        return max(_LN_SEAM, alpha * _LN_U_SEAM)
+    if beta < 1.0:
+        return _LN_SEAM_BELOW_ONE
+    # at beta > 1 the step-down, which amplifies errors by 1/|x| a step,
+    # starts at |x| = 1, or where |t_k| <= |x|^k / Gamma(alpha k + beta)
+    # would not fall below e^-40 within SERIES_CAP terms (alpha < 0.002)
+    return min(0.0, (math.lgamma(alpha * SERIES_CAP + beta) - 40.0)
+               / SERIES_CAP)
 
 
 def _at_zero(beta):
@@ -164,69 +225,64 @@ def _at_zero(beta):
         return beta / math.gamma(1.0 + beta) if beta < 1.0 else 0.0
 
 
-def _series_chunk(alpha):
-    chunk = 64 + int(32.0 / alpha)
-    return chunk + (chunk & 1)  # even length keeps term parity aligned per chunk
+def _series(ln_ax, alpha, beta, neg, pair=False):
+    """Taylor sum at x = -+exp(ln_ax), in log space, over chunks of terms.
 
-
-def _series(x, alpha, beta):
-    """Taylor sum in log space, vectorized over chunks of terms."""
-    ln_ax = math.log(abs(x))
-    neg = x < 0.0
-    chunk = _series_chunk(alpha)
-    total = 0.0
+    Terms are summed adjacent pairs first (on the negative axis they
+    nearly cancel), chunk after chunk, until the last four of a chunk are
+    below 1e-16 of the sum. With pair, also returns sum_k k t_k.
+    """
+    total = moment = 0.0
     k0 = 0
     while k0 < SERIES_CAP:
-        hi = min(k0 + chunk, SERIES_CAP)
+        row = _series_row(alpha, beta, k0, neg)
+        hi = k0 + row.size
         terms = _KS[k0:hi] * ln_ax
-        terms -= _series_row(alpha, beta, k0, hi)
         if neg:
-            # |x|^(1/alpha) <= 6.5 here, so no term can overflow
             np.exp(terms, out=terms)
-            terms[1::2] *= -1.0
-            total += float(terms.sum())
+            terms *= row
+            total += float(_add(terms[0::2] + terms[1::2]))
         else:
             # an overflow, in a term or in their sum, is raised just below
+            terms -= row
             with np.errstate(over="ignore"):
                 np.exp(terms, out=terms)
-                total += float(terms.sum())
-        if not math.isfinite(total):
-            raise MlfOverflowError(
-                f"E_({alpha},{beta})({x}) exceeds float64 range"
-            )
-        tail = max(map(abs, terms[-4:].tolist()))
-        if tail < 1e-16 * (abs(total) + 1.0):
-            return total
+                total += float(_add(terms[0::2] + terms[1::2]))
+            if not math.isfinite(total):
+                raise MlfOverflowError(
+                    f"E_({alpha},{beta})({math.exp(ln_ax):.15g}) exceeds "
+                    "float64 range"
+                )
+        if pair:
+            terms_k = terms * _KS[k0:hi]
+            moment += float(_add(terms_k[0::2] + terms_k[1::2]))
+        if max(map(abs, terms[-4:].tolist())) < 1e-16 * (abs(total) + 1.0):
+            return (total, moment) if pair else total
         k0 = hi
     raise SeriesCapError(
-        f"series for E_({alpha},{beta})({x}) did not converge "
-        f"within {SERIES_CAP} terms"
+        f"series for E_({alpha},{beta}) did not converge within "
+        f"{SERIES_CAP} terms"
     )
 
 
 def _series_rows(ln_y, alpha, beta):
-    """_series at x = -exp(ln_y) for a block of rows at once.
-
-    Each row adds the same chunks in the same order as _series and stops
-    on the same tail test, so a row's sum is the scalar sum; rows that
-    have stopped drop out of later chunks.
-    """
-    chunk = _series_chunk(alpha)
+    """_series at x = -exp(ln_y) for rows at once, the same arithmetic on
+    each; rows that have stopped drop out of later chunks."""
     total = np.zeros(ln_y.shape)
     rows = np.arange(ln_y.size)
     k0 = 0
     while rows.size:
         if k0 >= SERIES_CAP:
             raise SeriesCapError(
-                f"series for E_({alpha},{beta}) did not converge "
-                f"within {SERIES_CAP} terms"
+                f"series for E_({alpha},{beta}) did not converge within "
+                f"{SERIES_CAP} terms"
             )
-        hi = min(k0 + chunk, SERIES_CAP)
+        row = _series_row(alpha, beta, k0, True)
+        hi = k0 + row.size
         terms = np.multiply.outer(ln_y[rows], _KS[k0:hi])
-        terms -= _series_row(alpha, beta, k0, hi)
         np.exp(terms, out=terms)
-        terms[:, 1::2] *= -1.0
-        sums = total[rows] + terms.sum(axis=1)
+        terms *= row
+        sums = total[rows] + _add(terms[:, 0::2] + terms[:, 1::2], axis=1)
         total[rows] = sums
         tail = np.abs(terms[:, -4:]).max(axis=1)
         rows = rows[tail >= 1e-16 * (np.abs(sums) + 1.0)]
@@ -235,9 +291,23 @@ def _series_rows(ln_y, alpha, beta):
 
 
 @functools.lru_cache(maxsize=64)
-def _series_row(alpha, beta, k0, hi):
-    """ln Gamma(alpha*k + beta), k = k0..hi-1, shared by calls at one alpha."""
-    return _frozen(gammaln(alpha * _KS[k0:hi] + beta))
+def _series_row(alpha, beta, k0, neg):
+    """The series chunk from term k0 (even), shared by calls at one order:
+    per term k, (-1)^k / Gamma(alpha k + beta) on the negative axis, which
+    keeps each term's error near an ulp where the sum cancels, and ln
+    Gamma(alpha k + beta) on the positive, where y^k and Gamma overflow
+    apart."""
+    span = 14.0 if alpha < _ALPHA_U_SEAM else 22.0
+    chunk = min(math.ceil(span / alpha) + 4, _CHUNK_CAP)
+    hi = min(k0 + chunk + (chunk & 1), SERIES_CAP)  # even: whole pairs
+    args = (alpha * _KS[k0:hi] + beta).tolist()
+    if not neg:
+        return _frozen(np.array(list(map(math.lgamma, args))))
+    try:
+        row = _SIGNS[k0:hi] / np.fromiter(map(math.gamma, args), float)
+    except OverflowError:  # Gamma overflows past 171.6 and next to 0
+        row = _SIGNS[k0:hi] * np.array(list(map(_at_zero, args)))
+    return _frozen(row)
 
 
 def _frozen(a):
@@ -245,30 +315,66 @@ def _frozen(a):
     return a
 
 
-def _angle(y, alpha, beta):
-    """E_{alpha,beta}(-y) for 0 < alpha < 1 and 0 < beta <= 1.
+def _angle(y, ln_y, alpha, beta, pair=False):
+    """E_{alpha,beta}(-y) for 0 < alpha < 1 and 0 < beta <= 1, ln_y = ln y.
 
     The spectral integral, after w = sin(p) / sin(pi a - p) (which turns
     dw / (w^2 + 2 w cos(pi a) + 1) into dp / sin(pi a)), reads
         E_{a,b}(-y) = 1/(pi a) int_0^(pi a) exp(-r) r^(1-b)
                       sin(p + pi (b - a)) / sin(pi a - p) dp,
     r = (y w)^(1/a), with no pole left for any a < 1; the last factor is
-    1 at b = 1. The trapezoid rule runs on the cached `_angle_grid`.
+    1 at b = 1. The trapezoid rule runs on the cached `_angle_grid`, which
+    holds r and r^(1-b) at the span's bottom y_s: at y, r scales by
+    (y / y_s)^(1/a) and r^(1-b) by (y / y_s)^((1-b)/a). With pair, also
+    returns sum_j W_j r_j e^(-r_j).
     """
-    ln_u = math.log(y) / alpha
-    top = _ANGLE_SPAN * math.ceil(ln_u / _ANGLE_SPAN)
-    w, weights, factor = _angle_grid(alpha, beta, top)
-    yw = y * w
-    vals = np.exp(-yw ** (1.0 / alpha))
-    if factor is not None:
-        # r^(1-b) from y w: r itself underflows to 0 at small alpha
-        vals *= yw ** ((1.0 - beta) / alpha) * factor
-    return float(np.dot(vals, weights))
+    top = _ANGLE_SPAN * math.ceil(ln_y / alpha / _ANGLE_SPAN)
+    y_s, r, weights = _angle_grid(alpha, beta, top)
+    q = y / y_s
+    scale = q ** (1.0 / alpha)
+    vals = r * -scale
+    np.exp(vals, out=vals)
+    vals *= weights
+    e = float(_add(vals))
+    if beta != 1.0:
+        e *= q ** ((1.0 - beta) / alpha)
+    if pair:
+        return e, scale * float(_add(vals * r))
+    return e
+
+
+def _angle_rows(y, top, alpha, beta):
+    """_angle for rows of y in one span at once, the same arithmetic on
+    each (the per-row powers in Python floats, as _angle takes them)."""
+    y_s, r, weights = _angle_grid(alpha, beta, top)
+    qs = [v / y_s for v in y.tolist()]
+    vals = np.multiply.outer([-q ** (1.0 / alpha) for q in qs], r)
+    np.exp(vals, out=vals)
+    vals *= weights
+    sums = _add(vals, axis=1)
+    if beta != 1.0:
+        sums *= [q ** ((1.0 - beta) / alpha) for q in qs]
+    return sums
+
+
+def _lattice(lo, hi):
+    """t - 0.1 e^-t and (1 + 0.1 e^-t) 0.25 / pi at t = 0.25 k, k = lo..hi."""
+    t = _ANGLE_STEP * np.arange(lo, hi + 1)
+    squeeze = np.exp(_LN_SQUEEZE - t)
+    return t - squeeze, (1.0 + squeeze) * (_ANGLE_STEP / math.pi)
+
+
+# the alpha-free part of every _angle_grid: t from -60 (alpha down to
+# ~1e-24) to 100 (alpha up to the last float below 1)
+_LATTICE_LO, _LATTICE_HI = -240, 400
+_SHIFTED, _DILATE = _lattice(_LATTICE_LO, _LATTICE_HI)
 
 
 @functools.lru_cache(maxsize=16)
 def _angle_grid(alpha, beta, top):
-    """w, weights and sine factor of `_angle` for ln u in (top - 8, top].
+    """The bottom y_s of the span ln u in (top - 8, top], and r and the
+    weights (times r^(1-b) and the sine factor at b != 1) at y_s, per node
+    of `_angle`.
 
     In z, p = pi a / (1 + e^-z), nodes resolve the boundary layer at
     p ~ sin(pi a) / y (the peak, r ~ 1) and the cut-off as p -> pi a. r
@@ -276,29 +382,42 @@ def _angle_grid(alpha, beta, top):
     the integrand falls only like e^z, so the lattice runs in t,
     z = z_top + a (t - 0.1 e^-t), which squeezes that tail to a few dozen
     nodes. Sines are taken of the angle nearer to 0 (sin p = sin(eps +
-    pi a - p), eps = pi (1 - a)), so none loses digits near pi, as
-    2 t / (1 + t^2) of t = tan(half angle): numpy's tan beats its sin.
+    pi a - p), eps = pi (1 - a)), so none loses digits near pi.
     """
     big = math.pi * alpha
-    eps = math.pi * (1.0 - alpha)
     lead = math.log(big / math.sin(big))
-    t_lo = _LN_SQUEEZE + math.log(alpha / _ANGLE_DROP)
-    t_hi = 2.0 * lead / alpha + _ANGLE_SPAN + _LN_R_CUT + 1.0
-    t = _ANGLE_STEP * np.arange(math.floor(t_lo / _ANGLE_STEP),
-                                math.ceil(t_hi / _ANGLE_STEP) + 1)
-    squeeze = np.exp(_LN_SQUEEZE - t)
-    s = np.exp((t - squeeze) * alpha - (lead + alpha * top))  # e^z
-    dc = 0.5 * big / (1.0 + s)
-    half = np.array((dc * s, dc))  # p/2 and (pi a - p)/2
-    tan = np.tan(np.minimum(half, 0.5 * eps + half[::-1]))
-    sines = tan / (1.0 + tan * tan)  # sin(p)/2 and sin(pi a - p)/2
-    # dp/dt = p (pi a - p) / (pi a) * a (1 + 0.1 e^-t), times 1/(pi a)
-    weights = half[0] * half[1] * (1.0 + squeeze)
-    weights *= 4.0 * _ANGLE_STEP / (math.pi * big)
-    factor = None if beta == 1.0 else _frozen(np.sin(np.minimum(
-        2.0 * half[0] + math.pi * (beta - alpha),
-        math.pi * (1.0 - beta) + 2.0 * half[1])) / (2.0 * sines[1]))
-    return _frozen(sines[0] / sines[1]), _frozen(weights), factor
+    lo = math.floor((_LN_SQUEEZE + math.log(alpha / _ANGLE_DROP))
+                    / _ANGLE_STEP)
+    hi = math.ceil((2.0 * lead / alpha + _ANGLE_SPAN + _LN_R_CUT + 1.0)
+                   / _ANGLE_STEP)
+    if _LATTICE_LO <= lo and hi <= _LATTICE_HI:
+        i, j = lo - _LATTICE_LO, hi - _LATTICE_LO + 1
+        shifted, dilate = _SHIFTED[i:j], _DILATE[i:j]
+    else:
+        shifted, dilate = _lattice(lo, hi)
+    s = shifted * alpha
+    s -= lead + alpha * top
+    np.exp(s, out=s)  # e^z
+    d = 1.0 / (1.0 + s)  # 1 - p / (pi a)
+    angles = np.array((s * d, d))
+    angles *= big  # p and pi a - p
+    eps = math.pi * (1.0 - alpha)  # not pi - big, which rounds near alpha 1
+    sines = np.sin(np.minimum(angles, eps + angles[::-1]))
+    r, weights = nodes = np.empty((2, s.size))
+    # dp/dt / (pi a) = p (pi a - p) / (pi a)^2 * a (1 + 0.1 e^-t)
+    np.multiply(angles[0], d, out=weights)
+    weights *= dilate
+    # r at the span's bottom y_s, which no y of the span lies below
+    y_s = math.exp(alpha * (top - _ANGLE_SPAN))
+    ws = sines[0] / sines[1]
+    ws *= y_s
+    np.power(ws, 1.0 / alpha, out=r)
+    if beta != 1.0:
+        # r^(1-b) from y_s w: r itself underflows to 0 at small alpha
+        weights *= ws ** ((1.0 - beta) / alpha) * np.sin(np.minimum(
+            angles[0] + math.pi * (beta - alpha),
+            math.pi * (1.0 - beta) + angles[1])) / sines[1]
+    return (y_s, *_frozen(nodes))
 
 
 def _unit_alpha(y, beta):

@@ -64,26 +64,61 @@ def ml_reference(x, alpha, beta=1.0):
     u = 0.0 if x == 0.0 else abs(float(x)) ** (1.0 / alpha)
     dps = 40 + int(u / math.log(10.0))
     with mp.workdps(dps):
-        xm = mp.mpf(float(x))
-        # gamma argument formed in working precision: rounding it to a double
-        # gets amplified by the huge cancellation and wrecks the sum
+        return float(_ml_mp(mp.mpf(float(x)), alpha, beta))
+
+
+def _ml_mp(xm, alpha, beta):
+    """The Mittag-Leffler series at xm in the working precision."""
+    # gamma argument formed in working precision: rounding it to a double
+    # gets amplified by the huge cancellation and wrecks the sum
+    am = mp.mpf(float(alpha))
+    bm = mp.mpf(float(beta))
+    total = mp.mpf(0)
+    floor = mp.mpf(10) ** (10 - mp.dps)
+    prev = mp.inf
+    k = 0
+    while True:
+        term = xm ** k / mp.gamma(am * k + bm)
+        total += term
+        mag = abs(term)
+        if mag < floor * (1 + abs(total)) and mag <= prev:
+            return total
+        prev = mag
+        k += 1
+        if k > 200000:
+            raise RuntimeError("series did not settle")
+
+
+def rate_root(alpha, a, bs, qs, guess):
+    """Root of lambda - a + sum_k b_k / E_alpha(-lambda q_k^alpha) = 0.
+
+    Plain bisection on values computed in 40-digit arithmetic (E_1 is
+    exp), over the bracket guess (1 -+ 1e-9), whose signs it checks
+    first, to a width below 1e-20 of it. Meant for |lambda q^alpha|^(1 /
+    alpha) up to a few units.
+    """
+    with mp.workdps(40):
         am = mp.mpf(float(alpha))
-        bm = mp.mpf(float(beta))
-        total = mp.mpf(0)
-        floor = mp.mpf(10) ** (10 - dps)
-        prev = mp.inf
-        k = 0
-        while True:
-            term = xm ** k / mp.gamma(am * k + bm)
-            total += term
-            mag = abs(term)
-            if mag < floor * (1 + abs(total)) and mag <= prev:
-                break
-            prev = mag
-            k += 1
-            if k > 200000:
-                raise RuntimeError("series did not settle")
-        return float(total)
+
+        def h(lam):
+            acc = lam - mp.mpf(a)
+            for b, q in zip(bs, qs):
+                x = -lam * mp.mpf(float(q)) ** am
+                e = mp.exp(x) if alpha == 1.0 else _ml_mp(x, alpha, 1.0)
+                acc += mp.mpf(b) / e
+            return acc
+
+        width = mp.mpf(guess) * mp.mpf("1e-9")
+        lo, hi = mp.mpf(guess) - width, mp.mpf(guess) + width
+        if not h(lo) < 0 < h(hi):
+            raise ValueError(f"no root within 1e-9 of {guess!r}")
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            if h(mid) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
 
 
 def rk4_dde(sys, t_end, h):

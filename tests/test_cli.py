@@ -517,6 +517,17 @@ def test_mlf_import_loads_only_what_it_uses():
     assert "halanay.fdde" not in loaded
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests only
+    proc = run_script([
+        "import sys",
+        "import halanay.cli",
+        "assert 'scipy' not in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('scipy'))",
+    ])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_runs_without_mpmath(tmp_path, config_dir):
     # mpmath is a test dependency only; with it unimportable, ml past the
     # series band (a beta step-down and alpha = 1) and certify still run

@@ -20,7 +20,7 @@ from halanay.halanay import (
 )
 from halanay.mlf import ml
 
-from oracles import bisect_root
+from oracles import bisect_root, rate_root
 
 
 def T(src):
@@ -43,15 +43,16 @@ def solve_every_point(alpha, a, bs, qs):
 
 
 def counting_ml(monkeypatch):
-    """Count the solver's ml calls by order (beta)."""
+    """Count the solver's ml_pair calls (E_alpha and E_alpha,alpha of one
+    argument) by order alpha."""
     calls = collections.Counter()
-    ml_ = hal.ml
+    pair = hal.ml_pair
 
-    def counted(x, alpha, beta=1.0):
-        calls[beta] += 1
-        return ml_(x, alpha, beta)
+    def counted(x, alpha):
+        calls[alpha] += 1
+        return pair(x, alpha)
 
-    monkeypatch.setattr(hal, "ml", counted)
+    monkeypatch.setattr(hal, "ml_pair", counted)
     return calls
 
 
@@ -153,8 +154,8 @@ def test_rate_never_exceeds_the_computed_root():
 
 
 def test_rate_scan_is_a_few_array_calls(monkeypatch):
-    # solving every point would make ~6 rounds of one ml call per delay and
-    # order per grid point; the min-rate scan passes each point once, at
+    # solving every point would make ~6 rounds of one ml_pair call per
+    # delay per grid point; the min-rate scan passes each point once, at
     # order 1 and in one ml_array call per delay, to test it against the
     # seed's rate, and solves only the few points it cannot set aside
     arrays = collections.Counter()
@@ -188,7 +189,7 @@ def test_rate_scan_is_a_few_array_calls(monkeypatch):
 
 def test_constant_coefficients_solve_one_point(monkeypatch):
     # every point of a constant problem survives the scan's sign test; the
-    # scan solves them as one point, with the ml calls of one lambda_at
+    # scan solves them as one point, with the ml_pair calls of one lambda_at
     calls = counting_ml(monkeypatch)
     lam = lambda_at(0.65, 0.3, [0.2], [2.0])
     one = calls[0.65]
@@ -301,7 +302,7 @@ def test_rate_solve_converges_on_stiff_points(alpha, monkeypatch):
     for i, point in enumerate(hal._points(np.arange(n), a, b[None, :], qas)):
         calls.clear()
         lam, resid = hal._rate(alpha, *point)
-        # one delay term: one ml call per order a round
+        # one delay term: one ml_pair call a round
         assert sum(calls.values()) <= 2 * (hal.MAX_ROUNDS // 4), (i, calls)
         assert resid <= hal.RESIDUAL_BOUND
         assert 0.0 < lam <= a[i]
@@ -326,17 +327,23 @@ def _pinned_args():
 
 
 def test_rates_are_pinned():
-    # exact rates recorded from the lockstep array solver that the scalar
-    # one replaced; the same arithmetic in the same order gives them bit
-    # for bit
+    # exact rates of the solver with E_alpha and E_alpha,alpha from one
+    # ml_pair pass, each within 1.2e-16 max(1, a) of an mpmath bisection
+    # root when recorded; the same arithmetic in the same order gives them
+    # bit for bit. Against the two-call solver with the wider series band
+    # they moved by at most 1.9e-15 relative
     want = [
-        0.006197431405562925, 0.04392644711106713, 0.009832283477620066,
-        0.14723522888034726, 0.030126864204852867, 0.8330601101450942,
-        0.007373395912183364, 0.3461591869593386, 0.11592057146956604,
-        0.5354091530853208, 0.11001746234631747, 0.005091171800527703,
+        0.006197431405562925, 0.04392644711106714, 0.009832283477620066,
+        0.1472352288803474, 0.030126864204852867, 0.8330601101450954,
+        0.007373395912183363, 0.3461591869593386, 0.11592057146956604,
+        0.5354091530853199, 0.11001746234631736, 0.005091171800527703,
         0.00010000013330035589, 0.539425292685825, 0.0016922570757732847,
     ]
-    assert [lambda_at(*args) for args in _pinned_args()] == want
+    got = [lambda_at(*args) for args in _pinned_args()]
+    assert got == want
+    for args, lam in zip(_pinned_args(), got):
+        root = rate_root(*args, lam)
+        assert abs(lam - root) <= 1e-13 * max(1.0, args[1]), (args, lam, root)
 
 
 def test_rates_of_many_delays_stay_within_the_stop_tolerance():

@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.special import erfcx
 
 from halanay import mlf
 from halanay.errors import MlfDomainError, MlfOverflowError
-from halanay.mlf import ml, ml_array
+from halanay.mlf import ml, ml_array, ml_pair
 
 from oracles import ml_reference
 
@@ -136,6 +137,57 @@ def test_small_alpha_past_the_band():
     assert ml(-2.0, 1e-4, 0.9999) == pytest.approx(float(want), rel=1e-13)
 
 
+def test_tiny_alpha_near_minus_one():
+    # at alpha = 1e-4 the series at x = -0.9986 needs ~3e4 terms, past
+    # SERIES_CAP; past the seam on |x| the angle form answers instead
+    want = ml_reference(-0.9986, 1e-4)
+    assert ml(-0.9986, 1e-4) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert ml_pair(-0.9986, 1e-4)[0] == ml(-0.9986, 1e-4)
+
+
+def _battery_points(rng, n):
+    """Seeded (alpha, u) in four strata: u log-uniform on [1e-6, 60], at
+    the seams on |x| (0.65, 0.8, 1), at the seam u = 1.5 and at the old
+    band edge u = 6.5; alpha log-uniform on [0.01, 1], or in (0.995, 1)."""
+    for i in range(n):
+        alpha = float(np.exp(rng.uniform(math.log(0.01), 0.0)))
+        if i % 8 == 7:
+            alpha = float(rng.uniform(0.995, 1.0))
+        jitter = float(np.exp(rng.uniform(-0.02, 0.02)))
+        kind = i % 4
+        if kind == 0:
+            u = float(np.exp(rng.uniform(math.log(1e-6), math.log(60.0))))
+        elif kind == 1:
+            u = (float(rng.choice([0.65, 0.8, 1.0])) * jitter) ** (1.0 / alpha)
+        elif kind == 2:
+            u = 1.5 * jitter
+        else:
+            u = 6.5 * jitter
+        yield alpha, u
+
+
+def test_seeded_battery_across_the_seams():
+    # E_{a,b} to 1e-14 relative at beta 1, alpha and 1.5, and the one-pass
+    # E_{a,a} of ml_pair to 1e-13, whose E_a is ml's to the bit
+    for alpha, u in _battery_points(np.random.default_rng(2026), 48):
+        x = -(u**alpha)
+        for beta in (1.0, alpha, 1.5):
+            want = ml_reference(x, alpha, beta)
+            got = ml(x, alpha, beta)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (
+                alpha, u, beta)
+        e, e2 = ml_pair(x, alpha)
+        assert e == ml(x, alpha)
+        want = ml_reference(x, alpha, alpha)
+        assert e2 == pytest.approx(want, rel=1e-13, abs=0.0), (alpha, u)
+
+
+def test_pair_is_two_ml_calls_off_the_negative_axis():
+    # x >= 0 and alpha = 1 take ml for both orders
+    for x, alpha in ((0.0, 0.6), (0.7, 0.6), (-3.0, 1.0), (0.5, 1.0)):
+        assert ml_pair(x, alpha) == (ml(x, alpha), ml(x, alpha, alpha))
+
+
 def test_beta_step_down_is_capped():
     # 5,000 step-downs, under the cap: the loop's value, to the bit
     assert ml(-2.0, 1e-4, 1.5) == 0.3761273036312127
@@ -202,31 +254,44 @@ def _u_near(seam):
     return st.floats(seam * (1.0 - 1e-9), seam * (1.0 + 1e-9))
 
 
-# u = |x|^(1/alpha) by regime: zero, the series band, its seam at 6.5 and
-# the angle form past it, from just beyond the seam to u = 1e4
+# u = |x|^(1/alpha) by regime: zero, the series near 0, its seam on u at
+# 1.5 (beta = 1, alpha >= 0.2), the angle form past it, whose grids change
+# at u = e^8, the old series band edge at 6.5, and on to u = 1e4
 _U_POINTS = st.one_of(
     st.just(0.0),
     st.floats(0.0, 6.5),
+    _u_near(1.5),
     _u_near(6.5),
+    _u_near(math.exp(8.0)),
     _u_near(25.0),
     _u_near(60.0),
     st.floats(6.5, 60.0),
     st.floats(60.0, 1e4),
 )
+# |x| at the series seams on |x|: 0.65 (beta < 1), 0.8 (beta = 1), 1 (beta > 1)
+_X_SEAMS = st.sampled_from([0.65, 0.8, 1.0]).flatmap(_u_near)
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(
-    alpha=st.one_of(st.floats(0.2, 1.0), st.floats(0.995, 1.0)),
+    alpha=st.one_of(st.floats(0.2, 1.0), st.floats(0.995, 1.0),
+                    st.floats(0.11, 0.2)),
     us=st.lists(_U_POINTS, min_size=1, max_size=16),
+    xs_seam=st.lists(_X_SEAMS, max_size=4),
     xs_pos=st.lists(st.floats(0.0, 2.0), max_size=3),
-    beta_is_alpha=st.booleans(),
+    beta=st.sampled_from(["alpha", 1.0, 0.5, 1.5]),
+    block=st.sampled_from([None, 1, 250]),
 )
-def test_ml_array_matches_ml_in_every_regime(alpha, us, xs_pos, beta_is_alpha):
-    beta = alpha if beta_is_alpha else 1.0
-    x = np.array([-(u**alpha) for u in us] + xs_pos)
-    got = ml_array(x, alpha, beta)
+def test_ml_array_matches_ml_in_every_regime(alpha, us, xs_seam, xs_pos,
+                                             beta, block):
+    # block caps the entries of a batched series or angle block: 1 and
+    # 250 split the rows into blocks of one row or a few
+    beta = alpha if beta == "alpha" else beta
+    x = np.array([-(u**alpha) for u in us] + [-v for v in xs_seam] + xs_pos)
     want = np.array([ml(float(v), alpha, beta) for v in x])
+    with mock.patch.object(mlf, "_BLOCK_ENTRIES",
+                           block or mlf._BLOCK_ENTRIES):
+        got = ml_array(x, alpha, beta)
     assert np.array_equal(got, want)
 
 
@@ -242,22 +307,46 @@ def test_ml_array_equals_ml_at_exp_zero_and_few_elements(alpha, beta):
         assert np.array_equal(ml_array(x, alpha, beta), want), (size, x)
 
 
+def _adjacent_across(ln_edge):
+    """Adjacent floats x_in > x_out, both < 0, with ln(-x_in) <= ln_edge <
+    ln(-x_out)."""
+    x = -math.exp(ln_edge)
+    while math.log(-x) > ln_edge:
+        x = math.nextafter(x, 0.0)
+    while math.log(-math.nextafter(x, -math.inf)) <= ln_edge:
+        x = math.nextafter(x, -math.inf)
+    return x, math.nextafter(x, -math.inf)
+
+
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(
     alpha=st.one_of(st.floats(1e-3, 1.0, exclude_max=True),
                     st.floats(0.995, 1.0, exclude_max=True)),
-    beta_is_alpha=st.booleans(),
+    beta=st.sampled_from(["alpha", 1.0, 1.5]),
+    span=st.integers(-3, 3),
 )
-def test_ml_is_continuous_across_the_series_band_edge(alpha, beta_is_alpha):
-    # the band ends at u = 6.5, or 6.5 (alpha/0.2)^2 below alpha = 0.2; its
-    # sum does not settle within SERIES_CAP terms below alpha ~ 3e-4
-    beta = alpha if beta_is_alpha else 1.0
-    ln_edge = mlf._ln_u_band(alpha)
-    edge = -math.exp(alpha * ln_edge)
-    inside, outside = edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)
-    assert math.log(-inside) / alpha <= ln_edge < math.log(-outside) / alpha
-    v_in, v_out = ml(inside, alpha, beta), ml(outside, alpha, beta)
-    assert abs(v_out - v_in) <= 1e-9 * abs(v_in), (v_in, v_out)
+def test_ml_is_continuous_across_the_series_band_edge(alpha, beta, span):
+    # The series ends at |x| = 0.65 (beta < 1), at |x| = 0.8 or, from alpha
+    # = 0.2 on, u = 1.5 (beta = 1), and at |x| = 1 (beta > 1); past it the
+    # angle form changes grids where ln u crosses 8 span. E_{a,b}(-y) falls
+    # with y, and one ulp across either edge it moves by the two routes'
+    # errors alone: measured up to 5.6e-14 at alpha ~ 1e-3, 2e-14 from
+    # alpha = 0.01 on
+    beta = alpha if beta == "alpha" else beta
+    tol = 2e-14 if alpha >= 0.01 else 1e-13
+    inside, outside = _adjacent_across(mlf._series_edge(alpha, beta))
+    pairs = [(inside, outside)]
+    if alpha < 1.0 and 8.0 * span * alpha > mlf._series_edge(alpha, beta):
+        # the grid changes between two of these adjacent floats
+        xs = [-math.exp(8.0 * span * alpha)]
+        for _ in range(4):
+            xs = [math.nextafter(xs[0], 0.0), *xs,
+                  math.nextafter(xs[-1], -math.inf)]
+        pairs += list(zip(xs, xs[1:]))
+    for near, far in pairs:
+        v_near, v_far = ml(near, alpha, beta), ml(far, alpha, beta)
+        assert v_far <= v_near + tol * abs(v_near), (near, v_near, v_far)
+        assert abs(v_far - v_near) <= tol * abs(v_near), (near, v_near, v_far)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -274,25 +363,29 @@ def test_unit_alpha_is_continuous_across_y_60(beta):
 
 
 def test_narrow_band_at_small_alpha():
-    # below alpha = 0.2 the band narrows, and ml_array routes as ml does
+    # the series seams sit on |x|, so at small alpha the series band in u
+    # narrows to nothing (|x| <= 0.8 is u <= 0.8^(1/alpha)), and ml_array
+    # routes as ml does
     for alpha in (1e-3, 0.01, 0.05, 0.15):
-        edge = math.exp(mlf._ln_u_band(alpha))
-        u = edge * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0, 6.5 / edge, 10.0])
-        x = -(u**alpha)
         for beta in (1.0, alpha, 0.5, 2.5):
+            edge = math.exp(mlf._series_edge(alpha, beta))
+            x = -edge * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.2, 2.0])
             want = [ml(float(v), alpha, beta) for v in x]
             assert np.array_equal(ml_array(x, alpha, beta), want), (alpha, beta)
-            if alpha >= 0.05:
-                ref = [ml_reference(float(v), alpha, beta) for v in x]
-                np.testing.assert_allclose(want, ref, rtol=1e-12, atol=0.0)
+            if alpha >= 0.01:
+                for v, got in zip(x, want):
+                    if (-v) ** (1.0 / alpha) <= 60.0:
+                        ref = ml_reference(float(v), alpha, beta)
+                        assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (
+                            alpha, beta, v)
 
 
 def test_ml_array_shapes_blocks_and_errors(monkeypatch):
     x = -np.linspace(0.0, 3.0, 12).reshape(3, 4)
     want = np.array([[ml(float(v), 0.6) for v in row] for row in x])
     assert np.array_equal(ml_array(x, 0.6), want)
-    # blocks of a few rows sum each row as one block does
-    monkeypatch.setattr(mlf, "_BLOCK_TERMS", 300)
+    # series and angle blocks of a few rows sum each row as one block does
+    monkeypatch.setattr(mlf, "_BLOCK_ENTRIES", 300)
     assert np.array_equal(ml_array(x, 0.6), want)
     assert ml_array(np.float64(-0.5), 0.6).shape == ()
     assert ml_array(np.array([]), 0.6).shape == (0,)
@@ -347,9 +440,17 @@ def test_monotone_in_argument():
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-# u = |x|^(1/alpha) as a multiple of the series band's end (u = 6.5, or
-# 6.5 (alpha/0.2)^2 below alpha = 0.2): inside the band, at its edge and
-# past it
+def _old_ln_u_band(alpha):
+    """ln u at the end of the series band that the angle form has since
+    taken over: u = 6.5, narrowing to 6.5 (alpha/0.2)^2 below alpha = 0.2.
+    It keeps this test's sample points."""
+    if alpha >= 0.2:
+        return math.log(6.5)
+    return math.log(6.5) + 2.0 * math.log(alpha / 0.2)
+
+
+# u = |x|^(1/alpha) as a multiple of that old band's end: inside the band,
+# at its edge and past it
 _BAND_MULTIPLES = st.one_of(
     st.floats(0.0, 1.0),
     st.floats(1.0 - 1e-9, 1.0 + 1e-9),
@@ -366,12 +467,12 @@ _BAND_MULTIPLES = st.one_of(
 )
 def test_ml_is_non_increasing_on_the_negative_axis(alpha, first, second):
     # E_alpha(-x) falls as x grows; the second point lies 0-64 ulps past
-    # the first, or anywhere. Past the band the values never rise. Inside
-    # it, and from inside to past its edge, a pair a few ulps apart may
-    # rise by the series' rounding (up to 3.5e-11 relative) or by the jump
-    # between the series and the angle form at the edge (up to 5.1e-10,
-    # beta = 1 as alpha -> 1), so there the slack is 5.1e-10 relative
-    ln_edge = mlf._ln_u_band(alpha)
+    # the first, or anywhere. Past the old band the values never rise.
+    # Inside it, and from inside to past its edge, a pair a few ulps apart
+    # may straddle the series seam or a change of angle grid, where the
+    # value may rise by the routes' errors (see the continuity test), so
+    # there the slack is 1e-13 relative
+    ln_edge = _old_ln_u_band(alpha)
     x = (math.exp(ln_edge) * first) ** alpha
     if isinstance(second, int):
         y = x
@@ -382,7 +483,7 @@ def test_ml_is_non_increasing_on_the_negative_axis(alpha, first, second):
     lo, hi = min(x, y), max(x, y)
     v_lo, v_hi = ml(-lo, alpha), ml(-hi, alpha)
     in_band = lo == 0.0 or math.log(lo) / alpha <= ln_edge
-    slack = 5.1e-10 * v_lo if in_band else 0.0
+    slack = 1e-13 * v_lo if in_band else 0.0
     assert v_hi <= v_lo + slack, (alpha, lo, hi, v_lo, v_hi)
 
 
