@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HalanayError, InfeasiblePointError, MlfDomainError
-# perfbench/tracer.py wraps ml by this module's name; _rate calls ml_pair
-from .mlf import ml, ml_array, ml_pair  # noqa: F401
+# perfbench/tracer.py wraps ml by this module's name; _rate calls _ml_pair
+from .mlf import _ml_pair, ml, ml_array  # noqa: F401
 
 __all__ = [
     "ScanGrid",
@@ -169,7 +169,7 @@ def _rate(alpha, a, bs, qas):
     bs and qas hold b_k and q_k^alpha, one per delay term, and sb = sum(bs)
     was validated below a. h rises strictly from h(0) = sb - a < 0 to
     h(a - sb) >= 0 (E_alpha <= 1). Over that bracket runs a bracketed
-    (rtsafe-style) Newton, one ml_pair call (E_alpha and E_alpha,alpha)
+    (rtsafe-style) Newton, one _ml_pair call (E_alpha and E_alpha,alpha)
     per delay a round, from a closed-form first step; later steps are
     taken if strictly inside the bracket and at most half the last. Else
     it bisects or, if the step is under 1e6 tolerances (stalled at the
@@ -190,7 +190,7 @@ def _rate(alpha, a, bs, qas):
         h, dh = lam - a, 1.0
         for b, qa in zip(bs, qas):
             x = -lam * qa
-            e1, e2 = ml_pair(x, alpha)
+            e1, e2 = _ml_pair(x, alpha)
             h += _div(b, e1)
             dh += _div(b * qa * e2, alpha * e1 * e1)
         dx = h / dh

@@ -16,9 +16,9 @@ values hold 1e-14 relative for alpha in [0.01, 1] and beta in {1, alpha,
 
 ml evaluates one argument. ml_array evaluates an array of them: it sums
 the series rows of the negative axis together, and the angle rows
-together per span of ln u, with the arithmetic ml does on one row, and
+together per unit of ln u, with the arithmetic ml does on one row, and
 passes every other element to ml, so both return the same values.
-ml_pair gives E_alpha and E_alpha,alpha at one argument from one pass
+_ml_pair gives E_alpha and E_alpha,alpha at one argument from one pass
 over the same terms, as the rate solver needs them.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import MlfDomainError, MlfOverflowError, SeriesCapError
 
-__all__ = ["ml", "ml_array", "ml_pair"]
+__all__ = ["ml", "ml_array"]
 
 SERIES_CAP = 10_000
 # most steps the beta > 1 step-down may take, each one an alpha down
@@ -59,12 +59,19 @@ _EXP_MAX = 709.782712893384
 _LN_OVER = math.log(740.0)
 
 # _angle_grid: the step in t, the squeeze of the lower tail, the span of
-# ln u one grid serves, and its ends: e^-37 below the peak, and r = 800
+# ln u one grid serves (ln u in (8 n - 4, 8 n + 4]), and its ends: e^-37
+# below the peak, and r = 50 at the span's bottom
 _ANGLE_STEP = 0.25
 _LN_SQUEEZE = math.log(0.1)
-_ANGLE_SPAN = 8.0
+_ANGLE_SPAN = 8
+_SPAN_SHIFT = 4
 _ANGLE_DROP = 37.0
-_LN_R_CUT = math.log(800.0)
+_R_CUT = 50.0
+# _angle: in the k-th unit of ln u above the span's bottom u_s (ln u -
+# ln u_s in (k, k + 1]), r scales by more than e^k, so a node with r >
+# 50 e^-k at u_s has r > 50 at u, adds under e^-50 of its weight, and is
+# left out; one bound per unit
+_R_BOUNDS = _R_CUT * np.exp(-np.arange(_ANGLE_SPAN))
 # _unit_alpha: Kummer's sum up to y = 60 and its term count there; the
 # algebraic series beyond, to 24 terms past k = beta
 _KUMMER_Y = 60.0
@@ -127,7 +134,7 @@ def ml(x, alpha, beta=1.0):
     return val
 
 
-def ml_pair(x, alpha):
+def _ml_pair(x, alpha):
     """E_alpha(x) and E_{alpha,alpha}(x), from one pass on the negative axis.
 
     E_alpha is ml(x, alpha) to the bit. Over the series terms t_k,
@@ -151,7 +158,7 @@ def ml_array(x, alpha, beta=1.0):
 
     Negative elements below the series seam are summed together, in one
     Taylor series per row. Those past it, at alpha < 1 and beta <= 1 (no
-    step-down), go through the angle form together, per span of ln u.
+    step-down), go through the angle form together, per unit of ln u.
     Both take blocks of rows. Each row gets ml's arithmetic, and every
     other element goes through ml, so each value is the one ml returns.
     At alpha = beta = 1, where ml takes exp, no row is summed here.
@@ -164,9 +171,19 @@ def ml_array(x, alpha, beta=1.0):
     flat = x.ravel()
     out = np.empty(flat.shape)
     neg = np.flatnonzero((flat < 0.0) & ((alpha, beta) != (1.0, 1.0)))
-    # math.log as in ml, not np.log, which may differ in the last bit
-    ln_y = np.fromiter(map(math.log, (-flat[neg]).tolist()), float, neg.size)
-    series = ln_y <= _series_edge(alpha, beta)
+    y = -flat[neg]
+    edge = _series_edge(alpha, beta)
+    # np.log may differ from ml's math.log in the last bits. That decides
+    # nothing away from the seam and from the edges of the units of ln u;
+    # near them, and in the series rows, whose terms take ln y, math.log
+    # is taken instead
+    ln_y = np.log(y)
+    slack = 1e-14 * np.abs(ln_y)
+    near = np.flatnonzero(
+        (ln_y - slack <= edge)
+        | (np.ceil((ln_y - slack) / alpha) != np.ceil((ln_y + slack) / alpha)))
+    ln_y[near] = np.fromiter(map(math.log, y[near].tolist()), float, near.size)
+    series = ln_y <= edge
     if series.any():
         rows, ln_s = neg[series], ln_y[series]
         terms = _series_row(alpha, beta, 0, True).size
@@ -176,14 +193,15 @@ def ml_array(x, alpha, beta=1.0):
             out[rows[start:stop]] = _series_rows(ln_s[start:stop], alpha, beta)
     angle = ~series if alpha < 1.0 and beta <= 1.0 else np.zeros_like(series)
     rows, ln_y = neg[angle], ln_y[angle]
-    tops = _ANGLE_SPAN * np.ceil(ln_y / alpha / _ANGLE_SPAN)
-    for top in np.unique(tops).tolist():
-        span = rows[tops == top]
-        nodes = _angle_grid(alpha, beta, top)[1].size
+    units = np.ceil(ln_y / alpha)  # ceil(ln u), as _angle takes it
+    for unit in np.unique(units).tolist():
+        span = rows[units == unit]
+        top, k = _angle_span(int(unit))
+        nodes = _angle_grid(alpha, beta, top)[3][k]
         block = max(1, _BLOCK_ENTRIES // nodes)
         for start in range(0, span.size, block):
             part = span[start:start + block]
-            out[part] = _angle_rows(-flat[part], top, alpha, beta)
+            out[part] = _angle_rows(-flat[part], top, k, alpha, beta)
     other = np.ones(flat.shape, dtype=bool)
     other[neg[series]] = other[rows] = False
     for i in np.flatnonzero(other).tolist():
@@ -203,9 +221,8 @@ def _series_edge(alpha, beta):
     """ln y at the seam of the negative-axis series: E(-y) is summed
     where ln y is at most this."""
     if beta == 1.0:
-        if alpha < _ALPHA_U_SEAM:
-            return _LN_SEAM
-        return max(_LN_SEAM, alpha * _LN_U_SEAM)
+        # u = 1.5 lies past |x| = 0.8 from alpha = 0.2 on
+        return _LN_SEAM if alpha < _ALPHA_U_SEAM else alpha * _LN_U_SEAM
     if beta < 1.0:
         return _LN_SEAM_BELOW_ONE
     # at beta > 1 the step-down, which amplifies errors by 1/|x| a step,
@@ -239,7 +256,7 @@ def _series(ln_ax, alpha, beta, neg, pair=False):
         hi = k0 + row.size
         terms = _KS[k0:hi] * ln_ax
         if neg:
-            np.exp(terms, out=terms)
+            np.exp(terms, terms)
             terms *= row
             total += float(_add(terms[0::2] + terms[1::2]))
         else:
@@ -325,16 +342,19 @@ def _angle(y, ln_y, alpha, beta, pair=False):
     r = (y w)^(1/a), with no pole left for any a < 1; the last factor is
     1 at b = 1. The trapezoid rule runs on the cached `_angle_grid`, which
     holds r and r^(1-b) at the span's bottom y_s: at y, r scales by
-    (y / y_s)^(1/a) and r^(1-b) by (y / y_s)^((1-b)/a). With pair, also
-    returns sum_j W_j r_j e^(-r_j).
+    (y / y_s)^(1/a) and r^(1-b) by (y / y_s)^((1-b)/a). It stops at the
+    grid's cut for the unit of ln u that holds y. With pair, also returns
+    sum_j W_j r_j e^(-r_j).
     """
-    top = _ANGLE_SPAN * math.ceil(ln_y / alpha / _ANGLE_SPAN)
-    y_s, r, weights = _angle_grid(alpha, beta, top)
+    top, k = _angle_span(math.ceil(ln_y / alpha))
+    y_s, r, weights, cuts = _angle_grid(alpha, beta, top)
+    n = cuts[k]
+    r = r[:n]
     q = y / y_s
     scale = q ** (1.0 / alpha)
     vals = r * -scale
-    np.exp(vals, out=vals)
-    vals *= weights
+    np.exp(vals, vals)
+    vals *= weights[:n]
     e = float(_add(vals))
     if beta != 1.0:
         e *= q ** ((1.0 - beta) / alpha)
@@ -343,18 +363,30 @@ def _angle(y, ln_y, alpha, beta, pair=False):
     return e
 
 
-def _angle_rows(y, top, alpha, beta):
-    """_angle for rows of y in one span at once, the same arithmetic on
-    each (the per-row powers in Python floats, as _angle takes them)."""
-    y_s, r, weights = _angle_grid(alpha, beta, top)
-    qs = [v / y_s for v in y.tolist()]
-    vals = np.multiply.outer([-q ** (1.0 / alpha) for q in qs], r)
+def _angle_rows(y, top, k, alpha, beta):
+    """_angle for rows of y in one unit of ln u at once, the same
+    arithmetic on each (the per-row powers in Python floats, as _angle
+    takes them)."""
+    y_s, r, weights, cuts = _angle_grid(alpha, beta, top)
+    qs = (y / y_s).tolist()
+    inv = 1.0 / alpha
+    # scale * -r is -scale * r, as _angle takes it
+    vals = np.multiply.outer([q ** inv for q in qs], -r[:cuts[k]])
     np.exp(vals, out=vals)
-    vals *= weights
+    vals *= weights[:cuts[k]]
     sums = _add(vals, axis=1)
     if beta != 1.0:
-        sums *= [q ** ((1.0 - beta) / alpha) for q in qs]
+        inv = (1.0 - beta) / alpha
+        sums *= [q ** inv for q in qs]
     return sums
+
+
+def _angle_span(unit):
+    """(top, k) for ln u in (unit - 1, unit]: the top of the span of ln u
+    that holds it, (top - 8, top] with top = 4 mod 8, and k = unit - 1 -
+    (top - 8), the unit's place above the span's bottom."""
+    shift = (_SPAN_SHIFT - unit) % _ANGLE_SPAN
+    return unit + shift, _ANGLE_SPAN - 1 - shift
 
 
 def _lattice(lo, hi):
@@ -372,9 +404,10 @@ _SHIFTED, _DILATE = _lattice(_LATTICE_LO, _LATTICE_HI)
 
 @functools.lru_cache(maxsize=16)
 def _angle_grid(alpha, beta, top):
-    """The bottom y_s of the span ln u in (top - 8, top], and r and the
+    """The bottom y_s of the span ln u in (top - 8, top]; r and the
     weights (times r^(1-b) and the sine factor at b != 1) at y_s, per node
-    of `_angle`.
+    of `_angle`; and per unit of ln u above y_s, the count of leading
+    nodes that `_angle` sums there (`_R_BOUNDS`).
 
     In z, p = pi a / (1 + e^-z), nodes resolve the boundary layer at
     p ~ sin(pi a) / y (the peak, r ~ 1) and the cut-off as p -> pi a. r
@@ -382,14 +415,15 @@ def _angle_grid(alpha, beta, top):
     the integrand falls only like e^z, so the lattice runs in t,
     z = z_top + a (t - 0.1 e^-t), which squeezes that tail to a few dozen
     nodes. Sines are taken of the angle nearer to 0 (sin p = sin(eps +
-    pi a - p), eps = pi (1 - a)), so none loses digits near pi.
+    pi a - p), eps = pi (1 - a)), so none loses digits near pi; below
+    a = 1/2 that is the angle itself.
     """
     big = math.pi * alpha
     lead = math.log(big / math.sin(big))
     lo = math.floor((_LN_SQUEEZE + math.log(alpha / _ANGLE_DROP))
                     / _ANGLE_STEP)
-    hi = math.ceil((2.0 * lead / alpha + _ANGLE_SPAN + _LN_R_CUT + 1.0)
-                   / _ANGLE_STEP)
+    hi = math.ceil((2.0 * lead / alpha + _ANGLE_SPAN + math.log(_R_CUT)
+                    + 1.0) / _ANGLE_STEP)
     if _LATTICE_LO <= lo and hi <= _LATTICE_HI:
         i, j = lo - _LATTICE_LO, hi - _LATTICE_LO + 1
         shifted, dilate = _SHIFTED[i:j], _DILATE[i:j]
@@ -397,27 +431,34 @@ def _angle_grid(alpha, beta, top):
         shifted, dilate = _lattice(lo, hi)
     s = shifted * alpha
     s -= lead + alpha * top
-    np.exp(s, out=s)  # e^z
-    d = 1.0 / (1.0 + s)  # 1 - p / (pi a)
+    np.exp(s, s)  # e^z
+    d = s + 1.0
+    np.reciprocal(d, d)  # 1 - p / (pi a)
     angles = np.array((s * d, d))
     angles *= big  # p and pi a - p
-    eps = math.pi * (1.0 - alpha)  # not pi - big, which rounds near alpha 1
-    sines = np.sin(np.minimum(angles, eps + angles[::-1]))
+    if alpha > 0.5:
+        eps = math.pi * (1.0 - alpha)  # not pi - big, which rounds near 1
+        sines = np.sin(np.minimum(angles, eps + angles[::-1]))
+    else:
+        sines = np.sin(angles)  # both angles lie below pi / 2
     r, weights = nodes = np.empty((2, s.size))
     # dp/dt / (pi a) = p (pi a - p) / (pi a)^2 * a (1 + 0.1 e^-t)
-    np.multiply(angles[0], d, out=weights)
+    np.multiply(angles[0], d, weights)
     weights *= dilate
-    # r at the span's bottom y_s, which no y of the span lies below
+    # r at the span's bottom y_s, which no y of the span lies below: y_s w
+    # first, then its power
     y_s = math.exp(alpha * (top - _ANGLE_SPAN))
-    ws = sines[0] / sines[1]
-    ws *= y_s
-    np.power(ws, 1.0 / alpha, out=r)
+    np.divide(sines[0], sines[1], r)
+    r *= y_s
     if beta != 1.0:
         # r^(1-b) from y_s w: r itself underflows to 0 at small alpha
-        weights *= ws ** ((1.0 - beta) / alpha) * np.sin(np.minimum(
+        weights *= r ** ((1.0 - beta) / alpha) * np.sin(np.minimum(
             angles[0] + math.pi * (beta - alpha),
             math.pi * (1.0 - beta) + angles[1])) / sines[1]
-    return (y_s, *_frozen(nodes))
+    np.power(r, 1.0 / alpha, r)
+    _frozen(nodes)
+    # r rises along the nodes
+    return y_s, r, weights, r.searchsorted(_R_BOUNDS, side="right").tolist()
 
 
 def _unit_alpha(y, beta):

@@ -43,16 +43,16 @@ def solve_every_point(alpha, a, bs, qs):
 
 
 def counting_ml(monkeypatch):
-    """Count the solver's ml_pair calls (E_alpha and E_alpha,alpha of one
+    """Count the solver's _ml_pair calls (E_alpha and E_alpha,alpha of one
     argument) by order alpha."""
     calls = collections.Counter()
-    pair = hal.ml_pair
+    pair = hal._ml_pair
 
     def counted(x, alpha):
         calls[alpha] += 1
         return pair(x, alpha)
 
-    monkeypatch.setattr(hal, "ml_pair", counted)
+    monkeypatch.setattr(hal, "_ml_pair", counted)
     return calls
 
 
@@ -154,7 +154,7 @@ def test_rate_never_exceeds_the_computed_root():
 
 
 def test_rate_scan_is_a_few_array_calls(monkeypatch):
-    # solving every point would make ~6 rounds of one ml_pair call per
+    # solving every point would make ~6 rounds of one _ml_pair call per
     # delay per grid point; the min-rate scan passes each point once, at
     # order 1 and in one ml_array call per delay, to test it against the
     # seed's rate, and solves only the few points it cannot set aside
@@ -189,7 +189,7 @@ def test_rate_scan_is_a_few_array_calls(monkeypatch):
 
 def test_constant_coefficients_solve_one_point(monkeypatch):
     # every point of a constant problem survives the scan's sign test; the
-    # scan solves them as one point, with the ml_pair calls of one lambda_at
+    # scan solves them as one point, with the _ml_pair calls of one lambda_at
     calls = counting_ml(monkeypatch)
     lam = lambda_at(0.65, 0.3, [0.2], [2.0])
     one = calls[0.65]
@@ -302,8 +302,9 @@ def test_rate_solve_converges_on_stiff_points(alpha, monkeypatch):
     for i, point in enumerate(hal._points(np.arange(n), a, b[None, :], qas)):
         calls.clear()
         lam, resid = hal._rate(alpha, *point)
-        # one delay term: one ml_pair call a round
-        assert sum(calls.values()) <= 2 * (hal.MAX_ROUNDS // 4), (i, calls)
+        # one delay term: one _ml_pair call a round, at most a quarter of
+        # MAX_ROUNDS rounds
+        assert sum(calls.values()) <= hal.MAX_ROUNDS // 4, (i, calls)
         assert resid <= hal.RESIDUAL_BOUND
         assert 0.0 < lam <= a[i]
         assert rate_residual(lam, alpha, a[i], [b[i]], [q[i]]) <= 0.0
@@ -328,15 +329,16 @@ def _pinned_args():
 
 def test_rates_are_pinned():
     # exact rates of the solver with E_alpha and E_alpha,alpha from one
-    # ml_pair pass, each within 1.2e-16 max(1, a) of an mpmath bisection
+    # _ml_pair pass, each within 1.2e-16 max(1, a) of an mpmath bisection
     # root when recorded; the same arithmetic in the same order gives them
     # bit for bit. Against the two-call solver with the wider series band
-    # they moved by at most 1.9e-15 relative
+    # they moved by at most 1.9e-15 relative, and the angle form's node
+    # cut at r = 50 per unit of ln u moved two by up to 6.7e-16
     want = [
         0.006197431405562925, 0.04392644711106714, 0.009832283477620066,
-        0.1472352288803474, 0.030126864204852867, 0.8330601101450954,
+        0.1472352288803474, 0.030126864204852867, 0.833060110145096,
         0.007373395912183363, 0.3461591869593386, 0.11592057146956604,
-        0.5354091530853199, 0.11001746234631736, 0.005091171800527703,
+        0.5354091530853198, 0.11001746234631736, 0.005091171800527703,
         0.00010000013330035589, 0.539425292685825, 0.0016922570757732847,
     ]
     got = [lambda_at(*args) for args in _pinned_args()]

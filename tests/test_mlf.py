@@ -12,7 +12,7 @@ from scipy.special import erfcx
 
 from halanay import mlf
 from halanay.errors import MlfDomainError, MlfOverflowError
-from halanay.mlf import ml, ml_array, ml_pair
+from halanay.mlf import _ml_pair, ml, ml_array
 
 from oracles import ml_reference
 
@@ -142,7 +142,7 @@ def test_tiny_alpha_near_minus_one():
     # SERIES_CAP; past the seam on |x| the angle form answers instead
     want = ml_reference(-0.9986, 1e-4)
     assert ml(-0.9986, 1e-4) == pytest.approx(want, rel=1e-13, abs=0.0)
-    assert ml_pair(-0.9986, 1e-4)[0] == ml(-0.9986, 1e-4)
+    assert _ml_pair(-0.9986, 1e-4)[0] == ml(-0.9986, 1e-4)
 
 
 def _battery_points(rng, n):
@@ -168,7 +168,7 @@ def _battery_points(rng, n):
 
 def test_seeded_battery_across_the_seams():
     # E_{a,b} to 1e-14 relative at beta 1, alpha and 1.5, and the one-pass
-    # E_{a,a} of ml_pair to 1e-13, whose E_a is ml's to the bit
+    # E_{a,a} of _ml_pair to 1e-13, whose E_a is ml's to the bit
     for alpha, u in _battery_points(np.random.default_rng(2026), 48):
         x = -(u**alpha)
         for beta in (1.0, alpha, 1.5):
@@ -176,7 +176,7 @@ def test_seeded_battery_across_the_seams():
             got = ml(x, alpha, beta)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), (
                 alpha, u, beta)
-        e, e2 = ml_pair(x, alpha)
+        e, e2 = _ml_pair(x, alpha)
         assert e == ml(x, alpha)
         want = ml_reference(x, alpha, alpha)
         assert e2 == pytest.approx(want, rel=1e-13, abs=0.0), (alpha, u)
@@ -185,7 +185,7 @@ def test_seeded_battery_across_the_seams():
 def test_pair_is_two_ml_calls_off_the_negative_axis():
     # x >= 0 and alpha = 1 take ml for both orders
     for x, alpha in ((0.0, 0.6), (0.7, 0.6), (-3.0, 1.0), (0.5, 1.0)):
-        assert ml_pair(x, alpha) == (ml(x, alpha), ml(x, alpha, alpha))
+        assert _ml_pair(x, alpha) == (ml(x, alpha), ml(x, alpha, alpha))
 
 
 def test_beta_step_down_is_capped():
@@ -255,14 +255,15 @@ def _u_near(seam):
 
 
 # u = |x|^(1/alpha) by regime: zero, the series near 0, its seam on u at
-# 1.5 (beta = 1, alpha >= 0.2), the angle form past it, whose grids change
-# at u = e^8, the old series band edge at 6.5, and on to u = 1e4
+# 1.5 (beta = 1, alpha >= 0.2), the angle form past it, which sums fewer
+# nodes past each integer ln u (e^2, e^3) and changes grids at u = e^4 and
+# e^12, the old series band edge at 6.5, and on to u = 1e4
 _U_POINTS = st.one_of(
     st.just(0.0),
     st.floats(0.0, 6.5),
     _u_near(1.5),
     _u_near(6.5),
-    _u_near(math.exp(8.0)),
+    st.sampled_from([2.0, 3.0, 4.0, 12.0]).map(math.exp).flatmap(_u_near),
     _u_near(25.0),
     _u_near(60.0),
     st.floats(6.5, 60.0),
@@ -323,22 +324,23 @@ def _adjacent_across(ln_edge):
     alpha=st.one_of(st.floats(1e-3, 1.0, exclude_max=True),
                     st.floats(0.995, 1.0, exclude_max=True)),
     beta=st.sampled_from(["alpha", 1.0, 1.5]),
-    span=st.integers(-3, 3),
+    unit=st.integers(-20, 28),
 )
-def test_ml_is_continuous_across_the_series_band_edge(alpha, beta, span):
+def test_ml_is_continuous_across_the_series_band_edge(alpha, beta, unit):
     # The series ends at |x| = 0.65 (beta < 1), at |x| = 0.8 or, from alpha
     # = 0.2 on, u = 1.5 (beta = 1), and at |x| = 1 (beta > 1); past it the
-    # angle form changes grids where ln u crosses 8 span. E_{a,b}(-y) falls
-    # with y, and one ulp across either edge it moves by the two routes'
-    # errors alone: measured up to 5.6e-14 at alpha ~ 1e-3, 2e-14 from
-    # alpha = 0.01 on
+    # angle form sums fewer nodes where ln u crosses an integer (unit) and
+    # changes grids where that integer is 4 mod 8. E_{a,b}(-y) falls with
+    # y, and one ulp across either edge it moves by the two routes' errors
+    # alone: measured up to 5.6e-14 at alpha ~ 1e-3, 2e-14 from alpha =
+    # 0.01 on
     beta = alpha if beta == "alpha" else beta
     tol = 2e-14 if alpha >= 0.01 else 1e-13
     inside, outside = _adjacent_across(mlf._series_edge(alpha, beta))
     pairs = [(inside, outside)]
-    if alpha < 1.0 and 8.0 * span * alpha > mlf._series_edge(alpha, beta):
-        # the grid changes between two of these adjacent floats
-        xs = [-math.exp(8.0 * span * alpha)]
+    if alpha < 1.0 and unit * alpha > mlf._series_edge(alpha, beta):
+        # the unit of ln u changes between two of these adjacent floats
+        xs = [-math.exp(unit * alpha)]
         for _ in range(4):
             xs = [math.nextafter(xs[0], 0.0), *xs,
                   math.nextafter(xs[-1], -math.inf)]
@@ -347,6 +349,10 @@ def test_ml_is_continuous_across_the_series_band_edge(alpha, beta, span):
         v_near, v_far = ml(near, alpha, beta), ml(far, alpha, beta)
         assert v_far <= v_near + tol * abs(v_near), (near, v_near, v_far)
         assert abs(v_far - v_near) <= tol * abs(v_near), (near, v_near, v_far)
+    # ml_array routes these floats, each an ulp from an edge, as ml does
+    xs = np.array([v for pair in pairs for v in pair])
+    assert np.array_equal(ml_array(xs, alpha, beta),
+                          [ml(float(v), alpha, beta) for v in xs])
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
