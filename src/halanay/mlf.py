@@ -173,16 +173,21 @@ def ml_array(x, alpha, beta=1.0):
     neg = np.flatnonzero((flat < 0.0) & ((alpha, beta) != (1.0, 1.0)))
     y = -flat[neg]
     edge = _series_edge(alpha, beta)
-    # np.log may differ from ml's math.log in the last bits. That decides
-    # nothing away from the seam and from the edges of the units of ln u;
-    # near them, and in the series rows, whose terms take ln y, math.log
-    # is taken instead
-    ln_y = np.log(y)
-    slack = 1e-14 * np.abs(ln_y)
-    near = np.flatnonzero(
-        (ln_y - slack <= edge)
-        | (np.ceil((ln_y - slack) / alpha) != np.ceil((ln_y + slack) / alpha)))
-    ln_y[near] = np.fromiter(map(math.log, y[near].tolist()), float, near.size)
+    # ml's math.log routes each row and gives the series rows their terms.
+    # Well past the seam np.log serves: its last bits may differ, which
+    # decides nothing there but the unit of ln u, so rows within 1e-14
+    # relative of a unit edge keep math.log
+    ln_y = np.empty(y.shape)
+    exact = y <= math.exp(edge) * (1.0 + 1e-12)
+    if not exact.all():
+        past = np.flatnonzero(~exact)
+        ln_p = ln_y[past] = np.log(y[past])
+        slack = 1e-14 * np.abs(ln_p)
+        exact[past] = (np.ceil((ln_p - slack) / alpha)
+                       != np.ceil((ln_p + slack) / alpha))
+    exact = np.flatnonzero(exact)
+    ln_y[exact] = np.fromiter(map(math.log, y[exact].tolist()), float,
+                              exact.size)
     series = ln_y <= edge
     if series.any():
         rows, ln_s = neg[series], ln_y[series]
