@@ -200,12 +200,12 @@ def ml_array(x, alpha, beta=1.0):
     rows, ln_y = neg[angle], ln_y[angle]
     units = np.ceil(ln_y / alpha)  # ceil(ln u), as _angle takes it
     for unit in np.unique(units).tolist():
-        span = rows[units == unit]
+        in_unit = rows[units == unit]
         top, k = _angle_span(int(unit))
         nodes = _angle_grid(alpha, beta, top)[3][k]
         block = max(1, _BLOCK_ENTRIES // nodes)
-        for start in range(0, span.size, block):
-            part = span[start:start + block]
+        for start in range(0, in_unit.size, block):
+            part = in_unit[start:start + block]
             out[part] = _angle_rows(-flat[part], top, k, alpha, beta)
     other = np.ones(flat.shape, dtype=bool)
     other[neg[series]] = other[rows] = False
@@ -381,8 +381,8 @@ def _angle_rows(y, top, k, alpha, beta):
     vals *= weights[:cuts[k]]
     sums = _add(vals, axis=1)
     if beta != 1.0:
-        inv = (1.0 - beta) / alpha
-        sums *= [q ** inv for q in qs]
+        expo = (1.0 - beta) / alpha
+        sums *= [q ** expo for q in qs]
     return sums
 
 
@@ -462,8 +462,9 @@ def _angle_grid(alpha, beta, top):
             math.pi * (1.0 - beta) + angles[1])) / sines[1]
     np.power(r, 1.0 / alpha, r)
     _frozen(nodes)
-    # r rises along the nodes
-    return y_s, r, weights, r.searchsorted(_R_BOUNDS, side="right").tolist()
+    # r rises along the nodes; a tuple, as callers share the cached grid
+    cuts = tuple(r.searchsorted(_R_BOUNDS, side="right").tolist())
+    return y_s, r, weights, cuts
 
 
 def _unit_alpha(y, beta):
