@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -411,6 +412,28 @@ def test_main_reports_constant_expression_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'1/0'" in err
     assert "Traceback" not in err
+
+
+def test_main_certifies_a_long_sum_and_rejects_deep_nesting(
+        tmp_path, capsys):
+    # a 2,000-term coefficient is one loop to evaluate
+    long_sum = write_cfg(tmp_path, scalar_cfg(A=[["-0.3" + "+0*t" * 1999]]))
+    assert main(["certify", "--config", long_sum, "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    deep = write_cfg(tmp_path, scalar_cfg(A=[["(" * 300 + "-0.3" + ")" * 300]]))
+    assert main(["certify", "--config", deep, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "A[0][0]: expression nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_run_config_pickles(config_dir):
+    cfg = load_config(str(config_dir / "example1.json"))
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg
+    ts = np.linspace(0.0, 10.0, 11)
+    assert back.A[0][0].eval_array(ts).tobytes() == cfg.A[0][0].eval_array(ts).tobytes()
 
 
 def test_main_reports_unwritable_output_paths(tmp_path, capsys):

@@ -1,4 +1,8 @@
 import math
+import operator
+import pickle
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -136,3 +140,85 @@ def test_eval_is_deterministic():
 def test_non_finite_result_is_an_error():
     with pytest.raises(ExprEvalError):
         parse("exp(t)", "t").eval(1000.0)
+
+
+def test_fragments_widen_to_brackets_and_name_the_failing_step():
+    for src, fragment in (
+        ("(1/0)+t", "(1/0)"),
+        ("((1/0))", "((1/0))"),
+        ("2*3/0", "2*3/0"),
+        ("1/0*2", "1/0"),
+        ("sqrt((t-2))", "sqrt((t-2))"),
+    ):
+        with pytest.raises(ExprEvalError) as exc:
+            parse(src, "t").eval(0.0)
+        assert exc.value.fragment == fragment, src
+
+
+def test_double_negation_is_the_identity():
+    x = np.array([-2.5, -0.0, 0.0, 1e-300, 3.0])
+    assert parse("--t", "t").eval_array(x).tobytes() == x.tobytes()
+
+
+def test_equality_and_hash_follow_the_source():
+    assert parse("t+1", "t") == parse("t+1", "t")
+    assert hash(parse("t+1", "t")) == hash(parse("t+1", "t"))
+    assert parse("t+1", "t") != parse("t + 1", "t")
+    assert parse("1", "t") != parse("1", "s")
+
+
+def test_pickle_round_trip_recompiles():
+    e = parse("2-cos(t)^4+1/(1+t)", "t")
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e
+    ts = np.linspace(0.0, 10.0, 11)
+    assert back.eval_array(ts).tobytes() == e.eval_array(ts).tobytes()
+
+
+def test_long_sum_folds_left_to_right():
+    # a chain is one loop, so its length costs no recursion
+    rng = random.Random(7)
+    coeffs = [round(rng.uniform(-1.0, 1.0), 6) for _ in range(5000)]
+    signs = [rng.choice("+-") for _ in coeffs[1:]]
+    src = f"{coeffs[0]}*t" + "".join(
+        f"{s}{abs(c)}*t" for s, c in zip(signs, coeffs[1:]))
+    x = np.linspace(-3.0, 3.0, 13)
+    want = np.float64(coeffs[0]) * x
+    for s, c in zip(signs, coeffs[1:]):
+        op = operator.add if s == "+" else operator.sub
+        want = op(want, np.float64(abs(c)) * x)
+    assert parse(src, "t").eval_array(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("src, at", [
+    ("(" * 1000 + "t" + ")" * 1000, "("),
+    ("-" * 2000 + "t", "-"),
+    ("2^" * 2000 + "2", None),
+], ids=["brackets", "minus-signs", "powers"])
+def test_nesting_past_the_recursion_limit_is_a_syntax_error(src, at):
+    with pytest.raises(ExprSyntaxError, match="nested too deeply") as exc:
+        parse(src, "t")
+    assert 0 < exc.value.position < len(src)
+    if at is not None:
+        assert src[exc.value.position] == at
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _at_depth(n, fn):
+    return fn() if n <= 0 else _at_depth(n - 1, fn)
+
+
+def test_recursion_in_evaluation_is_an_eval_error():
+    # parsed near the top of the stack, evaluated near its limit
+    src = "-" * 300 + "t"
+    e = parse(src, "t")
+    room = sys.getrecursionlimit() - _stack_depth() - 100
+    with pytest.raises(ExprEvalError) as exc:
+        _at_depth(room, lambda: e.eval_array(1.0))
+    assert exc.value.fragment == src

@@ -18,7 +18,9 @@ from halanay.halanay import (
     envelope,
     lambda_at,
 )
+from halanay.fdde import SolverConfig, solve
 from halanay.mlf import ml
+from halanay.positivity import DelaySystem, certify_positive
 
 from oracles import bisect_root, rate_root
 
@@ -660,6 +662,39 @@ def test_envelope_uses_tabulated_ml_value():
     assert cert.lambda_star == pytest.approx(lam, rel=1e-12)
     want = ml(-cert.lambda_star * 2.0**0.65, 0.65)
     assert envelope(cert, 0.65, 2.0) == pytest.approx(want, rel=1e-12)
+
+
+def constant_positive_system(alpha):
+    """x' = -x + 0.5 x(t - 1) in the Caputo sense, phi = 1: a = 1, b = 0.5,
+    M = 1 and w0 = 0."""
+    return DelaySystem(alpha=alpha, dim=1, A=[[T("-1")]], B=[[T("0.5")]],
+                       q=T("1"), tau=1.0, phi=[parse("1", "s")])
+
+
+def test_envelope_is_the_exact_decay_mode_at_order_one():
+    sys_ = constant_positive_system(1.0)
+    _, cert = certify_positive(sys_, ScanGrid(10.0, 11))
+    assert (cert.M, cert.w0) == (1.0, 0.0)
+    # at alpha = 1 the rate equation is the characteristic equation
+    # lambda = 1 - 0.5 e^lambda of the delay system
+    root = bisect_root(lambda lam: lam - 1.0 + 0.5 * math.exp(lam), 0.0, 1.0)
+    assert cert.lambda_star == pytest.approx(root, abs=1e-12)
+    traj = solve(sys_, SolverConfig(40.0, 0.01))
+    tail = traj.grid >= 10.0
+    ratio = traj.norms_l1[tail] / envelope(cert, 1.0, traj.grid[tail])
+    assert ratio.max() / ratio.min() - 1.0 < 1e-3
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_envelope_decay_order_is_sharp(alpha):
+    # x ~ phi(0) t^-alpha / ((a - b) Gamma(1 - alpha)) and the envelope
+    # ~ M t^-alpha / (lambda* Gamma(1 - alpha)): only the constant is loose
+    sys_ = constant_positive_system(alpha)
+    _, cert = certify_positive(sys_, ScanGrid(10.0, 11))
+    traj = solve(sys_, SolverConfig(800.0, 0.02))
+    ratio = traj.norms_l1[-1] / envelope(cert, alpha, traj.grid[-1])
+    want = 1.0 * cert.lambda_star / (cert.M * (1.0 - 0.5))
+    assert ratio == pytest.approx(want, rel=0.01)
 
 
 # --------------------------------------------------------------- validation
