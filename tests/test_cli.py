@@ -433,7 +433,8 @@ def test_run_config_pickles(config_dir):
     back = pickle.loads(pickle.dumps(cfg))
     assert back == cfg
     ts = np.linspace(0.0, 10.0, 11)
-    assert back.A[0][0].eval_array(ts).tobytes() == cfg.A[0][0].eval_array(ts).tobytes()
+    assert (back.A[0][0].eval_array(ts).tobytes()
+            == cfg.A[0][0].eval_array(ts).tobytes())
 
 
 def test_main_reports_unwritable_output_paths(tmp_path, capsys):

@@ -110,10 +110,16 @@ def test_eval_array_matches_scalar_eval():
 def test_constant_failures_raise_from_both_methods():
     # literals are float64 inside the walker, so a constant subexpression
     # fails the same way as one that depends on the variable
+    # a fragment spans the failing step, widened to a node's brackets
     for src, fragment in (
         ("1/0", "1/0"),
         ("t+1e308*10", "1e308*10"),
         ("1e999", "1e999"),
+        ("(1/0)+t", "(1/0)"),
+        ("((1/0))", "((1/0))"),
+        ("2*3/0", "2*3/0"),
+        ("1/0*2", "1/0"),
+        ("sqrt((t-2))", "sqrt((t-2))"),
     ):
         e = parse(src, "t")
         with pytest.raises(ExprEvalError) as exc:
@@ -140,19 +146,6 @@ def test_eval_is_deterministic():
 def test_non_finite_result_is_an_error():
     with pytest.raises(ExprEvalError):
         parse("exp(t)", "t").eval(1000.0)
-
-
-def test_fragments_widen_to_brackets_and_name_the_failing_step():
-    for src, fragment in (
-        ("(1/0)+t", "(1/0)"),
-        ("((1/0))", "((1/0))"),
-        ("2*3/0", "2*3/0"),
-        ("1/0*2", "1/0"),
-        ("sqrt((t-2))", "sqrt((t-2))"),
-    ):
-        with pytest.raises(ExprEvalError) as exc:
-            parse(src, "t").eval(0.0)
-        assert exc.value.fragment == fragment, src
 
 
 def test_double_negation_is_the_identity():

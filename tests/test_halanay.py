@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import halanay.halanay as hal
 from halanay.errors import HalanayError, InfeasiblePointError, MlfDomainError
 from halanay.expr import parse
+from halanay.fdde import SolverConfig, solve
 from halanay.halanay import (
     BOUNDED_GAP,
     NONE,
@@ -18,7 +19,6 @@ from halanay.halanay import (
     envelope,
     lambda_at,
 )
-from halanay.fdde import SolverConfig, solve
 from halanay.mlf import ml
 from halanay.positivity import DelaySystem, certify_positive
 
