@@ -12,11 +12,11 @@ STEP_CAP steps; alpha = 1, where the angle form degenerates, has sums of
 its own (`_unit_alpha`). The y-free parts of both routes are cached per
 order, so runs of calls at one order share them. Against 40-digit sums,
 values hold 1e-14 relative for alpha in [0.01, 1] and beta in {1, alpha,
-1.5}, across the seams.
+1.5}, across the seams, and alpha is refused below ALPHA_MIN.
 
 ml evaluates one argument. ml_array evaluates an array of them: it sums
 the series rows of the negative axis together, and the angle rows
-together per unit of ln u, with the arithmetic ml does on one row, and
+together per span of ln u, with the arithmetic ml does on one row, and
 passes every other element to ml, so both return the same values.
 _ml_pair gives E_alpha and E_alpha,alpha at one argument from one pass
 over the same terms, as the rate solver needs them.
@@ -32,6 +32,9 @@ from .errors import MlfDomainError, MlfOverflowError, SeriesCapError
 __all__ = ["ml", "ml_array"]
 
 SERIES_CAP = 10_000
+# the least alpha: a seeded battery over the double range was clean from
+# 3e-10 up; from 1e-10 down the angle form overflowed or gave nan
+ALPHA_MIN = 1e-9
 # most steps the beta > 1 step-down may take, each one an alpha down
 STEP_CAP = 10**6
 
@@ -59,19 +62,15 @@ _EXP_MAX = 709.782712893384
 _LN_OVER = math.log(740.0)
 
 # _angle_grid: the step in t, the squeeze of the lower tail, the span of
-# ln u one grid serves (ln u in (8 n - 4, 8 n + 4]), and its ends: e^-37
-# below the peak, and r = 50 at the span's bottom
+# ln u one grid serves (ln u in (8 n - 4, 8 n + 4], so that one grid an
+# order serves u in (e^-4, e^4], where most calls past the seams land),
+# and its ends: e^-37 below the peak, and r = 50 at the span's bottom
 _ANGLE_STEP = 0.25
 _LN_SQUEEZE = math.log(0.1)
 _ANGLE_SPAN = 8
 _SPAN_SHIFT = 4
 _ANGLE_DROP = 37.0
 _R_CUT = 50.0
-# _angle: in the k-th unit of ln u above the span's bottom u_s (ln u -
-# ln u_s in (k, k + 1]), r scales by more than e^k, so a node with r >
-# 50 e^-k at u_s has r > 50 at u, adds under e^-50 of its weight, and is
-# left out; one bound per unit
-_R_BOUNDS = _R_CUT * np.exp(-np.arange(_ANGLE_SPAN))
 # _unit_alpha: Kummer's sum up to y = 60 and its term count there; the
 # algebraic series beyond, to 24 terms past k = beta
 _KUMMER_Y = 60.0
@@ -158,7 +157,7 @@ def ml_array(x, alpha, beta=1.0):
 
     Negative elements below the series seam are summed together, in one
     Taylor series per row. Those past it, at alpha < 1 and beta <= 1 (no
-    step-down), go through the angle form together, per unit of ln u.
+    step-down), go through the angle form together, per span of ln u.
     Both take blocks of rows. Each row gets ml's arithmetic, and every
     other element goes through ml, so each value is the one ml returns.
     At alpha = beta = 1, where ml takes exp, no row is summed here.
@@ -173,21 +172,8 @@ def ml_array(x, alpha, beta=1.0):
     neg = np.flatnonzero((flat < 0.0) & ((alpha, beta) != (1.0, 1.0)))
     y = -flat[neg]
     edge = _series_edge(alpha, beta)
-    # ml's math.log routes each row and gives the series rows their terms.
-    # Well past the seam np.log serves: its last bits may differ, which
-    # decides nothing there but the unit of ln u, so rows within 1e-14
-    # relative of a unit edge keep math.log
-    ln_y = np.empty(y.shape)
-    exact = y <= math.exp(edge) * (1.0 + 1e-12)
-    if not exact.all():
-        past = np.flatnonzero(~exact)
-        ln_p = ln_y[past] = np.log(y[past])
-        slack = 1e-14 * np.abs(ln_p)
-        exact[past] = (np.ceil((ln_p - slack) / alpha)
-                       != np.ceil((ln_p + slack) / alpha))
-    exact = np.flatnonzero(exact)
-    ln_y[exact] = np.fromiter(map(math.log, y[exact].tolist()), float,
-                              exact.size)
+    # ml's math.log, which routes each row and gives it its terms or span
+    ln_y = np.fromiter(map(math.log, y.tolist()), float, y.size)
     series = ln_y <= edge
     if series.any():
         rows, ln_s = neg[series], ln_y[series]
@@ -198,15 +184,13 @@ def ml_array(x, alpha, beta=1.0):
             out[rows[start:stop]] = _series_rows(ln_s[start:stop], alpha, beta)
     angle = ~series if alpha < 1.0 and beta <= 1.0 else np.zeros_like(series)
     rows, ln_y = neg[angle], ln_y[angle]
-    units = np.ceil(ln_y / alpha)  # ceil(ln u), as _angle takes it
-    for unit in np.unique(units).tolist():
-        in_unit = rows[units == unit]
-        top, k = _angle_span(int(unit))
-        nodes = _angle_grid(alpha, beta, top)[3][k]
-        block = max(1, _BLOCK_ENTRIES // nodes)
-        for start in range(0, in_unit.size, block):
-            part = in_unit[start:start + block]
-            out[part] = _angle_rows(-flat[part], top, k, alpha, beta)
+    tops = _angle_span(np.ceil(ln_y / alpha))  # as _angle takes them
+    for top in map(int, np.unique(tops).tolist()):
+        in_span = rows[tops == top]
+        block = max(1, _BLOCK_ENTRIES // _angle_grid(alpha, beta, top)[1].size)
+        for start in range(0, in_span.size, block):
+            part = in_span[start:start + block]
+            out[part] = _angle_rows(-flat[part], top, alpha, beta)
     other = np.ones(flat.shape, dtype=bool)
     other[neg[series]] = other[rows] = False
     for i in np.flatnonzero(other).tolist():
@@ -216,8 +200,9 @@ def ml_array(x, alpha, beta=1.0):
 
 def _check_orders(alpha, beta):
     # chained comparisons are false at nan, and the bounds exclude inf
-    if not 0.0 < alpha <= 1.0:
-        raise MlfDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
+    if not ALPHA_MIN <= alpha <= 1.0:
+        raise MlfDomainError(
+            f"alpha must lie in [{ALPHA_MIN:g}, 1], got {alpha!r}")
     if not 0.0 < beta < math.inf:
         raise MlfDomainError(f"beta must be finite and positive, got {beta!r}")
 
@@ -345,21 +330,19 @@ def _angle(y, ln_y, alpha, beta, pair=False):
         E_{a,b}(-y) = 1/(pi a) int_0^(pi a) exp(-r) r^(1-b)
                       sin(p + pi (b - a)) / sin(pi a - p) dp,
     r = (y w)^(1/a), with no pole left for any a < 1; the last factor is
-    1 at b = 1. The trapezoid rule runs on the cached `_angle_grid`, which
-    holds r and r^(1-b) at the span's bottom y_s: at y, r scales by
-    (y / y_s)^(1/a) and r^(1-b) by (y / y_s)^((1-b)/a). It stops at the
-    grid's cut for the unit of ln u that holds y. With pair, also returns
-    sum_j W_j r_j e^(-r_j).
+    1 at b = 1. The trapezoid rule runs on the whole of the cached
+    `_angle_grid` of the span of ln u that holds y, which holds r and
+    r^(1-b) at the span's bottom y_s: at y, r scales by (y / y_s)^(1/a)
+    and r^(1-b) by (y / y_s)^((1-b)/a). With pair, also returns sum_j W_j
+    r_j e^(-r_j).
     """
-    top, k = _angle_span(math.ceil(ln_y / alpha))
-    y_s, r, weights, cuts = _angle_grid(alpha, beta, top)
-    n = cuts[k]
-    r = r[:n]
+    y_s, r, weights = _angle_grid(alpha, beta,
+                                  _angle_span(math.ceil(ln_y / alpha)))
     q = y / y_s
     scale = q ** (1.0 / alpha)
     vals = r * -scale
     np.exp(vals, vals)
-    vals *= weights[:n]
+    vals *= weights
     e = float(_add(vals))
     if beta != 1.0:
         e *= q ** ((1.0 - beta) / alpha)
@@ -368,17 +351,17 @@ def _angle(y, ln_y, alpha, beta, pair=False):
     return e
 
 
-def _angle_rows(y, top, k, alpha, beta):
-    """_angle for rows of y in one unit of ln u at once, the same
-    arithmetic on each (the per-row powers in Python floats, as _angle
-    takes them)."""
-    y_s, r, weights, cuts = _angle_grid(alpha, beta, top)
+def _angle_rows(y, top, alpha, beta):
+    """_angle for rows of y in the span of ln u below top at once, the
+    same arithmetic on each (the per-row powers in Python floats, as
+    _angle takes them)."""
+    y_s, r, weights = _angle_grid(alpha, beta, top)
     qs = (y / y_s).tolist()
     inv = 1.0 / alpha
     # scale * -r is -scale * r, as _angle takes it
-    vals = np.multiply.outer([q ** inv for q in qs], -r[:cuts[k]])
+    vals = np.multiply.outer([q ** inv for q in qs], -r)
     np.exp(vals, out=vals)
-    vals *= weights[:cuts[k]]
+    vals *= weights
     sums = _add(vals, axis=1)
     if beta != 1.0:
         expo = (1.0 - beta) / alpha
@@ -387,11 +370,10 @@ def _angle_rows(y, top, k, alpha, beta):
 
 
 def _angle_span(unit):
-    """(top, k) for ln u in (unit - 1, unit]: the top of the span of ln u
-    that holds it, (top - 8, top] with top = 4 mod 8, and k = unit - 1 -
-    (top - 8), the unit's place above the span's bottom."""
-    shift = (_SPAN_SHIFT - unit) % _ANGLE_SPAN
-    return unit + shift, _ANGLE_SPAN - 1 - shift
+    """The top of the span of ln u, (top - 8, top] with top = 4 mod 8,
+    that holds ln u in (unit - 1, unit]; on an int or an array of
+    integral floats."""
+    return unit + (_SPAN_SHIFT - unit) % _ANGLE_SPAN
 
 
 def _lattice(lo, hi):
@@ -401,18 +383,17 @@ def _lattice(lo, hi):
     return t - squeeze, (1.0 + squeeze) * (_ANGLE_STEP / math.pi)
 
 
-# the alpha-free part of every _angle_grid: t from -60 (alpha down to
-# ~1e-24) to 100 (alpha up to the last float below 1)
+# the alpha-free part of every _angle_grid: t from -60 to 100, past what
+# ALPHA_MIN (t ~ -27) and the last float below 1 (t ~ 87) need
 _LATTICE_LO, _LATTICE_HI = -240, 400
 _SHIFTED, _DILATE = _lattice(_LATTICE_LO, _LATTICE_HI)
 
 
 @functools.lru_cache(maxsize=16)
 def _angle_grid(alpha, beta, top):
-    """The bottom y_s of the span ln u in (top - 8, top]; r and the
+    """The bottom y_s of the span ln u in (top - 8, top], and r and the
     weights (times r^(1-b) and the sine factor at b != 1) at y_s, per node
-    of `_angle`; and per unit of ln u above y_s, the count of leading
-    nodes that `_angle` sums there (`_R_BOUNDS`).
+    of `_angle`.
 
     In z, p = pi a / (1 + e^-z), nodes resolve the boundary layer at
     p ~ sin(pi a) / y (the peak, r ~ 1) and the cut-off as p -> pi a. r
@@ -420,8 +401,7 @@ def _angle_grid(alpha, beta, top):
     the integrand falls only like e^z, so the lattice runs in t,
     z = z_top + a (t - 0.1 e^-t), which squeezes that tail to a few dozen
     nodes. Sines are taken of the angle nearer to 0 (sin p = sin(eps +
-    pi a - p), eps = pi (1 - a)), so none loses digits near pi; below
-    a = 1/2 that is the angle itself.
+    pi a - p), eps = pi (1 - a)), so none loses digits near pi.
     """
     big = math.pi * alpha
     lead = math.log(big / math.sin(big))
@@ -429,27 +409,20 @@ def _angle_grid(alpha, beta, top):
                     / _ANGLE_STEP)
     hi = math.ceil((2.0 * lead / alpha + _ANGLE_SPAN + math.log(_R_CUT)
                     + 1.0) / _ANGLE_STEP)
-    if _LATTICE_LO <= lo and hi <= _LATTICE_HI:
-        i, j = lo - _LATTICE_LO, hi - _LATTICE_LO + 1
-        shifted, dilate = _SHIFTED[i:j], _DILATE[i:j]
-    else:
-        shifted, dilate = _lattice(lo, hi)
-    s = shifted * alpha
+    i, j = lo - _LATTICE_LO, hi - _LATTICE_LO + 1
+    s = _SHIFTED[i:j] * alpha
     s -= lead + alpha * top
     np.exp(s, s)  # e^z
     d = s + 1.0
     np.reciprocal(d, d)  # 1 - p / (pi a)
     angles = np.array((s * d, d))
     angles *= big  # p and pi a - p
-    if alpha > 0.5:
-        eps = math.pi * (1.0 - alpha)  # not pi - big, which rounds near 1
-        sines = np.sin(np.minimum(angles, eps + angles[::-1]))
-    else:
-        sines = np.sin(angles)  # both angles lie below pi / 2
+    eps = math.pi * (1.0 - alpha)  # not pi - big, which rounds near 1
+    sines = np.sin(np.minimum(angles, eps + angles[::-1]))
     r, weights = nodes = np.empty((2, s.size))
     # dp/dt / (pi a) = p (pi a - p) / (pi a)^2 * a (1 + 0.1 e^-t)
     np.multiply(angles[0], d, weights)
-    weights *= dilate
+    weights *= _DILATE[i:j]
     # r at the span's bottom y_s, which no y of the span lies below: y_s w
     # first, then its power
     y_s = math.exp(alpha * (top - _ANGLE_SPAN))
@@ -462,9 +435,7 @@ def _angle_grid(alpha, beta, top):
             math.pi * (1.0 - beta) + angles[1])) / sines[1]
     np.power(r, 1.0 / alpha, r)
     _frozen(nodes)
-    # r rises along the nodes; a tuple, as callers share the cached grid
-    cuts = tuple(r.searchsorted(_R_BOUNDS, side="right").tolist())
-    return y_s, r, weights, cuts
+    return y_s, r, weights
 
 
 def _unit_alpha(y, beta):

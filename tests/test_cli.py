@@ -491,6 +491,19 @@ def test_mlf_overflow_is_an_error_line_even_with_warnings_as_errors():
     assert "exceeds float64 range" in proc.stderr
 
 
+def test_mlf_tiny_order_is_an_error_line_even_with_warnings_as_errors():
+    # below the alpha floor the angle form overflowed: a traceback at 1e-20
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "halanay.cli",
+         "mlf", "1e-20", "1", "-5"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "alpha must lie" in proc.stderr
+
+
 def test_console_entry_point_golden_run(tmp_path, config_dir):
     proc = subprocess.run(
         [

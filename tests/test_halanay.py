@@ -334,8 +334,8 @@ def test_rates_are_pinned():
     # _ml_pair pass, each within 1.2e-16 max(1, a) of an mpmath bisection
     # root when recorded; the same arithmetic in the same order gives them
     # bit for bit. Against the two-call solver with the wider series band
-    # they moved by at most 1.9e-15 relative, and the angle form's node
-    # cut at r = 50 per unit of ln u moved two by up to 6.7e-16
+    # they moved by at most 1.9e-15 relative, and trimming the angle form's
+    # nodes moved two by up to 6.7e-16
     want = [
         0.006197431405562925, 0.04392644711106714, 0.009832283477620066,
         0.1472352288803474, 0.030126864204852867, 0.833060110145096,

@@ -47,6 +47,41 @@ def test_domain_errors():
         ml(float("inf"), 0.5)
 
 
+def test_orders_below_the_floor_are_refused():
+    # below ALPHA_MIN the angle form raised a bare OverflowError (1e-20),
+    # leaked numpy's overflow warning (1e-13, and 1e-10 near |x| = 1e307)
+    # or returned nan (3e-308)
+    below = math.nextafter(mlf.ALPHA_MIN, 0.0)
+    for x, alpha in ((-5.0, 1e-20), (-2.6e303, 1e-13), (-0.9, 3e-308),
+                     (-9.7e306, 1e-10), (-5.0, below), (0.5, below)):
+        with pytest.raises(MlfDomainError, match="alpha must lie"):
+            ml(x, alpha)
+        with pytest.raises(MlfDomainError, match="alpha must lie"):
+            ml_array(np.full(3, x), alpha)
+        with pytest.raises(MlfDomainError, match="alpha must lie"):
+            _ml_pair(x, alpha)
+
+
+def test_floor_order_is_finite_across_the_double_range():
+    # at ALPHA_MIN itself, |x| log-uniform over the double range: finite
+    # values in [0, 1] at beta = 1, no numpy warning, and ml_array and
+    # _ml_pair agree with ml
+    rng = np.random.default_rng(31)
+    xs = -(10.0 ** rng.uniform(-300.0, 308.2, 400))
+    alpha = mlf.ALPHA_MIN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in (1.0, alpha, 0.5):
+            want = np.array([ml(float(x), alpha, beta) for x in xs])
+            assert np.isfinite(want).all(), beta
+            assert np.array_equal(ml_array(xs, alpha, beta), want), beta
+            if beta == 1.0:
+                assert ((want >= 0.0) & (want <= 1.0)).all()
+        for x in xs[:100].tolist():
+            e, e2 = _ml_pair(x, alpha)
+            assert e == ml(x, alpha) and math.isfinite(e2), x
+
+
 def test_overflow_signal_on_large_positive_argument():
     with pytest.raises(MlfOverflowError):
         ml(710.0, 1.0)
@@ -255,9 +290,9 @@ def _u_near(seam):
 
 
 # u = |x|^(1/alpha) by regime: zero, the series near 0, its seam on u at
-# 1.5 (beta = 1, alpha >= 0.2), the angle form past it, which sums fewer
-# nodes past each integer ln u (e^2, e^3) and changes grids at u = e^4 and
-# e^12, the old series band edge at 6.5, and on to u = 1e4
+# 1.5 (beta = 1, alpha >= 0.2), the angle form past it, across integer ln
+# u inside a span (e^2, e^3) and at span edges, where it changes grids (u
+# = e^4 and e^12), the old series band edge at 6.5, and on to u = 1e4
 _U_POINTS = st.one_of(
     st.just(0.0),
     st.floats(0.0, 6.5),
@@ -329,8 +364,8 @@ def _adjacent_across(ln_edge):
 def test_ml_is_continuous_across_the_series_band_edge(alpha, beta, unit):
     # The series ends at |x| = 0.65 (beta < 1), at |x| = 0.8 or, from alpha
     # = 0.2 on, u = 1.5 (beta = 1), and at |x| = 1 (beta > 1); past it the
-    # angle form sums fewer nodes where ln u crosses an integer (unit) and
-    # changes grids where that integer is 4 mod 8. E_{a,b}(-y) falls with
+    # angle form changes grids where ln u crosses an integer (unit) that is
+    # 4 mod 8, and keeps its grid across the others. E_{a,b}(-y) falls with
     # y, and one ulp across either edge it moves by the two routes' errors
     # alone: measured up to 5.6e-14 at alpha ~ 1e-3, 2e-14 from alpha =
     # 0.01 on
@@ -384,6 +419,30 @@ def test_narrow_band_at_small_alpha():
                         ref = ml_reference(float(v), alpha, beta)
                         assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (
                             alpha, beta, v)
+
+
+@pytest.mark.parametrize("alpha", [mlf.ALPHA_MIN, math.nextafter(1.0, 0.0)])
+def test_angle_grid_slices_inside_the_lattice(alpha, monkeypatch):
+    # _angle_grid slices its t lattice from the precomputed one, with no
+    # fallback: its ends at the least and the greatest order accepted must
+    # lie inside it, and the grid must equal one built on a direct lattice
+    big = math.pi * alpha
+    lead = math.log(big / math.sin(big))
+    lo = math.floor((mlf._LN_SQUEEZE + math.log(alpha / mlf._ANGLE_DROP))
+                    / mlf._ANGLE_STEP)
+    hi = math.ceil((2.0 * lead / alpha + mlf._ANGLE_SPAN
+                    + math.log(mlf._R_CUT) + 1.0) / mlf._ANGLE_STEP)
+    assert mlf._LATTICE_LO <= lo and hi <= mlf._LATTICE_HI
+    build = mlf._angle_grid.__wrapped__  # past the cache
+    sliced = [build(alpha, beta, top) for beta, top in ((1.0, 4), (0.5, 12))]
+    shifted, dilate = mlf._lattice(lo, hi)
+    monkeypatch.setattr(mlf, "_LATTICE_LO", lo)
+    monkeypatch.setattr(mlf, "_SHIFTED", shifted)
+    monkeypatch.setattr(mlf, "_DILATE", dilate)
+    direct = [build(alpha, beta, top) for beta, top in ((1.0, 4), (0.5, 12))]
+    for (y_s, r, w), (y_d, r_d, w_d) in zip(sliced, direct):
+        assert y_s == y_d
+        assert np.array_equal(r, r_d) and np.array_equal(w, w_d)
 
 
 def test_ml_array_shapes_blocks_and_errors(monkeypatch):
@@ -491,6 +550,35 @@ def test_ml_is_non_increasing_on_the_negative_axis(alpha, first, second):
     in_band = lo == 0.0 or math.log(lo) / alpha <= ln_edge
     slack = 1e-13 * v_lo if in_band else 0.0
     assert v_hi <= v_lo + slack, (alpha, lo, hi, v_lo, v_hi)
+
+
+def _adjacent_across_unit(n, alpha):
+    """Adjacent floats y_in < y_out with ceil(ln y / alpha), the unit of ln u
+    that routes y, equal to n at y_in and n + 1 at y_out."""
+    y = math.exp(alpha * n)
+    while math.ceil(math.log(y) / alpha) > n:
+        y = math.nextafter(y, 0.0)
+    while math.ceil(math.log(math.nextafter(y, math.inf)) / alpha) <= n:
+        y = math.nextafter(y, math.inf)
+    return y, math.nextafter(y, math.inf)
+
+
+def test_ml_does_not_rise_across_unit_edges_inside_a_span():
+    # past the seam, the angle form sums one whole grid per span of ln u,
+    # (8 m - 4, 8 m + 4], so one ulp across ln u = n, n != 4 mod 8, only
+    # q = y / y_s moves, and E_alpha(-y) cannot rise; a node count cut per
+    # unit rose at ~5% of these edges
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        alpha = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.999))))
+        edge = mlf._series_edge(alpha, 1.0)
+        first = math.floor(edge / alpha) + 1
+        for n in range(first, first + 40):
+            y_in, y_out = _adjacent_across_unit(n, alpha)
+            if n % 8 == 4 or math.log(y_in) <= edge:
+                continue
+            v_in, v_out = ml(-y_in, alpha), ml(-y_out, alpha)
+            assert v_out <= v_in, (alpha, n, y_in, v_in, v_out)
 
 
 def test_sub_semigroup_sample():
