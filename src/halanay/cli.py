@@ -23,6 +23,7 @@ from .errors import (
     ExprSyntaxError,
     HalanayError,
     InfeasiblePointError,
+    MlfDomainError,
     StructureError,
 )
 from .expr import parse
@@ -31,7 +32,7 @@ from .halanay import ScanGrid, certify, envelope as decay_envelope
 # classify_conditions is not called here; perfbench/tracer.py wraps it by name
 from .halanay import classify_conditions  # noqa: F401
 from .lmi import certify_lmi
-from .mlf import ml
+from .mlf import check_orders, ml
 from .positivity import DelaySystem, certify_positive, initial_amplitude
 
 __all__ = [
@@ -76,6 +77,17 @@ class RunConfig:
     tolerance: float
     csv_path: str
     report_path: str
+
+    def system(self):
+        """The configured DelaySystem, which takes a single delay."""
+        if len(self.q) != 1:
+            raise ConfigError([("q", "simulation supports a single delay; "
+                                     "certify handles lists")])
+        return DelaySystem(
+            alpha=self.alpha, dim=self.dim, A=[list(row) for row in self.A],
+            B=[list(row) for row in self.B], q=self.q[0], tau=self.tau,
+            phi=list(self.phi),
+        )
 
 
 def _want(errors, data, key, types, path=None):
@@ -146,9 +158,12 @@ def load_config(path):
                 errors.append((f"{section}.{key}", "unknown field"))
 
     alpha = _want(errors, data, "alpha", (int, float))
-    if alpha is not None and not 0.0 < alpha <= 1.0:
-        errors.append(("alpha", f"must lie in (0, 1], got {alpha}"))
-        alpha = None
+    if alpha is not None:
+        try:
+            check_orders(alpha)
+        except MlfDomainError as exc:
+            errors.append(("alpha", str(exc)))
+            alpha = None
     dim = _want(errors, data, "dim", (int,))
     if dim is not None and dim < 1:
         errors.append(("dim", f"must be >= 1, got {dim}"))
@@ -199,16 +214,12 @@ def load_config(path):
         parsed = tuple(_expr(errors, e, f"phi[{i}]", "s") for i, e in enumerate(raw_phi))
         phi = parsed if all(e is not None for e in parsed) else None
 
-    gamma = sigma = None
+    lmi_exprs = []
     for key in ("gamma", "sigma"):
-        if key in data:
-            val = _expr(errors, data[key], key, "t")
-            if key == "gamma":
-                gamma = val
-            else:
-                sigma = val
-        elif analysis == "lmi":
+        if key not in data and analysis == "lmi":
             errors.append((key, "required when analysis = lmi"))
+        lmi_exprs.append(_expr(errors, data[key], key, "t") if key in data else None)
+    gamma, sigma = lmi_exprs
 
     a_bounded = data.get("a_bounded")
     if a_bounded is not None and not isinstance(a_bounded, bool):
@@ -296,18 +307,6 @@ def load_config(path):
     )
 
 
-def _build_system(cfg):
-    return DelaySystem(
-        alpha=cfg.alpha,
-        dim=cfg.dim,
-        A=[list(row) for row in cfg.A],
-        B=[list(row) for row in cfg.B],
-        q=cfg.q[0],
-        tau=cfg.tau,
-        phi=list(cfg.phi),
-    )
-
-
 def _strict_json(obj):
     """The report with every non-finite float replaced by None (JSON null)."""
     if isinstance(obj, dict):
@@ -334,10 +333,10 @@ def _certify(cfg):
             a_bounded=cfg.a_bounded,
         )
     elif cfg.analysis == "positive":
-        verdict, cert = certify_positive(_build_system(cfg), cfg.scan,
+        verdict, cert = certify_positive(cfg.system(), cfg.scan,
                                          a_bounded=cfg.a_bounded)
     else:
-        verdict, cert = certify_lmi(_build_system(cfg), cfg.gamma, cfg.sigma,
+        verdict, cert = certify_lmi(cfg.system(), cfg.gamma, cfg.sigma,
                                     cfg.scan)
     return asdict(verdict), cert, "l2" if cfg.analysis == "lmi" else "l1"
 
@@ -379,11 +378,7 @@ def _plot_script(traj_csv, d, envelope):
 def _simulate(cfg, cert, norm_tag, out_dir):
     if cfg.solver is None:
         raise ConfigError([("solver", "required for simulate/verify")])
-    if cfg.analysis == "halanay-scalar" and len(cfg.q) != 1:
-        raise ConfigError(
-            [("q", "simulation supports a single delay; certify handles lists")]
-        )
-    traj = solve(_build_system(cfg), cfg.solver)
+    traj = solve(cfg.system(), cfg.solver)
     env_vals = None
     if cert is not None:
         env_vals = decay_envelope(cert, cfg.alpha, traj.grid)

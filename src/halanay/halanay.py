@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import HalanayError, InfeasiblePointError, MlfDomainError
 # perfbench/tracer.py wraps ml by this module's name; _rate calls _ml_pair
-from .mlf import _ml_pair, ml, ml_array  # noqa: F401
+from .mlf import _ml_pair, check_orders, ml, ml_array  # noqa: F401
 
 __all__ = [
     "ScanGrid",
@@ -121,9 +121,10 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
         raise ValueError("b_vals and q_vals must have equal length")
     # _checked_sum's tests on floats; where one fails, _checked_sum
     # raises the error a scan of this point raises
+    check_orders(alpha)
     vals = [a, *bs, *qs]
-    if not (0.0 < alpha <= 1.0 and all(map(math.isfinite, vals))
-            and min(vals) >= 0.0 and a > sum(bs)):
+    if not (all(map(math.isfinite, vals)) and min(vals) >= 0.0
+            and a > sum(bs)):
         _checked_sum(alpha, np.array([a]), np.array(bs)[:, None],
                      np.array(qs)[:, None])
     qas = [q**alpha for q in qs]  # as _q_alpha takes them
@@ -132,10 +133,7 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
 
 def _checked_sum(alpha, a, bs, qs):
     """Validate rate-equation samples; returns sum_k b_k at every point."""
-    if not 0.0 < alpha <= 1.0:
-        raise MlfDomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if not all(np.isfinite(v).all() for v in (a, bs, qs)):
-        raise MlfDomainError("a, b and q samples must be finite")
+    _check_samples(alpha, a, bs, qs)
     if np.any(a < 0) or np.any(bs < 0) or np.any(qs < 0):
         raise ValueError("a, b and q samples must be nonnegative")
     sb = sum(bs)  # row by row, as _rate sums; numpy sums (K, 1) pairwise
@@ -144,6 +142,12 @@ def _checked_sum(alpha, a, bs, qs):
             "a does not exceed sum(b) at every point; no positive rate exists"
         )
     return sb
+
+
+def _check_samples(alpha, a, bs, qs):
+    check_orders(alpha)
+    if not all(np.isfinite(v).all() for v in (a, bs, qs)):
+        raise MlfDomainError("a, b and q samples must be finite")
 
 
 def _q_alpha(qs, alpha):
@@ -322,8 +326,8 @@ def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
 
     The one core of all three routes: ts are the grid times, a and c hold
     one sample per time, bs and qs one row per delay term, and M is the
-    envelope's amplitude. alpha, tau, M and the shapes are checked first,
-    whatever the verdict.
+    envelope's amplitude. alpha, the finiteness of a, bs and qs, tau, M
+    and the shapes are checked first, whatever the verdict.
 
     Returns (verdict, certificate); the certificate is None when the
     verdict is NONE. lambda_star and grid_argmin (the first grid time of
@@ -331,8 +335,7 @@ def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
     solves only the points that can set them, and residual_max is the
     worst |h| over the points it solved.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_samples(alpha, a, bs, qs)  # a nan in a or bs would classify as NONE
     if not M >= 0.0:
         raise ValueError(f"amplitude M must be nonnegative, got {M}")
     if np.shape(ts) != np.shape(a):

@@ -85,8 +85,8 @@ _SIGNS = 1.0 - 2.0 * (_KS % 2.0)
 
 
 def ml(x, alpha, beta=1.0):
-    """Evaluate E_{alpha,beta}(x) for real x, alpha in (0,1], beta > 0."""
-    _check_orders(alpha, beta)
+    """E_{alpha,beta}(x) for real x, alpha in [ALPHA_MIN, 1] and beta > 0."""
+    check_orders(alpha, beta)
     if not math.isfinite(x):
         raise MlfDomainError(f"argument must be finite, got {x!r}")
 
@@ -141,7 +141,7 @@ def _ml_pair(x, alpha):
     (1/y) sum_j W_j r_j e^(-r_j), the y-derivative of E_a(-y) = sum_j W_j
     e^(-r_j). Elsewhere (x >= 0, alpha = 1) it is two ml calls.
     """
-    _check_orders(alpha, 1.0)
+    check_orders(alpha, 1.0)
     if not (math.isfinite(x) and x < 0.0 and alpha < 1.0):
         return ml(x, alpha), ml(x, alpha, alpha)
     ln_y = math.log(-x)
@@ -163,7 +163,7 @@ def ml_array(x, alpha, beta=1.0):
     At alpha = beta = 1, where ml takes exp, no row is summed here.
     Returns an array of the shape of x.
     """
-    _check_orders(alpha, beta)
+    check_orders(alpha, beta)
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise MlfDomainError("argument must be finite")
@@ -198,7 +198,8 @@ def ml_array(x, alpha, beta=1.0):
     return out.reshape(x.shape)
 
 
-def _check_orders(alpha, beta):
+def check_orders(alpha, beta=1.0):
+    """Raise MlfDomainError unless alpha is in [ALPHA_MIN, 1] and beta in (0, inf)."""
     # chained comparisons are false at nan, and the bounds exclude inf
     if not ALPHA_MIN <= alpha <= 1.0:
         raise MlfDomainError(

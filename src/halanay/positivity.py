@@ -15,6 +15,7 @@ import numpy as np
 
 from . import halanay as _hal
 from .errors import StructureError
+from .mlf import check_orders
 
 __all__ = [
     "DelaySystem",
@@ -39,8 +40,7 @@ class DelaySystem:
     phi: list  # dim TimeExpr in the history variable on [-tau, 0]
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        check_orders(self.alpha)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not (math.isfinite(self.tau) and self.tau > 0):

@@ -37,18 +37,6 @@ def criterion(label):
     return wrap
 
 
-def build_system(cfg):
-    return DelaySystem(
-        alpha=cfg.alpha,
-        dim=cfg.dim,
-        A=[list(row) for row in cfg.A],
-        B=[list(row) for row in cfg.B],
-        q=cfg.q[0],
-        tau=cfg.tau,
-        phi=list(cfg.phi),
-    )
-
-
 @criterion("1: tabulated decay-kernel values")
 def test_01_decay_kernel_constants():
     ml(-0.1, 0.5)  # warm up before timing
@@ -84,7 +72,7 @@ def test_02_sub_semigroup_property():
 def test_03_example1_end_to_end(config_dir):
     t0 = time.perf_counter()
     cfg = load_config(str(config_dir / "example1.json"))
-    sys_ = build_system(cfg)
+    sys_ = cfg.system()
 
     ts = cfg.scan.times()
     a_vals, b_vals = column_sums(sys_, ts)
@@ -116,7 +104,7 @@ def test_03_example1_end_to_end(config_dir):
 def test_04_example2_end_to_end(config_dir):
     t0 = time.perf_counter()
     cfg = load_config(str(config_dir / "example2.json"))
-    sys_ = build_system(cfg)
+    sys_ = cfg.system()
 
     verdict, cert = certify_positive(sys_, cfg.scan)
     assert cert.case_tag == BOUNDED_GAP
@@ -144,7 +132,7 @@ def test_04_example2_end_to_end(config_dir):
 def test_05_example3_end_to_end(config_dir):
     t0 = time.perf_counter()
     cfg = load_config(str(config_dir / "example3.json"))
-    sys_ = build_system(cfg)
+    sys_ = cfg.system()
     m2 = initial_amplitude(sys_, "sq")
     report, cert = certify_lmi(sys_, cfg.gamma, cfg.sigma, cfg.scan)
     assert cert.M == m2

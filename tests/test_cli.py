@@ -18,6 +18,7 @@ from halanay.cli import (
 )
 from halanay.errors import ConfigError
 from halanay.halanay import ScanGrid
+from halanay.mlf import ALPHA_MIN
 
 from conftest import REPO
 
@@ -89,6 +90,23 @@ def test_errors_are_aggregated_with_field_paths(tmp_path):
             load_config(write_cfg(tmp_path, nodim))
         assert ("phi", "expected a list of expression strings") in exc.value.errors
         assert "dim" in {p for p, _ in exc.value.errors}
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 0, math.nextafter(ALPHA_MIN, 0.0)])
+def test_alpha_below_the_mlf_floor_is_a_config_error(tmp_path, config_dir,
+                                                      capsys, alpha):
+    data = json.loads((config_dir / "example1.json").read_text())
+    data["alpha"] = alpha
+    path = write_cfg(tmp_path, data)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == [
+        ("alpha", f"alpha must lie in [{ALPHA_MIN:g}, 1], got {alpha!r}")]
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "\n  alpha: " in err
+    data["alpha"] = ALPHA_MIN
+    assert load_config(write_cfg(tmp_path, data)).alpha == ALPHA_MIN
 
 
 def test_outputs_may_not_overwrite_each_other(tmp_path):
@@ -290,6 +308,21 @@ def test_run_verify_scalar_multi_delay_certifies_but_wont_simulate(tmp_path):
     assert report["certificate"]["lambda_star"] > 0.0
     with pytest.raises(ConfigError):
         run("simulate", cfg, out_dir=str(tmp_path))
+
+
+def test_system_takes_a_single_delay(tmp_path, capsys):
+    path = write_cfg(tmp_path, scalar_cfg(B=[["0.1", "0.1"]], q=["0.5", "1.5"]))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path).system()
+    assert exc.value.errors == [
+        ("q", "simulation supports a single delay; certify handles lists")]
+    # the error simulate prints
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {exc.value}\n"
+    cfg = load_config(write_cfg(tmp_path, scalar_cfg()))
+    sys_ = cfg.system()
+    assert (sys_.alpha, sys_.q, sys_.A, sys_.phi) == (
+        cfg.alpha, cfg.q[0], [list(cfg.A[0])], list(cfg.phi))
 
 
 def test_run_simulate_requires_solver_section(tmp_path):

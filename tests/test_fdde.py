@@ -175,12 +175,8 @@ def test_divergent_solution_raises():
 
 
 def bundled(config_dir, name, q=None):
-    cfg = load_config(str(config_dir / name))
-    return DelaySystem(
-        alpha=cfg.alpha, dim=cfg.dim, A=[list(r) for r in cfg.A],
-        B=[list(r) for r in cfg.B], q=cfg.q[0] if q is None else T(q),
-        tau=cfg.tau, phi=list(cfg.phi),
-    )
+    sys_ = load_config(str(config_dir / name)).system()
+    return sys_ if q is None else dataclasses.replace(sys_, q=T(q))
 
 
 @pytest.mark.parametrize("name,q,t_end,clamps", [

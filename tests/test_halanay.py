@@ -19,7 +19,7 @@ from halanay.halanay import (
     envelope,
     lambda_at,
 )
-from halanay.mlf import ml
+from halanay.mlf import ALPHA_MIN, ml
 from halanay.positivity import DelaySystem, certify_positive
 
 from oracles import bisect_root, rate_root
@@ -466,6 +466,36 @@ def test_lambda_at_raises_what_the_scan_validation_raises(args):
         lambda_at(*args)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+
+
+def none_verdict_samples():
+    """(tau, ts, a, bs, qs, c) whose verdict is NONE: b exceeds a."""
+    return problem(0.5, 1.0, "0.3", ["0.4"], ["1"], scan=ScanGrid(10.0, 11))[1:]
+
+
+@pytest.mark.parametrize("check", [
+    lambda alpha: constant_positive_system(alpha),
+    lambda alpha: certify(alpha, *none_verdict_samples(), M=1.0),
+    lambda alpha: lambda_at(alpha, 0.3, [0.0], [1.0]),
+], ids=["DelaySystem", "certify_none_verdict", "lambda_at_no_feedback"])
+def test_order_floor_is_mlf_alpha_min(check):
+    check(ALPHA_MIN)
+    with pytest.raises(MlfDomainError, match=r"alpha must lie in \[1e-09, 1\]"):
+        check(math.nextafter(ALPHA_MIN, 0.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("row", [3, 4, 5])  # a, the b row, the q row
+def test_certify_rejects_nonfinite_samples_before_classifying(row, bad):
+    # a nan in a or b once classified as a NONE verdict with nan margins
+    prob = list(problem(0.5, 1.0, "0.3", ["0.1"], ["1"], scan=ScanGrid(10.0, 11)))
+    prob[row].reshape(-1)[3] = bad
+    _, _, _, a, bs, qs, _ = prob
+    with pytest.raises(MlfDomainError) as want:
+        lambda_at(0.5, a[3], bs[:, 3], qs[:, 3])
+    with pytest.raises(MlfDomainError) as got:
+        certify(*prob, M=1.0)
+    assert str(got.value) == str(want.value) == "a, b and q samples must be finite"
 
 
 def test_lambda_at_takes_numpy_scalars_and_no_delay_terms():
