@@ -1,11 +1,11 @@
-"""Command-line front end: config ingestion, pipelines, reports, plots.
+"""Command-line front end: config ingestion, pipelines, reports.
 
 Subcommands: certify (run the configured analysis and write a JSON
-report), simulate (integrate the system and write a CSV trajectory plus
-a gnuplot script), verify (certify, simulate, and check the trajectory
-against the certified envelope), and mlf (print one Mittag-Leffler
-value). Exit codes: 0 pass/feasible, 2 infeasible or envelope
-violation, 1 input error.
+report), simulate (integrate the system and write a CSV trajectory),
+verify (certify, simulate, and check the trajectory against the
+certified envelope), and mlf (print one Mittag-Leffler value). Exit
+codes: 0 pass/feasible, 2 infeasible or envelope violation, 1 input
+error (usage errors included).
 """
 
 import argparse
@@ -274,16 +274,9 @@ def load_config(path):
         if not isinstance(val, str) or not val:
             errors.append((f"output.{name}", f"expected a file name, got {val!r}"))
             names_ok = False
-    if names_ok:
-        csv_file = os.path.normpath(csv_path)
-        plot_file = os.path.normpath(_plot_path(csv_path))
-        if csv_file == plot_file:
-            errors.append(("output.csv_path",
-                           f"{csv_path!r} would be overwritten by its plot script"))
-        if os.path.normpath(report_path) in (csv_file, plot_file):
-            errors.append(("output.report_path",
-                           f"{report_path!r} would overwrite the trajectory CSV "
-                           "or its plot script"))
+    if names_ok and os.path.normpath(report_path) == os.path.normpath(csv_path):
+        errors.append(("output.report_path",
+                       f"{report_path!r} would overwrite the trajectory CSV"))
 
     if errors:
         raise ConfigError(errors)
@@ -341,40 +334,6 @@ def _certify(cfg):
     return asdict(verdict), cert, "l2" if cfg.analysis == "lmi" else "l1"
 
 
-def _plot_path(traj_csv):
-    return os.path.splitext(traj_csv)[0] + ".gp"
-
-
-def _plot_script(traj_csv, d, envelope):
-    """Write a gnuplot script next to the CSV; returns the script path.
-
-    The script plots the d state components against t, plus the envelope
-    column when requested.
-    """
-    path = _plot_path(traj_csv)
-    # '' is a quote inside a gnuplot single-quoted string
-    base = os.path.basename(traj_csv).replace("'", "''")
-    curves = [
-        f"'{base}' using 1:{i + 2} with lines title 'x{i + 1}'" for i in range(d)
-    ]
-    if envelope:
-        curves.append(
-            f"'{base}' using 1:{d + 4} with lines lw 2 dashtype 2 title 'envelope'"
-        )
-    lines = [
-        "set datafile separator ','",
-        f"set title '{base}'",
-        "set xlabel 't'",
-        "set grid",
-        "plot \\",
-        ", \\\n".join("    " + c for c in curves),
-        "pause -1",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
 def _simulate(cfg, cert, norm_tag, out_dir):
     if cfg.solver is None:
         raise ConfigError([("solver", "required for simulate/verify")])
@@ -386,14 +345,12 @@ def _simulate(cfg, cert, norm_tag, out_dir):
             env_vals = np.sqrt(env_vals)
     csv_path = os.path.join(out_dir, cfg.csv_path)
     write_csv(traj, csv_path, envelope_values=env_vals, norm_tag=norm_tag)
-    plot_path = _plot_script(csv_path, traj.states.shape[1], cert is not None)
     sim_json = {
         "t_end": cfg.solver.t_end,
         "h": cfg.solver.h,
         "nodes": len(traj.grid),
         "clamped_nodes": list(traj.clamped),
         "csv_path": csv_path,
-        "plot_script": plot_path,
     }
     return traj, env_vals, sim_json
 
@@ -465,8 +422,14 @@ def _summary_lines(report):
     return lines
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input: exit 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="halanay-certify",
         description=(
             "Decay certificates and direct simulation for fractional-order "

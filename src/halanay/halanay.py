@@ -110,9 +110,9 @@ class HalanayCertificate:
 def lambda_at(alpha, a_val, b_vals, q_vals):
     """Unique positive root of the rate equation at one sample point.
 
-    Validated and solved (_rate) exactly as a point of a rate scan is, so
-    it returns the rate a scan returns at that point, never above the
-    computed root.
+    Validated as _checked_sum validates samples and solved (_rate) exactly
+    as a point of a rate scan is, so it returns the rate a scan returns at
+    that point, never above the computed root.
     """
     a = float(a_val)
     bs = [float(b) for b in b_vals]
@@ -120,7 +120,7 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
     if len(bs) != len(qs):
         raise ValueError("b_vals and q_vals must have equal length")
     # _checked_sum's tests on floats; where one fails, _checked_sum
-    # raises the error a scan of this point raises
+    # raises its error
     check_orders(alpha)
     vals = [a, *bs, *qs]
     if not (all(map(math.isfinite, vals)) and min(vals) >= 0.0
@@ -132,16 +132,15 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
 
 
 def _checked_sum(alpha, a, bs, qs):
-    """Validate rate-equation samples; returns sum_k b_k at every point."""
+    """Validate rate-equation samples: finite, nonnegative, a > sum_k b_k
+    (summed row by row, as _rate sums; numpy sums (K, 1) pairwise)."""
     _check_samples(alpha, a, bs, qs)
     if np.any(a < 0) or np.any(bs < 0) or np.any(qs < 0):
         raise ValueError("a, b and q samples must be nonnegative")
-    sb = sum(bs)  # row by row, as _rate sums; numpy sums (K, 1) pairwise
-    if np.any(a <= sb):
+    if np.any(a <= sum(bs)):
         raise InfeasiblePointError(
             "a does not exceed sum(b) at every point; no positive rate exists"
         )
-    return sb
 
 
 def _check_samples(alpha, a, bs, qs):
@@ -240,9 +239,11 @@ def _min_rate(alpha, a, bs, qs):
     least rate (it overestimates most where h curves most), so when a
     solved rate falls below U, U takes it and the unsolved rest are tested
     again. A point's rate depends on its own samples alone: lambda* and
-    its first argmin are those of a scan of every point.
+    its first argmin are those of a scan of every point. The samples are
+    certify's, checked there (q clipped at 0); its RATIO or BOUNDED_GAP
+    verdict means a > sum_k b_k, summed as here, at every point.
     """
-    gap = a - _checked_sum(alpha, a, bs, qs)
+    gap = a - sum(bs)  # row by row, as _rate sums
     qas = _q_alpha(qs, alpha)
     margin = SCAN_MARGIN * max(1.0, float(np.max(a)))
     seed = int(np.argmin(_first_step(alpha, gap, (bs * qas).sum(axis=0))))
@@ -302,7 +303,7 @@ def classify_conditions(tau, a, bs, qs, c, a_bounded=None):
     slack = 1e-9 * max(1.0, tau)
     if np.min(qs) < -slack or np.max(qs) > tau + slack:
         raise InfeasiblePointError(f"delays must stay within [0, {tau}] on the grid")
-    sum_b = bs.sum(axis=0)
+    sum_b = sum(bs)  # row by row, as _min_rate sums; numpy may pair rows
     sigma = float(np.min(a - sum_b))
     a0 = float(np.min(a))
     p = float(np.max(sum_b / a)) if a0 > 0.0 else math.inf
@@ -326,8 +327,8 @@ def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
 
     The one core of all three routes: ts are the grid times, a and c hold
     one sample per time, bs and qs one row per delay term, and M is the
-    envelope's amplitude. alpha, the finiteness of a, bs and qs, tau, M
-    and the shapes are checked first, whatever the verdict.
+    envelope's amplitude. alpha, the finiteness of a, bs, qs and c, tau,
+    M and the shapes are checked first, whatever the verdict, and once.
 
     Returns (verdict, certificate); the certificate is None when the
     verdict is NONE. lambda_star and grid_argmin (the first grid time of
@@ -336,6 +337,8 @@ def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
     worst |h| over the points it solved.
     """
     _check_samples(alpha, a, bs, qs)  # a nan in a or bs would classify as NONE
+    if not np.isfinite(c).all():  # and one in c would give a nan w0
+        raise MlfDomainError("c samples must be finite")
     if not M >= 0.0:
         raise ValueError(f"amplitude M must be nonnegative, got {M}")
     if np.shape(ts) != np.shape(a):

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import pickle
-import re
 import subprocess
 import sys
 
@@ -110,16 +109,19 @@ def test_alpha_below_the_mlf_floor_is_a_config_error(tmp_path, config_dir,
 
 
 def test_outputs_may_not_overwrite_each_other(tmp_path):
-    for csv_path, report_path, path in (
-        ("run.csv", "run.csv", "output.report_path"),
-        ("run.csv", "run.gp", "output.report_path"),
-        ("out/run.csv", "out/./run.gp", "output.report_path"),
-        ("run.gp", "report.json", "output.csv_path"),  # the script is run.gp too
+    for csv_path, report_path in (
+        ("run.csv", "run.csv"),
+        ("out/run.csv", "out/./run.csv"),
     ):
         data = scalar_cfg(output={"csv_path": csv_path, "report_path": report_path})
         with pytest.raises(ConfigError) as exc:
             load_config(write_cfg(tmp_path, data))
-        assert [p for p, _ in exc.value.errors] == [path]
+        assert exc.value.errors == [(
+            "output.report_path",
+            f"{report_path!r} would overwrite the trajectory CSV")]
+    # no script is written beside the CSV, so any name not the report's is free
+    data = scalar_cfg(output={"csv_path": "run.gp", "report_path": "run.csv"})
+    assert load_config(write_cfg(tmp_path, data)).csv_path == "run.gp"
 
 
 def test_missing_or_malformed_file(tmp_path):
@@ -251,7 +253,6 @@ def test_run_verify_reports_certificate_and_envelope(tmp_path, config_dir):
     assert csv.exists()
     header = csv.read_text().splitlines()[0].split(",")
     assert len(header) == 1 + 5  # dim + 5 bookkeeping columns
-    assert (tmp_path / "example3.gp").exists()
 
 
 @pytest.mark.parametrize("name", ["example1.json", "example2.json", "example3.json"])
@@ -325,6 +326,17 @@ def test_system_takes_a_single_delay(tmp_path, capsys):
         cfg.alpha, cfg.q[0], [list(cfg.A[0])], list(cfg.phi))
 
 
+def test_simulate_writes_the_csv_and_the_report_alone(tmp_path, config_dir):
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(config_dir / "example1.json"),
+                 "--out", str(out)])
+    assert code == 0
+    assert sorted(os.listdir(out)) == ["example1.csv", "example1_report.json"]
+    report = json.loads((out / "example1_report.json").read_text())
+    assert list(report["simulation"]) == [
+        "t_end", "h", "nodes", "clamped_nodes", "csv_path"]
+
+
 def test_run_simulate_requires_solver_section(tmp_path):
     data = scalar_cfg()
     del data["solver"]
@@ -333,59 +345,6 @@ def test_run_simulate_requires_solver_section(tmp_path):
         run("simulate", cfg, out_dir=str(tmp_path))
     _, code = run("certify", cfg, out_dir=str(tmp_path))
     assert code == 0
-
-
-# -------------------------------------------------------------- plot script
-
-def plotted_columns(script):
-    return [int(c) for c in re.findall(r"using 1:(\d+)", script)]
-
-
-def test_plot_script_contents(tmp_path, config_dir):
-    cfg = load_config(str(config_dir / "example1.json"))
-    run("simulate", cfg, out_dir=str(tmp_path))
-    script = (tmp_path / "example1.gp").read_text()
-    for col in (2, 3, 4):  # three state components
-        assert f"using 1:{col}" in script
-    assert "using 1:7" in script  # envelope = dim + 4
-    assert "pause -1" in script
-    assert "set datafile separator ','" in script
-
-
-@pytest.mark.parametrize("name, dim", [
-    ("example3.json", 1), ("example2.json", 2), ("example1.json", 3)])
-def test_plot_script_plots_each_component_and_the_envelope(
-        tmp_path, config_dir, name, dim):
-    data = json.loads((config_dir / name).read_text())
-    data["solver"]["t_end"] = 0.5
-    data["output"]["csv_path"] = "run.csv"
-    cfg = load_config(write_cfg(tmp_path, data))
-    run("simulate", cfg, out_dir=str(tmp_path))
-    script = (tmp_path / "run.gp").read_text()
-    # x1..x_dim in columns 2..dim+1; the envelope column is dim + 4
-    assert plotted_columns(script) == [*range(2, dim + 2), dim + 4]
-    assert "title 'envelope'" in script
-
-
-def test_plot_script_without_certificate_has_no_envelope(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, scalar_cfg(B=[["0.4"]])))
-    report, _ = run("simulate", cfg, out_dir=str(tmp_path))
-    assert report["certificate"] is None
-    script = (tmp_path / "run.gp").read_text()
-    assert plotted_columns(script) == [2]
-    assert "envelope" not in script
-
-
-def test_plot_script_quotes_file_names_for_gnuplot(tmp_path):
-    # gnuplot writes a quote inside a single-quoted string as ''
-    data = scalar_cfg(output={"csv_path": "it's.csv", "report_path": "r.json"})
-    cfg = load_config(write_cfg(tmp_path, data))
-    run("simulate", cfg, out_dir=str(tmp_path))
-    assert (tmp_path / "it's.csv").exists()
-    lines = (tmp_path / "it's.gp").read_text().splitlines()
-    assert "set title 'it''s.csv'" in lines
-    assert "    'it''s.csv' using 1:2 with lines title 'x1', \\" in lines
-    assert all(line.count("'") % 2 == 0 for line in lines)
 
 
 # --------------------------------------------------------------------- main
@@ -435,6 +394,26 @@ def test_main_exit_codes(tmp_path, config_dir, capsys):
     assert main(["simulate", "--config", growing, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite at t=19." in err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["certify"], ["certify", "--config"], ["plot"]],
+    ids=["no_arguments", "no_config", "no_config_value", "unknown_subcommand"])
+def test_usage_errors_exit_one(argv, capsys):
+    # 2 means "not certifiable or envelope violated"; bad input is 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: halanay-certify") and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["certify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: halanay-certify")
 
 
 def test_main_reports_constant_expression_errors(tmp_path, capsys):
@@ -553,6 +532,7 @@ def test_console_entry_point_golden_run(tmp_path, config_dir):
     assert "(RATIO)" in proc.stdout
     assert "report:" in proc.stdout
     assert GRID_NOTE in proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["example1.csv", "example1_report.json"]
     report = json.loads((tmp_path / "example1_report.json").read_text())
     assert report["certificate"]["lambda_star"] >= 0.075
     assert report["certificate"]["w0"] == 0.0

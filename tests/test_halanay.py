@@ -267,6 +267,34 @@ def test_min_rate_scan_matches_the_exhaustive_scan(alpha, m):
         assert hal._min_rate(alpha, a, bs, qs)[:2] == want[:2]
 
 
+@pytest.mark.parametrize("a_bounded, tag", [(True, BOUNDED_GAP), (False, RATIO)])
+def test_certify_with_three_delays_matches_the_exhaustive_scan(a_bounded, tag):
+    # certify checks its samples once, and the scan trusts them: under
+    # either verdict, lambda* keeps the bits of solving every point
+    prob = problem(0.6, 2.0, "1.0+0.3*sin(0.07*t)",
+                   ["0.1+0.05*cos(t)", "0.2*sin(0.3*t)^2", "0.15"],
+                   ["0.5+0.5*cos(t)^2", "2", "1+sin(t)"],
+                   scan=ScanGrid(100.0, 401))
+    alpha, _, ts, a, bs, qs, _ = prob
+    verdict, cert = certify(*prob, M=1.0, a_bounded=a_bounded)
+    lam, arg, resid = _exhaustive_min_rate(alpha, a, bs, qs)
+    assert verdict.case_tag == cert.case_tag == tag
+    assert (cert.lambda_star, cert.grid_argmin) == (lam, ts[arg])
+    assert cert.residual_max <= resid
+
+
+def test_verdict_sums_the_delay_rows_as_the_scan_does():
+    # numpy sums these nine Fortran-ordered rows pairwise, a last bit below
+    # the row-by-row sum at point 2; there a equals the row-by-row sum, so
+    # no rate exists and the verdict is NONE, not a gap the scan can't solve
+    bs = np.asfortranarray(np.random.default_rng(0).uniform(0.0, 0.1, (9, 3)))
+    a = np.array([2.0, 2.0, sum(bs)[2]])
+    verdict, cert = certify(0.5, 1.0, np.linspace(0.0, 1.0, 3), a, bs,
+                            np.ones((9, 3)), np.zeros(3), M=1.0, a_bounded=True)
+    assert (verdict.case_tag, verdict.sigma, verdict.p) == (NONE, 0.0, 1.0)
+    assert cert is None
+
+
 @pytest.mark.parametrize("alpha", [0.99, 1.0])
 def test_min_rate_scan_tightens_its_bound(alpha, monkeypatch):
     # the seed, the least first Newton step, need not hold the least rate:
@@ -485,16 +513,20 @@ def test_order_floor_is_mlf_alpha_min(check):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("row", [3, 4, 5])  # a, the b row, the q row
+@pytest.mark.parametrize("row", [3, 4, 5, 6])  # a, the b row, the q row, c
 def test_certify_rejects_nonfinite_samples_before_classifying(row, bad):
-    # a nan in a or b once classified as a NONE verdict with nan margins
+    # a nan in a or b once classified as a NONE verdict with nan margins,
+    # and a nan in c as a BOUNDED_GAP verdict with a nan w0
     prob = list(problem(0.5, 1.0, "0.3", ["0.1"], ["1"], scan=ScanGrid(10.0, 11)))
     prob[row].reshape(-1)[3] = bad
     _, _, _, a, bs, qs, _ = prob
-    with pytest.raises(MlfDomainError) as want:
-        lambda_at(0.5, a[3], bs[:, 3], qs[:, 3])
     with pytest.raises(MlfDomainError) as got:
         certify(*prob, M=1.0)
+    if row == 6:  # lambda_at takes no c
+        assert str(got.value) == "c samples must be finite"
+        return
+    with pytest.raises(MlfDomainError) as want:
+        lambda_at(0.5, a[3], bs[:, 3], qs[:, 3])
     assert str(got.value) == str(want.value) == "a, b and q samples must be finite"
 
 
