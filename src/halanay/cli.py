@@ -218,6 +218,8 @@ def load_config(path):
     for key in ("gamma", "sigma"):
         if key not in data and analysis == "lmi":
             errors.append((key, "required when analysis = lmi"))
+        elif key in data and analysis not in (None, "lmi"):
+            errors.append((key, "needs analysis = lmi"))
         lmi_exprs.append(_expr(errors, data[key], key, "t") if key in data else None)
     gamma, sigma = lmi_exprs
 
@@ -389,19 +391,12 @@ def run(command, cfg, out_dir="."):
 
 def _summary_lines(report):
     lines = []
-    verdict = report.get("verdict", {})
-    tag = verdict.get("case_tag")
+    verdict = report["verdict"]
     if "feasible" in verdict:
         lines.append(f"lmi feasibility: {verdict['feasible']} "
                      f"(worst eigenvalue {verdict['worst_eigen']:.6g} "
                      f"at t={verdict['worst_t']:.6g})")
-    elif tag is not None:
-        lines.append(f"condition class: {tag}")
-    else:
-        lines.append(
-            f"column-sum conditions: ratio={verdict.get('theorem_33_ok')} "
-            f"gap={verdict.get('remark_34_ok')}"
-        )
+    lines.append(f"condition class: {verdict['case_tag']}")
     cert = report.get("certificate")
     if cert:
         lines.append(

@@ -15,8 +15,9 @@ certify, which takes the coefficients already sampled on the grid:
 positivity.certify_positive passes column sums, lmi.certify_lmi its
 gamma and sigma, and the scalar route the configured coefficients.
 classify_conditions, its first half, gives the verdict alone. Each route
-returns (verdict, certificate), the certificate None when neither
-condition holds.
+returns (verdict, certificate): the verdict is this module's
+ConditionVerdict (lmi's LmiReport extends it with its eigen scan), and
+the certificate is None when neither condition holds.
 
 The rate equation has one solver (_rate), a bracketed Newton iteration
 on Python floats at one point, which starts with a closed-form step from
@@ -87,6 +88,8 @@ class ScanGrid:
 
 @dataclass(frozen=True)
 class ConditionVerdict:
+    """RATIO (a0 > 0, p < 1) is the paper's Theorem 3.3 condition;
+    BOUNDED_GAP (sigma > 0, a bounded), its Remark 3.4 one, implies it."""
     case_tag: str  # BOUNDED_GAP, RATIO or NONE
     sigma: float  # min over grid of a - sum_k b_k
     a0: float  # min over grid of a
@@ -110,37 +113,27 @@ class HalanayCertificate:
 def lambda_at(alpha, a_val, b_vals, q_vals):
     """Unique positive root of the rate equation at one sample point.
 
-    Validated as _checked_sum validates samples and solved (_rate) exactly
-    as a point of a rate scan is, so it returns the rate a scan returns at
-    that point, never above the computed root.
+    Checked for the order, then finite, nonnegative and a > sum_k b_k
+    samples, and solved (_rate) exactly as a point of a rate scan is, so
+    it returns the rate a scan returns at that point, never above the
+    computed root.
     """
     a = float(a_val)
     bs = [float(b) for b in b_vals]
     qs = [float(q) for q in q_vals]
     if len(bs) != len(qs):
         raise ValueError("b_vals and q_vals must have equal length")
-    # _checked_sum's tests on floats; where one fails, _checked_sum
-    # raises its error
     check_orders(alpha)
     vals = [a, *bs, *qs]
-    if not (all(map(math.isfinite, vals)) and min(vals) >= 0.0
-            and a > sum(bs)):
-        _checked_sum(alpha, np.array([a]), np.array(bs)[:, None],
-                     np.array(qs)[:, None])
+    if not all(map(math.isfinite, vals)):
+        raise MlfDomainError("a, b and q samples must be finite")
+    if min(vals) < 0.0:
+        raise ValueError("a, b and q samples must be nonnegative")
+    if not a > sum(bs):
+        raise InfeasiblePointError("a does not exceed sum(b) at every point; "
+                                   "no positive rate exists")
     qas = [q**alpha for q in qs]  # as _q_alpha takes them
     return _rate(alpha, a, bs, qas)[0]
-
-
-def _checked_sum(alpha, a, bs, qs):
-    """Validate rate-equation samples: finite, nonnegative, a > sum_k b_k
-    (summed row by row, as _rate sums; numpy sums (K, 1) pairwise)."""
-    _check_samples(alpha, a, bs, qs)
-    if np.any(a < 0) or np.any(bs < 0) or np.any(qs < 0):
-        raise ValueError("a, b and q samples must be nonnegative")
-    if np.any(a <= sum(bs)):
-        raise InfeasiblePointError(
-            "a does not exceed sum(b) at every point; no positive rate exists"
-        )
 
 
 def _check_samples(alpha, a, bs, qs):

@@ -15,11 +15,12 @@ The blocks of the whole grid are assembled as one stack and their top
 eigenvalues come from a single batched symmetric eigen solve.
 
 certify_lmi returns (verdict, certificate) like the other two routes:
-the verdict (LmiReport) holds what the report prints, and the
-certificate is None when the blocks or the scalar conditions fail.
+the verdict (LmiReport) is the scalar problem's ConditionVerdict plus
+what the eigen scan found, and the certificate is None when the blocks
+or the scalar conditions fail.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,12 +35,10 @@ EIGEN_TOL = 1e-10  # semidefiniteness slack on the largest block eigenvalue
 
 
 @dataclass(frozen=True)
-class LmiReport:
-    feasible: bool
+class LmiReport(_hal.ConditionVerdict):
+    feasible: bool  # blocks semidefinite and the verdict not NONE
     worst_eigen: float  # max over grid of the largest block eigenvalue
     worst_t: float
-    a0: float  # min over grid of gamma
-    p: float  # max over grid of sigma/gamma
 
 
 def lmi_block(A, B, gamma_val, sigma_val):
@@ -109,9 +108,8 @@ def certify_lmi(sys, gamma, sigma, grid):
     else:
         verdict, cert = _hal.classify_conditions(sys.tau, *coeffs), None
     return LmiReport(
+        **asdict(verdict),
         feasible=cert is not None,
         worst_eigen=worst_eigen,
         worst_t=float(ts[arg]),
-        a0=verdict.a0,
-        p=verdict.p,
     ), cert

@@ -4,7 +4,8 @@ A delay system x' (in the Caputo sense) = A(t) x + B(t) x(t - q(t)) is
 order preserving when A(t) is Metzler and B(t) is nonnegative. Column
 sums of A and B then bound the l1 norm of any nonnegative solution by a
 scalar comparison inequality, which halanay.certify certifies from the
-same sampled arrays. The resulting envelope is
+same sampled arrays; certify_positive returns its verdict and
+certificate unchanged. The resulting envelope is
 sup_s ||phi(s)||_1 times E_alpha(-lambda* t^alpha).
 """
 
@@ -19,7 +20,6 @@ from .mlf import check_orders
 
 __all__ = [
     "DelaySystem",
-    "PositivityVerdict",
     "sample_matrices",
     "certify_positive",
     "initial_amplitude",
@@ -52,17 +52,6 @@ class DelaySystem:
             raise ValueError(f"phi must have {self.dim} components")
 
 
-@dataclass(frozen=True)
-class PositivityVerdict:
-    metzler_ok: bool
-    nonneg_ok: bool
-    a0: float  # min over grid of a(t) = -max_j sum_i A_ij(t)
-    p: float  # max over grid of b(t)/a(t), b(t) = max_j sum_i B_ij(t)
-    sigma: float  # min over grid of a(t) - b(t)
-    theorem_33_ok: bool  # ratio route: a0 > 0 and p < 1
-    remark_34_ok: bool  # gap route: min(a - b) > 0 with a bounded
-
-
 def sample_matrices(sys, ts):
     """A(t) and B(t) on the times ts, each shaped (dim, dim, len(ts)).
 
@@ -93,40 +82,28 @@ def initial_amplitude(sys, kind="l1"):
 
 
 def certify_positive(sys, grid, a_bounded=None):
-    """Run both column-sum decay conditions and certify the l1 envelope.
+    """Certify the l1 envelope from the column sums of A and B.
 
-    Returns (verdict, certificate); the certificate is None when neither
-    condition holds (the verdict carries the diagnostics). Structure
-    violations raise, since the comparison argument needs them.
+    Returns halanay.certify's (verdict, certificate); the certificate is
+    None when neither condition holds (the verdict carries the
+    diagnostics). Structure violations raise, since the comparison
+    argument needs them.
     """
     ts = grid.times()
     a_vals, b_vals = sample_matrices(sys, ts)
     off = ~np.eye(sys.dim, dtype=bool)
-    metzler_ok = bool(np.min(a_vals[off], initial=np.inf) >= SIGN_SLACK)
-    nonneg_ok = bool(np.min(b_vals) >= SIGN_SLACK)
-    if not (metzler_ok and nonneg_ok):
-        bad = []
-        if not metzler_ok:
-            bad.append("A has a negative off-diagonal entry on the grid")
-        if not nonneg_ok:
-            bad.append("B has a negative entry on the grid")
+    bad = []
+    if not np.min(a_vals[off], initial=np.inf) >= SIGN_SLACK:
+        bad.append("A has a negative off-diagonal entry on the grid")
+    if not np.min(b_vals) >= SIGN_SLACK:
+        bad.append("B has a negative entry on the grid")
+    if bad:
         raise StructureError("; ".join(bad))
     # the column sums: a(t) = -max_j sum_i A_ij(t), b(t) = max_j sum_i B_ij(t);
     # B passed the structure check, so clamping b only absorbs rounding
     a_fun = -a_vals.sum(axis=0).max(axis=0)
     b_fun = np.maximum(b_vals.sum(axis=0).max(axis=0), 0.0)
-    cond, cert = _hal.certify(
+    return _hal.certify(
         sys.alpha, sys.tau, ts, a_fun, b_fun[None], sys.q.eval_array(ts)[None],
         np.zeros_like(ts), initial_amplitude(sys, "l1"), a_bounded=a_bounded,
     )
-    verdict = PositivityVerdict(
-        metzler_ok=metzler_ok,
-        nonneg_ok=nonneg_ok,
-        a0=cond.a0,
-        p=cond.p,
-        sigma=cond.sigma,
-        # the gap condition implies the ratio one, so any tag but NONE has it
-        theorem_33_ok=cond.case_tag != _hal.NONE,
-        remark_34_ok=cond.case_tag == _hal.BOUNDED_GAP,
-    )
-    return verdict, cert

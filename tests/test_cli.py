@@ -215,9 +215,31 @@ def test_analysis_specific_validation(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(write_cfg(tmp_path, nolmi))
     assert {"gamma", "sigma"} <= {p for p, _ in exc.value.errors}
-    # gamma on a non-lmi analysis is tolerated as long as it parses
-    ok = scalar_cfg(gamma="0.3", sigma="0.2")
-    assert load_config(write_cfg(tmp_path, ok)).gamma is not None
+    # gamma and sigma on a non-lmi analysis are refused even when they parse
+    stray = scalar_cfg(gamma="0.3", sigma="0.2")
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_cfg(tmp_path, stray))
+    assert [p for p, _ in exc.value.errors] == ["gamma", "sigma"]
+
+
+@pytest.mark.parametrize("extra", [
+    {"gamma": "0.3", "sigma": "0.2"}, {"gamma": "0.3"}, {"sigma": "banana("},
+])
+def test_gamma_and_sigma_need_the_lmi_analysis(tmp_path, config_dir, capsys,
+                                               extra):
+    # the positive route reads neither, so setting one is a config mistake
+    data = json.loads((config_dir / "example1.json").read_text())
+    data.update(extra)
+    path = write_cfg(tmp_path, data)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    wrong = [(p, m) for p, m in exc.value.errors if m == "needs analysis = lmi"]
+    assert wrong == [(key, "needs analysis = lmi") for key in extra]
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for key in extra:
+        assert f"  {key}: needs analysis = lmi" in err
 
 
 def test_a_bounded_needs_a_scalar_or_positive_analysis(tmp_path, config_dir):
@@ -337,6 +359,19 @@ def test_simulate_writes_the_csv_and_the_report_alone(tmp_path, config_dir):
         "t_end", "h", "nodes", "clamped_nodes", "csv_path"]
 
 
+def test_every_route_reports_the_scalar_verdict(tmp_path, config_dir):
+    # each route reduces to one scalar problem and reports its verdict; the
+    # lmi route adds what its eigen scan found
+    cfgs = [load_config(str(config_dir / f"example{k}.json")) for k in (1, 3)]
+    cfgs.append(load_config(write_cfg(tmp_path, scalar_cfg())))
+    condition = ["case_tag", "sigma", "a0", "p", "c_star", "a_bounded"]
+    eigen_scan = ["feasible", "worst_eigen", "worst_t"]
+    for cfg in cfgs:
+        report, _ = run("certify", cfg, out_dir=str(tmp_path))
+        want = condition + (eigen_scan if cfg.analysis == "lmi" else [])
+        assert list(report["verdict"]) == want, cfg.analysis
+
+
 def test_run_simulate_requires_solver_section(tmp_path):
     data = scalar_cfg()
     del data["solver"]
@@ -356,7 +391,9 @@ def test_main_verify_bundled_config(tmp_path, config_dir, capsys):
     ])
     assert code == 0
     out = capsys.readouterr()
-    assert "lmi feasibility: True" in out.out
+    lines = out.out.splitlines()
+    assert lines[0].startswith("lmi feasibility: True")
+    assert lines[1] == "condition class: BOUNDED_GAP"
     assert "envelope check:" in out.out
     assert GRID_NOTE in out.err
     report = json.loads((tmp_path / "example3_report.json").read_text())
@@ -528,7 +565,7 @@ def test_console_entry_point_golden_run(tmp_path, config_dir):
     assert proc.returncode == 0, proc.stderr
     # the package top level imports no submodule, so -m runs cli only once
     assert "RuntimeWarning" not in proc.stderr
-    assert "column-sum conditions: ratio=True" in proc.stdout
+    assert "condition class: RATIO" in proc.stdout
     assert "(RATIO)" in proc.stdout
     assert "report:" in proc.stdout
     assert GRID_NOTE in proc.stderr

@@ -36,10 +36,20 @@ def rate_residual(lam, alpha, a, bs, qs):
     return acc
 
 
+def assert_rate_samples(alpha, a, bs, qs):
+    """What _rate assumes of its points: a valid order, finite and
+    nonnegative samples, and a > sum_k b_k (summed row by row, as _rate
+    sums) at every point."""
+    assert ALPHA_MIN <= alpha <= 1.0
+    for v in (a, bs, qs):
+        assert np.isfinite(v).all() and np.min(v) >= 0.0
+    assert np.all(a > sum(bs))
+
+
 def solve_every_point(alpha, a, bs, qs):
     """(rates, |residuals|) of the solver at every point: the exhaustive
     scan."""
-    hal._checked_sum(alpha, a, bs, qs)
+    assert_rate_samples(alpha, a, bs, qs)
     points = hal._points(np.arange(len(a)), a, bs, hal._q_alpha(qs, alpha))
     return np.array([hal._rate(alpha, *p) for p in points]).reshape(-1, 2).T
 
@@ -134,9 +144,9 @@ def test_rate_grid_matches_bisection_per_point():
                 alpha, i)
             h = rate_residual(float(lams[i]), alpha, a_i, b_i, q_i)
             assert resid[i] == pytest.approx(abs(h), abs=1e-15)
+    # a point without a positive rate is refused, not solved
     with pytest.raises(InfeasiblePointError):
-        solve_every_point(0.5, np.array([1.0, 0.3]), np.array([[0.2, 0.3]]),
-                          np.ones((1, 2)))
+        lambda_at(0.5, 0.3, [0.3], [1.0])
 
 
 def test_rate_never_exceeds_the_computed_root():
@@ -327,7 +337,7 @@ def test_rate_solve_converges_on_stiff_points(alpha, monkeypatch):
     q[::8] = 20.0
     b = a * frac
     calls = counting_ml(monkeypatch)
-    hal._checked_sum(alpha, a, b[None, :], q[None, :])
+    assert_rate_samples(alpha, a, b[None, :], q[None, :])
     qas = hal._q_alpha(q[None, :], alpha)
     for i, point in enumerate(hal._points(np.arange(n), a, b[None, :], qas)):
         calls.clear()
@@ -472,28 +482,37 @@ def test_rate_rejects_invalid_orders_and_nonfinite_samples(args):
         lambda_at(*args)
 
 
-@pytest.mark.parametrize("args", [
-    (1.5, math.nan, [-1.0], [1.0]),          # alpha before finiteness
-    (0.0, 1.0, [], []),
-    (0.5, -1.0, [math.inf], [1.0]),          # finiteness before sign
-    (0.5, 0.1, [-0.1], [1.0]),               # sign before a > sum(b)
-    (0.5, 0.1, [0.3], [-1.0]),
-    (0.5, -0.1, [], []),
-    (0.5, 0.1, [0.05, 0.06], [1.0, 2.0]),
-    (0.5, 0.0, [], []),                      # no delay term: a > 0 still
-    (np.float64(0.5), np.float32(0.25), np.array([0.3]), np.array([1.0])),
-    (np.float64(1.5), 0.3, np.array([0.1]), np.array([1.0])),
-])
-def test_lambda_at_raises_what_the_scan_validation_raises(args):
-    alpha, a, bs, qs = args
-    with pytest.raises(Exception) as want:
-        hal._checked_sum(alpha, np.array([a], dtype=float),
-                         np.array(bs, dtype=float)[:, None],
-                         np.array(qs, dtype=float)[:, None])
+_INFEASIBLE = "a does not exceed sum(b) at every point; no positive rate exists"
+_NEGATIVE = "a, b and q samples must be nonnegative"
+
+
+@pytest.mark.parametrize("args, kind, message", [
+    # the order before finiteness
+    ((1.5, math.nan, [-1.0], [1.0]), MlfDomainError,
+     "alpha must lie in [1e-09, 1], got 1.5"),
+    ((0.0, 1.0, [], []), MlfDomainError,
+     "alpha must lie in [1e-09, 1], got 0.0"),
+    # finiteness before sign
+    ((0.5, -1.0, [math.inf], [1.0]), MlfDomainError,
+     "a, b and q samples must be finite"),
+    # sign before a > sum(b)
+    ((0.5, 0.1, [-0.1], [1.0]), ValueError, _NEGATIVE),
+    ((0.5, 0.1, [0.3], [-1.0]), ValueError, _NEGATIVE),
+    ((0.5, -0.1, [], []), ValueError, _NEGATIVE),
+    ((0.5, 0.1, [0.05, 0.06], [1.0, 2.0]), InfeasiblePointError, _INFEASIBLE),
+    ((0.5, 0.0, [], []), InfeasiblePointError, _INFEASIBLE),  # a > 0 still
+    ((np.float64(0.5), np.float32(0.25), np.array([0.3]), np.array([1.0])),
+     InfeasiblePointError, _INFEASIBLE),
+    ((np.float64(1.5), 0.3, np.array([0.1]), np.array([1.0])), MlfDomainError,
+     f"alpha must lie in [1e-09, 1], got {np.float64(1.5)!r}"),
+], ids=[f"args{i}" for i in range(10)])
+def test_lambda_at_raises_what_the_scan_validation_raises(args, kind, message):
+    # exact type and message; the order and finiteness errors are also the
+    # ones certify raises on its sample arrays (_check_samples)
     with pytest.raises(Exception) as got:
         lambda_at(*args)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
+    assert type(got.value) is kind
+    assert str(got.value) == message
 
 
 def none_verdict_samples():

@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from halanay.errors import InfeasiblePointError
 from halanay.expr import parse
-from halanay.halanay import ScanGrid, lambda_at
+from halanay.halanay import (
+    RATIO, ConditionVerdict, ScanGrid, classify_conditions, lambda_at,
+)
 from halanay.lmi import (
     EIGEN_TOL, LmiReport, certify_lmi, lmi_block, max_eigen_sym,
 )
@@ -250,6 +254,26 @@ def test_indefinite_block_reports_worst_point():
         0.1 + 0.01 * rep.worst_t, 0.05,
     )
     assert max_eigen_sym(blk) == pytest.approx(rep.worst_eigen, abs=1e-12)
+
+
+def test_verdict_is_the_scalar_verdict_on_gamma_and_sigma():
+    # the blocks fail here, yet the scalar conditions on gamma and sigma
+    # hold: the tag says so and feasible is what withholds the certificate
+    sys_ = DelaySystem(
+        alpha=0.5, dim=1, A=mat([["-0.1"]]), B=mat([["0.05"]]),
+        q=T("0.5"), tau=1.0, phi=[S("1")],
+    )
+    grid = ScanGrid(20.0, 201)
+    rep, cert = certify_lmi(sys_, T("0.1+0.01*t"), T("0.05"), grid)
+    assert isinstance(rep, ConditionVerdict)
+    assert not rep.feasible and cert is None
+    assert rep.case_tag == RATIO
+    ts = grid.times()
+    want = classify_conditions(
+        sys_.tau, 0.1 + 0.01 * ts, np.full((1, len(ts)), 0.05),
+        np.full((1, len(ts)), 0.5), np.zeros_like(ts))
+    assert ConditionVerdict(
+        *(getattr(rep, f.name) for f in fields(ConditionVerdict))) == want
 
 
 def test_negative_weights_are_input_errors():

@@ -3,7 +3,9 @@ import pytest
 
 from halanay.errors import StructureError
 from halanay.expr import parse
-from halanay.halanay import BOUNDED_GAP, NONE, RATIO, ScanGrid, lambda_at
+from halanay.halanay import (
+    BOUNDED_GAP, NONE, RATIO, ScanGrid, certify, lambda_at,
+)
 from halanay.positivity import (
     DelaySystem,
     certify_positive,
@@ -72,9 +74,10 @@ def structure_error(sys_):
 
 
 def test_structure_of_bundled_examples():
-    for sys_ in (example1_system(), example2_system()):
+    # a structure violation raises, so a verdict means the structure holds
+    for sys_, tag in ((example1_system(), RATIO), (example2_system(), BOUNDED_GAP)):
         verdict, _ = certify_positive(sys_, GRID)
-        assert verdict.metzler_ok and verdict.nonneg_ok
+        assert verdict.case_tag == tag
 
 
 def test_identity_matrix_is_metzler():
@@ -85,7 +88,7 @@ def test_identity_matrix_is_metzler():
     )
     # growing, so no certificate, but the structure holds
     verdict, cert = certify_positive(sys_, GRID)
-    assert verdict.metzler_ok and verdict.nonneg_ok
+    assert verdict.case_tag == NONE
     assert cert is None
 
 
@@ -201,9 +204,7 @@ def test_initial_amplitude_against_direct_sampling():
 def test_certify_ratio_route_end_to_end():
     sys_ = example1_system()
     verdict, cert = certify_positive(sys_, GRID)
-    assert verdict.metzler_ok and verdict.nonneg_ok
-    assert verdict.theorem_33_ok
-    assert not verdict.remark_34_ok  # a(t) grows, so the gap route is off
+    assert verdict.case_tag == RATIO  # a(t) grows, so the gap route is off
     assert verdict.a0 == pytest.approx(0.2, abs=1e-12)
     assert verdict.p == pytest.approx(0.625, abs=1e-12)
     assert cert is not None
@@ -218,7 +219,7 @@ def test_certify_ratio_route_end_to_end():
 def test_certify_gap_route_end_to_end():
     sys_ = example2_system()
     verdict, cert = certify_positive(sys_, GRID)
-    assert verdict.remark_34_ok and verdict.theorem_33_ok
+    assert verdict.case_tag == BOUNDED_GAP
     assert verdict.sigma >= 0.1
     assert cert.case_tag == BOUNDED_GAP
     assert cert.lambda_star >= 0.02
@@ -268,9 +269,7 @@ def test_none_verdict_returns_diagnostics_without_raising():
     )
     verdict, cert = certify_positive(sys_, ScanGrid(10.0, 101))
     assert cert is None
-    assert verdict.metzler_ok and verdict.nonneg_ok
-    assert not verdict.theorem_33_ok
-    assert not verdict.remark_34_ok
+    assert verdict.case_tag == NONE
     assert verdict.sigma == pytest.approx(-0.1, abs=1e-12)
 
 
@@ -291,14 +290,30 @@ def test_unstable_system_returns_none_verdict():
     )
     verdict, cert = certify_positive(sys_, ScanGrid(10.0, 101))
     assert cert is None
-    assert not (verdict.theorem_33_ok or verdict.remark_34_ok)
+    assert verdict.case_tag == NONE
     assert verdict.a0 == pytest.approx(-0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("a_bounded", [None, True, False])
+def test_certify_positive_is_certify_on_the_column_sums(a_bounded):
+    # the route adds nothing to the scalar problem's verdict or certificate
+    growing = DelaySystem(
+        alpha=0.5, dim=1, A=mat([["0.1"]]), B=mat([["0.05"]]),
+        q=T("0.5"), tau=1.0, phi=[S("1")],
+    )
+    for sys_ in (example1_system(), example2_system(), growing):
+        ts = GRID.times()
+        a_fun, b_fun = column_sums(sys_, ts)
+        want = certify(sys_.alpha, sys_.tau, ts, a_fun, b_fun[None],
+                       sys_.q.eval_array(ts)[None], np.zeros_like(ts),
+                       initial_amplitude(sys_, "l1"), a_bounded=a_bounded)
+        assert certify_positive(sys_, GRID, a_bounded=a_bounded) == want
 
 
 def test_user_boundedness_flag_switches_route():
     sys_ = example1_system()
     verdict, cert = certify_positive(sys_, GRID, a_bounded=True)
-    assert verdict.remark_34_ok
+    assert verdict.case_tag == BOUNDED_GAP
     assert cert.case_tag == BOUNDED_GAP
 
 
