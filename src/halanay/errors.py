@@ -9,10 +9,6 @@ class MlfDomainError(HalanayError, ValueError):
     """Raised when Mittag-Leffler parameters are outside the supported range."""
 
 
-class MlfOverflowError(HalanayError, OverflowError):
-    """Raised when a Mittag-Leffler value would exceed float64 range."""
-
-
 class SeriesCapError(HalanayError, RuntimeError):
     """Raised when a power series fails to converge within the term cap."""
 

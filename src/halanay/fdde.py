@@ -312,7 +312,9 @@ def caputo_l1(values, alpha, h):
 def check_envelope(traj, norm_tag, envelope_values, tolerance):
     """Compare trajectory norms against a certified envelope, node by node.
 
-    envelope_values holds the envelope at every node of traj.grid.
+    envelope_values holds the envelope at every node of traj.grid, each
+    >= 0. Where it is 0 (a zero history gives M = 0), a zero norm counts
+    as ratio 0 and any other as an infinite ratio, a violation.
     """
     if norm_tag == "l1":
         norms = traj.norms_l1
@@ -325,9 +327,11 @@ def check_envelope(traj, norm_tag, envelope_values, tolerance):
         raise ValueError(
             f"expected {len(traj.grid)} envelope values, got shape {env.shape}"
         )
-    if np.min(env) <= 0.0:
-        raise ValueError("envelope must be positive on the grid")
-    ratio = norms / env
+    if not (env >= 0.0).all():  # false at nan too
+        raise ValueError("envelope must be nonnegative on the grid")
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(norms, env, out=np.zeros_like(norms),
+                          where=(env > 0.0) | (norms != 0.0))
     max_ratio = float(np.max(ratio))
     first = None
     bad = np.nonzero(ratio > 1.0 + tolerance)[0]

@@ -1,25 +1,25 @@
-"""Two-parameter Mittag-Leffler function on the real line.
+"""Two-parameter Mittag-Leffler function E_{alpha,beta}(-y), y >= 0.
 
-The evaluator works in float64. It sums the Taylor series on the positive
-axis, and on the negative axis near the origin, up to a seam on |x|: 0.8
-at beta = 1 (and u = |x|^(1/alpha) = 1.5 from alpha = 0.2 on), 0.65 at
-beta < 1, and 1 at beta > 1. Its 1/Gamma and ln Gamma rows come from
-math.gamma and math.lgamma, cached per order. Past the seam one
-quadrature serves every order: the spectral integral in an angle variable
-(`_angle`), with no pole for any alpha < 1. Orders beta > 1 step down to
-(0, 1] by E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, in at most
-STEP_CAP steps; alpha = 1, where the angle form degenerates, has sums of
-its own (`_unit_alpha`). The y-free parts of both routes are cached per
-order, so runs of calls at one order share them. Against 40-digit sums,
-values hold 1e-14 relative for alpha in [0.01, 1] and beta in {1, alpha,
-1.5}, across the seams, and alpha is refused below ALPHA_MIN.
+The evaluator serves the functions a decay certificate is made of,
+E_alpha(-lambda t^alpha) and the derivative term E_{alpha,alpha}: it takes
+finite x <= 0 and ALPHA_MIN <= alpha <= beta <= 1, where E_{alpha,beta}(-y)
+is completely monotone in y, and refuses every other input with
+MlfDomainError. At alpha = 1 (so beta = 1) it is exp. Otherwise it works in
+float64: it sums the Taylor series near the origin, up to a seam on |x|:
+0.8 at beta = 1 (and u = |x|^(1/alpha) = 1.5 from alpha = 0.2 on), 0.65 at
+beta < 1. Its 1/Gamma rows come from math.gamma, cached per order. Past
+the seam one quadrature serves every order: the spectral integral in an
+angle variable (`_angle`), with no pole for any alpha < 1. The y-free
+parts of both routes are cached per order, so runs of calls at one order
+share them. Against 40-digit sums, values hold 1e-14 relative for alpha in
+[0.01, 1] and beta in {1, alpha}, across the seams.
 
 ml evaluates one argument. ml_array evaluates an array of them: it sums
-the series rows of the negative axis together, and the angle rows
-together per span of ln u, with the arithmetic ml does on one row, and
-passes every other element to ml, so both return the same values.
-_ml_pair gives E_alpha and E_alpha,alpha at one argument from one pass
-over the same terms, as the rate solver needs them.
+the series rows together, and the angle rows together per span of ln u,
+with the arithmetic ml does on one row, and passes every other element to
+ml, so both return the same values. _ml_pair gives E_alpha and
+E_alpha,alpha at one argument from one pass over the same terms, as the
+rate solver needs them.
 """
 
 import functools
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import MlfDomainError, MlfOverflowError, SeriesCapError
+from .errors import MlfDomainError, SeriesCapError
 
 __all__ = ["ml", "ml_array"]
 
@@ -35,11 +35,9 @@ SERIES_CAP = 10_000
 # the least alpha: a seeded battery over the double range was clean from
 # 3e-10 up; from 1e-10 down the angle form overflowed or gave nan
 ALPHA_MIN = 1e-9
-# most steps the beta > 1 step-down may take, each one an alpha down
-STEP_CAP = 10**6
 
-# the seams of the negative-axis series (_series_edge), placed by a
-# seeded mpmath battery. Past them the angle form takes over at beta <= 1:
+# the seams of the series (_series_edge), placed by a seeded mpmath
+# battery. Past them the angle form takes over:
 # at beta = 1 past |x| = 0.8 and, from alpha = 0.2 on, past u =
 # |x|^(1/alpha) = 1.5 (the angle form loses digits at small |x|, the
 # series at large u). At beta < 1 the terms swell before they fall
@@ -58,9 +56,6 @@ _CHUNK_CAP = 180
 # matrix
 _BLOCK_ENTRIES = 1 << 16
 
-_EXP_MAX = 709.782712893384
-_LN_OVER = math.log(740.0)
-
 # _angle_grid: the step in t, the squeeze of the lower tail, the span of
 # ln u one grid serves (ln u in (8 n - 4, 8 n + 4], so that one grid an
 # order serves u in (e^-4, e^4], where most calls past the seams land),
@@ -71,66 +66,27 @@ _ANGLE_SPAN = 8
 _SPAN_SHIFT = 4
 _ANGLE_DROP = 37.0
 _R_CUT = 50.0
-# _unit_alpha: Kummer's sum up to y = 60 and its term count there; the
-# algebraic series beyond, to 24 terms past k = beta
-_KUMMER_Y = 60.0
-_KUMMER_TERMS = 160
-_ALGEBRAIC_TERMS = 24
 
 # sums over the last axis, pairwise as ndarray.sum but without its wrapper
 _add = np.add.reduce
-# term indices, sliced per series chunk or _unit_alpha sum, and (-1)^k
+# term indices, sliced per series chunk, and (-1)^k
 _KS = np.arange(SERIES_CAP, dtype=np.float64)
 _SIGNS = 1.0 - 2.0 * (_KS % 2.0)
 
 
 def ml(x, alpha, beta=1.0):
-    """E_{alpha,beta}(x) for real x, alpha in [ALPHA_MIN, 1] and beta > 0."""
+    """E_{alpha,beta}(x) for finite x <= 0 and ALPHA_MIN <= alpha <= beta <= 1."""
     check_orders(alpha, beta)
-    if not math.isfinite(x):
-        raise MlfDomainError(f"argument must be finite, got {x!r}")
-
-    if alpha == 1.0 and beta == 1.0:
-        if x > _EXP_MAX:
-            raise MlfOverflowError(f"exp({x}) exceeds float64 range")
+    if not -math.inf < x <= 0.0:
+        raise MlfDomainError(f"argument must be finite and at most 0, got {x!r}")
+    if alpha == 1.0:
         return math.exp(x)
-
     if x == 0.0:
-        return _at_zero(beta)
-
-    if x > 0.0:
-        # the sum grows like exp(x^(1/alpha)); refuse clearly doomed inputs
-        if x > 1.0 and math.log(x) > alpha * _LN_OVER:
-            raise MlfOverflowError(
-                f"E_({alpha},{beta})({x}) exceeds float64 range"
-            )
-        return _series(math.log(x), alpha, beta, False)
-
+        return 1.0 / math.gamma(beta)
     ln_y = math.log(-x)
     if ln_y <= _series_edge(alpha, beta):
-        return _series(ln_y, alpha, beta, True)
-    if beta > 1.0 and _at_zero(beta) == 0.0:
-        # only at beta > 171, where E_{a,b}(-y) is completely monotone in
-        # y: 0 <= E <= 1/Gamma(b)
-        return 0.0
-    if alpha == 1.0:
-        return _unit_alpha(-x, beta)
-    if beta <= 1.0:
-        return _angle(-x, ln_y, alpha, beta)
-    if (beta - 1.0) / alpha > STEP_CAP:
-        raise MlfDomainError(
-            f"E_({alpha},{beta}) past the series seam needs more than "
-            f"{STEP_CAP} beta step-downs; (beta - 1) / alpha must be at "
-            f"most {STEP_CAP}"
-        )
-    betas = []
-    while beta > 1.0:
-        betas.append(beta)
-        beta -= alpha
-    val = _angle(-x, ln_y, alpha, beta)
-    for b in reversed(betas):
-        val = (val - _at_zero(b - alpha)) / x
-    return val
+        return _series(ln_y, alpha, beta)
+    return _angle(-x, ln_y, alpha, beta)
 
 
 def _ml_pair(x, alpha):
@@ -139,37 +95,39 @@ def _ml_pair(x, alpha):
     E_alpha is ml(x, alpha) to the bit. Over the series terms t_k,
     E_{a,a}(x) = (a / x) sum_k k t_k; over the angle nodes, E_{a,a}(-y) =
     (1/y) sum_j W_j r_j e^(-r_j), the y-derivative of E_a(-y) = sum_j W_j
-    e^(-r_j). Elsewhere (x >= 0, alpha = 1) it is two ml calls.
+    e^(-r_j). Elsewhere (x = 0, alpha = 1) it is two ml calls, which
+    refuse what ml refuses.
     """
     check_orders(alpha, 1.0)
     if not (math.isfinite(x) and x < 0.0 and alpha < 1.0):
         return ml(x, alpha), ml(x, alpha, alpha)
     ln_y = math.log(-x)
     if ln_y <= _series_edge(alpha, 1.0):
-        e, moment = _series(ln_y, alpha, 1.0, True, pair=True)
+        e, moment = _series(ln_y, alpha, 1.0, pair=True)
         return e, alpha * moment / x
     e, moment = _angle(-x, ln_y, alpha, 1.0, pair=True)
     return e, moment / -x
 
 
 def ml_array(x, alpha, beta=1.0):
-    """Evaluate E_{alpha,beta} elementwise on an array of real x.
+    """Evaluate E_{alpha,beta} elementwise on an array of finite x <= 0.
 
-    Negative elements below the series seam are summed together, in one
-    Taylor series per row. Those past it, at alpha < 1 and beta <= 1 (no
-    step-down), go through the angle form together, per span of ln u.
-    Both take blocks of rows. Each row gets ml's arithmetic, and every
-    other element goes through ml, so each value is the one ml returns.
-    At alpha = beta = 1, where ml takes exp, no row is summed here.
-    Returns an array of the shape of x.
+    The orders and the elements are held to ml's domain. Negative elements
+    below the series seam are summed together, in one Taylor series per
+    row; those past it go through the angle form together, per span of ln
+    u. Both take blocks of rows. Each row gets ml's arithmetic, and every
+    other element (0, and each at alpha = 1, where ml takes exp) goes
+    through ml, so each value is the one ml returns. Returns an array of
+    the shape of x.
     """
     check_orders(alpha, beta)
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise MlfDomainError("argument must be finite")
+    # false at nan, +-inf and x > 0
+    if not ((x <= 0.0) & (x > -np.inf)).all():
+        raise MlfDomainError("argument must be finite and at most 0")
     flat = x.ravel()
     out = np.empty(flat.shape)
-    neg = np.flatnonzero((flat < 0.0) & ((alpha, beta) != (1.0, 1.0)))
+    neg = np.flatnonzero((flat < 0.0) & (alpha < 1.0))
     y = -flat[neg]
     edge = _series_edge(alpha, beta)
     # ml's math.log, which routes each row and gives it its terms or span
@@ -177,13 +135,12 @@ def ml_array(x, alpha, beta=1.0):
     series = ln_y <= edge
     if series.any():
         rows, ln_s = neg[series], ln_y[series]
-        terms = _series_row(alpha, beta, 0, True).size
+        terms = _series_row(alpha, beta, 0).size
         block = max(1, _BLOCK_ENTRIES // terms)
         for start in range(0, rows.size, block):
             stop = start + block
             out[rows[start:stop]] = _series_rows(ln_s[start:stop], alpha, beta)
-    angle = ~series if alpha < 1.0 and beta <= 1.0 else np.zeros_like(series)
-    rows, ln_y = neg[angle], ln_y[angle]
+    rows, ln_y = neg[~series], ln_y[~series]
     tops = _angle_span(np.ceil(ln_y / alpha))  # as _angle takes them
     for top in map(int, np.unique(tops).tolist()):
         in_span = rows[tops == top]
@@ -199,68 +156,41 @@ def ml_array(x, alpha, beta=1.0):
 
 
 def check_orders(alpha, beta=1.0):
-    """Raise MlfDomainError unless alpha is in [ALPHA_MIN, 1] and beta in (0, inf)."""
-    # chained comparisons are false at nan, and the bounds exclude inf
+    """Raise MlfDomainError unless ALPHA_MIN <= alpha <= beta <= 1."""
+    # chained comparisons are false at nan
     if not ALPHA_MIN <= alpha <= 1.0:
         raise MlfDomainError(
             f"alpha must lie in [{ALPHA_MIN:g}, 1], got {alpha!r}")
-    if not 0.0 < beta < math.inf:
-        raise MlfDomainError(f"beta must be finite and positive, got {beta!r}")
+    if not alpha <= beta <= 1.0:
+        raise MlfDomainError(
+            f"beta must lie in [alpha, 1] = [{alpha!r}, 1], got {beta!r}")
 
 
 def _series_edge(alpha, beta):
-    """ln y at the seam of the negative-axis series: E(-y) is summed
-    where ln y is at most this."""
+    """ln y at the seam of the series: E(-y) is summed where ln y is at
+    most this."""
     if beta == 1.0:
         # u = 1.5 lies past |x| = 0.8 from alpha = 0.2 on
         return _LN_SEAM if alpha < _ALPHA_U_SEAM else alpha * _LN_U_SEAM
-    if beta < 1.0:
-        return _LN_SEAM_BELOW_ONE
-    # at beta > 1 the step-down, which amplifies errors by 1/|x| a step,
-    # starts at |x| = 1, or where |t_k| <= |x|^k / Gamma(alpha k + beta)
-    # would not fall below e^-40 within SERIES_CAP terms (alpha < 0.002)
-    return min(0.0, (math.lgamma(alpha * SERIES_CAP + beta) - 40.0)
-               / SERIES_CAP)
+    return _LN_SEAM_BELOW_ONE
 
 
-def _at_zero(beta):
-    """1/Gamma(beta); 0.0 only where it underflows, at large beta."""
-    try:
-        return 1.0 / math.gamma(beta)
-    except OverflowError:
-        # Gamma(b) overflows near its pole at 0 too (b < ~6e-309), where
-        # 1/Gamma(b) = b / Gamma(1 + b) is b itself
-        return beta / math.gamma(1.0 + beta) if beta < 1.0 else 0.0
+def _series(ln_y, alpha, beta, pair=False):
+    """Taylor sum at x = -exp(ln_y), in log space, over chunks of terms.
 
-
-def _series(ln_ax, alpha, beta, neg, pair=False):
-    """Taylor sum at x = -+exp(ln_ax), in log space, over chunks of terms.
-
-    Terms are summed adjacent pairs first (on the negative axis they
-    nearly cancel), chunk after chunk, until the last four of a chunk are
-    below 1e-16 of the sum. With pair, also returns sum_k k t_k.
+    Terms are summed adjacent pairs first (they nearly cancel), chunk
+    after chunk, until the last four of a chunk are below 1e-16 of the
+    sum. With pair, also returns sum_k k t_k.
     """
     total = moment = 0.0
     k0 = 0
     while k0 < SERIES_CAP:
-        row = _series_row(alpha, beta, k0, neg)
+        row = _series_row(alpha, beta, k0)
         hi = k0 + row.size
-        terms = _KS[k0:hi] * ln_ax
-        if neg:
-            np.exp(terms, terms)
-            terms *= row
-            total += float(_add(terms[0::2] + terms[1::2]))
-        else:
-            # an overflow, in a term or in their sum, is raised just below
-            terms -= row
-            with np.errstate(over="ignore"):
-                np.exp(terms, out=terms)
-                total += float(_add(terms[0::2] + terms[1::2]))
-            if not math.isfinite(total):
-                raise MlfOverflowError(
-                    f"E_({alpha},{beta})({math.exp(ln_ax):.15g}) exceeds "
-                    "float64 range"
-                )
+        terms = _KS[k0:hi] * ln_y
+        np.exp(terms, terms)
+        terms *= row
+        total += float(_add(terms[0::2] + terms[1::2]))
         if pair:
             terms_k = terms * _KS[k0:hi]
             moment += float(_add(terms_k[0::2] + terms_k[1::2]))
@@ -285,7 +215,7 @@ def _series_rows(ln_y, alpha, beta):
                 f"series for E_({alpha},{beta}) did not converge within "
                 f"{SERIES_CAP} terms"
             )
-        row = _series_row(alpha, beta, k0, True)
+        row = _series_row(alpha, beta, k0)
         hi = k0 + row.size
         terms = np.multiply.outer(ln_y[rows], _KS[k0:hi])
         np.exp(terms, out=terms)
@@ -299,23 +229,15 @@ def _series_rows(ln_y, alpha, beta):
 
 
 @functools.lru_cache(maxsize=64)
-def _series_row(alpha, beta, k0, neg):
+def _series_row(alpha, beta, k0):
     """The series chunk from term k0 (even), shared by calls at one order:
-    per term k, (-1)^k / Gamma(alpha k + beta) on the negative axis, which
-    keeps each term's error near an ulp where the sum cancels, and ln
-    Gamma(alpha k + beta) on the positive, where y^k and Gamma overflow
-    apart."""
+    per term k, (-1)^k / Gamma(alpha k + beta), which keeps each term's
+    error near an ulp where the sum cancels."""
     span = 14.0 if alpha < _ALPHA_U_SEAM else 22.0
     chunk = min(math.ceil(span / alpha) + 4, _CHUNK_CAP)
     hi = min(k0 + chunk + (chunk & 1), SERIES_CAP)  # even: whole pairs
     args = (alpha * _KS[k0:hi] + beta).tolist()
-    if not neg:
-        return _frozen(np.array(list(map(math.lgamma, args))))
-    try:
-        row = _SIGNS[k0:hi] / np.fromiter(map(math.gamma, args), float)
-    except OverflowError:  # Gamma overflows past 171.6 and next to 0
-        row = _SIGNS[k0:hi] * np.array(list(map(_at_zero, args)))
-    return _frozen(row)
+    return _frozen(_SIGNS[k0:hi] / np.fromiter(map(math.gamma, args), float))
 
 
 def _frozen(a):
@@ -324,7 +246,7 @@ def _frozen(a):
 
 
 def _angle(y, ln_y, alpha, beta, pair=False):
-    """E_{alpha,beta}(-y) for 0 < alpha < 1 and 0 < beta <= 1, ln_y = ln y.
+    """E_{alpha,beta}(-y) for alpha < 1 and alpha <= beta <= 1, ln_y = ln y.
 
     The spectral integral, after w = sin(p) / sin(pi a - p) (which turns
     dw / (w^2 + 2 w cos(pi a) + 1) into dp / sin(pi a)), reads
@@ -437,29 +359,3 @@ def _angle_grid(alpha, beta, top):
     np.power(r, 1.0 / alpha, r)
     _frozen(nodes)
     return y_s, r, weights
-
-
-def _unit_alpha(y, beta):
-    """E_{1,beta}(-y), beta != 1, where w = 1 and the angle form degenerates.
-
-    Up to y = 60, Kummer's transformation gives a sum whose terms past the
-    first share one sign, E_{1,b}(-y) = e^-y / Gamma(b) * sum_k (b-1) /
-    (b-1+k) y^k/k!. Beyond, the algebraic series sum_{k>=1} (-1)^(k+1)
-    y^-k / Gamma(b-k) plus its exponential part e^-y y^(1-b) cos(pi (b-1)),
-    which decides the value where 1/Gamma(b-1) nearly vanishes: b near 1
-    (e^-y itself at b = 1) and b near 0.
-    """
-    if y <= _KUMMER_Y:
-        ks = _KS[1:_KUMMER_TERMS]
-        terms = np.cumprod(y / ks)  # y^k / k!
-        # 1/Gamma(b) folded into the weights: at subnormal b the k = 1
-        # weight (b-1)/b overflows, while (b-1)/(b Gamma(b)) is near -1
-        rg = _at_zero(beta)
-        total = rg + float(np.dot(terms, (beta - 1.0) * rg / (ks - 1.0 + beta)))
-        return math.exp(-y) * total
-    ks = _KS[2:_ALGEBRAIC_TERMS + math.ceil(beta)]
-    ratios = np.cumprod((ks - beta) / y)  # term k over term 1
-    # 1/Gamma(b-1) as (b-1)/Gamma(b): b - 1 rounds near the pole at -1
-    algebraic = (beta - 1.0) * _at_zero(beta) / y * (1.0 + float(ratios.sum()))
-    return algebraic + math.exp(-y) * y ** (1.0 - beta) * math.cos(
-        math.pi * (beta - 1.0))

@@ -323,6 +323,20 @@ def test_run_simulate_without_certificate_still_writes_csv(tmp_path):
     assert "envelope_check" not in report2
 
 
+def test_verify_passes_on_a_zero_history(tmp_path, config_dir, capsys):
+    # phi = 0 gives M = 0 and a zero envelope, which the zero trajectory
+    # meets: the claim 0 <= 0 holds
+    data = json.loads((config_dir / "example1.json").read_text())
+    data["phi"] = ["0", "0", "0"]
+    path = write_cfg(tmp_path, data)
+    assert main(["verify", "--config", path, "--out", str(tmp_path)]) == 0
+    assert "max_ratio=0 passed=True" in capsys.readouterr().out
+    report = json.loads((tmp_path / "example1_report.json").read_text())
+    assert report["certificate"]["M"] == 0.0
+    assert report["envelope_check"]["max_ratio"] == 0.0
+    assert report["envelope_check"]["passed"] is True
+
+
 def test_run_verify_scalar_multi_delay_certifies_but_wont_simulate(tmp_path):
     multi = scalar_cfg(B=[["0.1", "0.1"]], q=["0.5", "1.5"])
     cfg = load_config(write_cfg(tmp_path, multi))
@@ -520,15 +534,16 @@ def test_main_mlf_subcommand(capsys):
     assert printed == pytest.approx(0.9179, abs=5e-4)
     assert main(["mlf", "1.5", "1", "0.0"]) == 1
     assert "error" in capsys.readouterr().err
-    # past the series band beta = 2 would step down 1e9 times at alpha 1e-9
+    # beta above 1 lies outside mlf's domain
     assert main(["mlf", "1e-9", "2", "-2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
-    assert "step-downs" in captured.err
+    assert "beta must lie" in captured.err
 
 
 def test_mlf_overflow_is_an_error_line_even_with_warnings_as_errors():
+    # E_{1/2}(26.9) would overflow; a positive argument is refused outright
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "halanay.cli",
          "mlf", "0.5", "1", "26.9"],
@@ -537,7 +552,7 @@ def test_mlf_overflow_is_an_error_line_even_with_warnings_as_errors():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
-    assert "exceeds float64 range" in proc.stderr
+    assert "argument must be finite and at most 0" in proc.stderr
 
 
 def test_mlf_tiny_order_is_an_error_line_even_with_warnings_as_errors():
@@ -617,14 +632,14 @@ def test_cli_import_loads_no_scipy():
 
 def test_runs_without_mpmath(tmp_path, config_dir):
     # mpmath is a test dependency only; with it unimportable, ml past the
-    # series band (a beta step-down and alpha = 1) and certify still run
+    # series band (beta = alpha near 1, and alpha = 1) and certify still run
     proc = run_script([
         "import sys",
         "sys.modules['mpmath'] = None",
         "from halanay import cli",
         "from halanay.mlf import ml",
-        "print(ml(-9.0, 0.997, 1.3))",
-        "print(ml(-7.0, 1.0, 2.0))",
+        "print(ml(-9.0, 0.997, 0.997))",
+        "print(ml(-7.0, 1.0))",
         f"cfg = cli.load_config({str(config_dir / 'example1.json')!r})",
         f"report, code = cli.run('certify', cfg, out_dir={str(tmp_path)!r})",
         "print(code)",
@@ -633,6 +648,6 @@ def test_runs_without_mpmath(tmp_path, config_dir):
     assert proc.returncode == 0, proc.stderr
     ml_a, ml_b, code, lam = proc.stdout.split()
     assert 0.0 < float(ml_a) < 1.0
-    assert float(ml_b) == pytest.approx(-math.expm1(-7.0) / 7.0, rel=1e-13)
+    assert float(ml_b) == pytest.approx(math.exp(-7.0), rel=1e-13)
     assert code == "0"
     assert float(lam) > 0.0

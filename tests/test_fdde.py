@@ -323,6 +323,32 @@ def test_zero_trajectory_passes_any_envelope():
     assert chk.first_violation_t is None
 
 
+def test_zero_envelope_holds_only_a_zero_norm():
+    # a zero history gives M = 0 and an envelope of 0 on the grid: 0/0
+    # counts as ratio 0, and a nonzero norm over 0 is a violation there
+    zero = DelaySystem(alpha=0.5, dim=1, A=mat([["-1"]]), B=mat([["0"]]),
+                       q=T("0.5"), tau=1.0, phi=[S("0")])
+    traj = solve(zero, SolverConfig(t_end=1.0, h=0.01))
+    env = np.zeros_like(traj.grid)
+    chk = check_envelope(traj, "l1", env, 0.02)
+    assert chk.max_ratio == 0.0
+    assert chk.passed
+    assert chk.first_violation_t is None
+    norms = traj.norms_l1.copy()
+    norms[37] = 1e-300
+    hit = check_envelope(dataclasses.replace(traj, norms_l1=norms), "l1",
+                         env, 0.02)
+    assert hit.max_ratio == math.inf
+    assert not hit.passed
+    assert hit.first_violation_t == traj.grid[37]
+    # a negative or nan envelope is still refused
+    for bad in (-1e-300, math.nan):
+        env_bad = np.ones_like(traj.grid)
+        env_bad[5] = bad
+        with pytest.raises(ValueError, match="envelope must be nonnegative"):
+            check_envelope(traj, "l1", env_bad, 0.02)
+
+
 def test_envelope_violation_is_located():
     traj = solve(scalar_decay(0.65), SolverConfig(t_end=2.0, h=0.01))
     exact = lambda t: ml(-t**0.65, 0.65)
@@ -354,8 +380,9 @@ def test_envelope_argument_validation():
     traj = solve(scalar_decay(0.65), SolverConfig(t_end=1.0, h=0.01))
     with pytest.raises(ValueError):
         check_envelope(traj, "sup", on_grid(lambda t: 1.0, traj), 0.02)
+    # a zero envelope is valid (a zero history gives one); a negative is not
     with pytest.raises(ValueError):
-        check_envelope(traj, "l1", on_grid(lambda t: 0.0, traj), 0.02)
+        check_envelope(traj, "l1", on_grid(lambda t: -1.0, traj), 0.02)
     with pytest.raises(ValueError):
         check_envelope(traj, "l1", np.ones(3), 0.02)
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfcx
 
 from halanay import mlf
-from halanay.errors import MlfDomainError, MlfOverflowError
+from halanay.cli import main
+from halanay.errors import MlfDomainError
 from halanay.mlf import _ml_pair, ml, ml_array
 
 from oracles import ml_reference
@@ -19,13 +20,13 @@ from oracles import ml_reference
 
 def test_value_at_zero_is_reciprocal_gamma():
     assert ml(0.0, 0.65) == 1.0
-    assert ml(0.0, 0.3, 2.0) == pytest.approx(1.0, abs=1e-15)  # Gamma(2)=1
+    assert ml(0.0, 0.3, 0.7) == pytest.approx(1.0 / math.gamma(0.7), abs=1e-15)
     assert ml(0.0, 0.5, 0.5) == pytest.approx(1.0 / math.gamma(0.5), abs=1e-15)
 
 
 def test_exponential_special_case():
-    assert ml(1.0, 1.0) == pytest.approx(math.e, abs=1e-12)
-    for x in np.linspace(-20.0, 5.0, 41):
+    assert ml(-1.0, 1.0) == pytest.approx(1.0 / math.e, abs=1e-12)
+    for x in np.linspace(-20.0, 0.0, 41):
         assert abs(ml(float(x), 1.0) - math.exp(float(x))) <= 1e-10
 
 
@@ -39,10 +40,10 @@ def test_tabulated_decay_values():
 def test_domain_errors():
     for bad_alpha in (0.0, -0.2, 1.0001, float("nan")):
         with pytest.raises(MlfDomainError):
-            ml(0.5, bad_alpha)
+            ml(-0.5, bad_alpha)
     for bad_beta in (0.0, -1.0, float("inf")):
         with pytest.raises(MlfDomainError):
-            ml(0.5, 0.5, bad_beta)
+            ml(-0.5, 0.5, bad_beta)
     with pytest.raises(MlfDomainError):
         ml(float("inf"), 0.5)
 
@@ -60,6 +61,32 @@ def test_orders_below_the_floor_are_refused():
             ml_array(np.full(3, x), alpha)
         with pytest.raises(MlfDomainError, match="alpha must lie"):
             _ml_pair(x, alpha)
+
+
+# (alpha, beta, x) outside finite x <= 0 and alpha <= beta <= 1
+_OUT_OF_DOMAIN = [
+    (0.5, 1.0, 26.9), (0.5, 0.5, 1e-300), (0.5, 1.0, math.inf),
+    (0.5, 1.0, -math.inf), (0.5, 1.5, -1.0), (0.6, 0.5, -1.0),
+    (1.0, 0.5, -1.0), (1.0, 1.0, 0.5),
+]
+
+
+def test_inputs_outside_the_domain_are_refused(capsys):
+    # ml, ml_array and _ml_pair refuse each one with MlfDomainError, and
+    # the mlf command prints an error line and exits 1
+    for alpha, beta, x in _OUT_OF_DOMAIN:
+        with pytest.raises(MlfDomainError):
+            ml(x, alpha, beta)
+        with pytest.raises(MlfDomainError):
+            ml_array(np.array([-1.0, x, 0.0]), alpha, beta)
+        if not -math.inf < x <= 0.0:
+            with pytest.raises(MlfDomainError):
+                _ml_pair(x, alpha)
+        # "--" keeps argparse from taking "-inf" for an option
+        assert main(["mlf", "--", repr(alpha), repr(beta), repr(x)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "", (alpha, beta, x)
+        assert captured.err.startswith("error:"), (alpha, beta, x)
 
 
 def test_floor_order_is_finite_across_the_double_range():
@@ -82,15 +109,6 @@ def test_floor_order_is_finite_across_the_double_range():
             assert e == ml(x, alpha) and math.isfinite(e2), x
 
 
-def test_overflow_signal_on_large_positive_argument():
-    with pytest.raises(MlfOverflowError):
-        ml(710.0, 1.0)
-    with pytest.raises(MlfOverflowError):
-        ml(30.0, 0.4)  # sum ~ exp(30^2.5), far past float64
-    # a large but representable value still comes back finite
-    assert math.isfinite(ml(5.0, 0.75))
-
-
 def test_half_order_closed_forms():
     # E_{1/2}(-y) = erfcx(y) and E_{1/2,1/2}(-y) = 1/sqrt(pi) - y*erfcx(y)
     for y in (0.01, 0.3, 1.0, 4.0, 9.0, 30.0, 2000.0):
@@ -99,18 +117,13 @@ def test_half_order_closed_forms():
         assert ml(-y, 0.5, 0.5) == pytest.approx(want, abs=1e-11)
 
 
-def test_one_two_closed_form():
-    for y in (0.2, 1.0, 7.0, 50.0):
-        assert ml(-y, 1.0, 2.0) == pytest.approx((1 - math.exp(-y)) / y, abs=1e-12)
-
-
 def test_reference_series_battery():
     rng = np.random.default_rng(42)
     for _ in range(150):
         alpha = float(rng.uniform(0.1, 1.0))
         # keep |x|^(1/alpha) inside the reference oracle's working range
         xmax = min(50.0, 85.0**alpha)
-        x = float(rng.uniform(-xmax, 3.0))
+        x = float(rng.uniform(-xmax, 0.0))
         for beta in (1.0, alpha):
             ref = ml_reference(x, alpha, beta)
             assert abs(ml(x, alpha, beta) - ref) <= 1e-8 * max(1.0, abs(ref)), (
@@ -144,12 +157,12 @@ def test_tail_expansion_hands_off_near_its_seam():
 
 def test_beyond_band_battery():
     # past the series band for every order: beta = 1, beta = alpha, and
-    # beta in (0.05, 3), where beta > 1 steps down to (0, 1]
+    # beta in (alpha, 1)
     rng = np.random.default_rng(8)
     for i in range(150):
         alpha = float(rng.uniform(0.1, 1.0 - 1e-9))
         u = float(rng.uniform(6.5, 85.0))
-        beta = (1.0, alpha, float(rng.uniform(0.05, 3.0)))[i % 3]
+        beta = (1.0, alpha, float(rng.uniform(alpha, 1.0)))[i % 3]
         x = -(u**alpha)
         ref = ml_reference(x, alpha, beta)
         assert ml(x, alpha, beta) == pytest.approx(ref, rel=1e-13, abs=0.0), (
@@ -160,7 +173,7 @@ def test_beyond_band_battery():
 def test_small_alpha_past_the_band():
     # the angle form's r^(1-beta) at small alpha, where r itself underflows;
     # for u this large E_{a,b}(-y) = -sum_k (-y)^-k / Gamma(b - a k)
-    for alpha, beta in ((0.01, 0.5), (0.01, 1.5), (0.01, 2.0), (0.02, 0.999)):
+    for alpha, beta in ((0.01, 0.5), (0.01, 0.01), (0.01, 1.0), (0.02, 0.999)):
         for u in (7.0, 12.0):
             x = -(u**alpha)
             ref = ml_reference(x, alpha, beta)
@@ -202,11 +215,13 @@ def _battery_points(rng, n):
 
 
 def test_seeded_battery_across_the_seams():
-    # E_{a,b} to 1e-14 relative at beta 1, alpha and 1.5, and the one-pass
-    # E_{a,a} of _ml_pair to 1e-13, whose E_a is ml's to the bit
+    # E_{a,b} to 1e-14 relative at beta 1, alpha and a draw in (alpha, 1),
+    # and the one-pass E_{a,a} of _ml_pair to 1e-13, whose E_a is ml's to
+    # the bit
+    betas = np.random.default_rng(2027)
     for alpha, u in _battery_points(np.random.default_rng(2026), 48):
         x = -(u**alpha)
-        for beta in (1.0, alpha, 1.5):
+        for beta in (1.0, alpha, float(betas.uniform(alpha, 1.0))):
             want = ml_reference(x, alpha, beta)
             got = ml(x, alpha, beta)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), (
@@ -218,65 +233,9 @@ def test_seeded_battery_across_the_seams():
 
 
 def test_pair_is_two_ml_calls_off_the_negative_axis():
-    # x >= 0 and alpha = 1 take ml for both orders
-    for x, alpha in ((0.0, 0.6), (0.7, 0.6), (-3.0, 1.0), (0.5, 1.0)):
+    # x = 0 and alpha = 1 take ml for both orders
+    for x, alpha in ((0.0, 0.6), (-0.0, 0.6), (-3.0, 1.0)):
         assert _ml_pair(x, alpha) == (ml(x, alpha), ml(x, alpha, alpha))
-
-
-def test_beta_step_down_is_capped():
-    # 5,000 step-downs, under the cap: the loop's value, to the bit
-    assert ml(-2.0, 1e-4, 1.5) == 0.3761273036312127
-    # 1e9 would be minutes and tens of GB; refused before the first step
-    with pytest.raises(MlfDomainError, match="step-downs"):
-        ml(-2.0, 1e-9, 2.0)
-    with pytest.raises(MlfDomainError, match="step-downs"):
-        ml_array(np.full(8, -2.0), 1e-9, 2.0)
-    # inside the band no step-down is taken, and beta with 1/Gamma(beta) = 0
-    # gives 0 before the cap is checked
-    assert ml(-0.5, 1e-9, 2.0) == pytest.approx(
-        ml_reference(-0.5, 1e-9, 2.0), rel=1e-14)
-    assert ml(-2.0, 1e-9, 200.0) == 0.0
-
-
-@pytest.mark.parametrize("beta", [1e-310, 1e-300, 1e-5])
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
-def test_tiny_beta_obeys_the_shift_identity(alpha, beta):
-    # E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z). At b = 1e-310, Gamma(b)
-    # overflows, yet 1/Gamma(b) = b and the value past the band is of order
-    # one; ml_reference stops on its first term there, so the identity
-    # checks instead. b is taken as (a + b) - a, which is exact, so that a
-    # + b does not round; at subnormal b that difference is 0, and b
-    # itself is off by less than any rounding
-    c = alpha + beta
-    b = c - alpha or beta
-    assert ml(0.0, alpha, b) == pytest.approx(b / math.gamma(1.0 + b), rel=1e-15)
-    for z in (0.7, -0.5, -1.0, -10.0, -59.0, -61.0, -100.0):
-        lhs = ml(z, alpha, b)
-        rhs = ml(0.0, alpha, b) + z * ml(z, alpha, c)
-        scale = abs(ml(0.0, alpha, b)) + abs(z * ml(z, alpha, c))
-        assert abs(lhs - rhs) <= 1e-13 * scale, (z, lhs, rhs)
-        assert ml_array(np.full(6, z), alpha, b)[0] == lhs
-    if beta == 1e-310 and alpha == 0.5:
-        assert ml(0.0, alpha, beta) == 1e-310
-        assert ml(-10.0, alpha, beta) == pytest.approx(-0.0277966, abs=1e-7)
-
-
-def test_unit_alpha_against_reference():
-    for beta, y in itertools.product((0.4, 1.3, 2.5), (7.0, 20.0, 50.0)):
-        ref = ml_reference(-y, 1.0, beta)
-        assert ml(-y, 1.0, beta) == pytest.approx(ref, rel=1e-12, abs=0.0), (
-            beta, y,
-        )
-
-
-def test_unit_alpha_closed_forms():
-    # E_{1,2}(-y) = (1 - e^-y) / y and E_{1,3}(-y) = (y - 1 + e^-y) / y^2,
-    # on both sides of y = 60, where the Kummer sum hands over
-    for y in [*np.geomspace(7.0, 1e6, 25).tolist(), 60.0, 60.0000001]:
-        want2 = -math.expm1(-y) / y
-        want3 = (y - 1.0 + math.exp(-y)) / y**2
-        assert ml(-y, 1.0, 2.0) == pytest.approx(want2, rel=1e-13, abs=0.0), y
-        assert ml(-y, 1.0, 3.0) == pytest.approx(want3, rel=1e-13, abs=0.0), y
 
 
 def test_half_order_deep_tail():
@@ -304,8 +263,16 @@ _U_POINTS = st.one_of(
     st.floats(6.5, 60.0),
     st.floats(60.0, 1e4),
 )
-# |x| at the series seams on |x|: 0.65 (beta < 1), 0.8 (beta = 1), 1 (beta > 1)
+# |x| at the series seams on |x|: 0.65 (beta < 1), 0.8 (beta = 1), and 1
 _X_SEAMS = st.sampled_from([0.65, 0.8, 1.0]).flatmap(_u_near)
+# beta as alpha, 1, or a fraction of the way from alpha to 1
+_BETAS = st.one_of(st.sampled_from(["alpha", 1.0]), st.floats(0.0, 1.0))
+
+
+def _beta(alpha, beta):
+    if beta == "alpha":
+        return alpha
+    return beta if beta == 1.0 else min(1.0, alpha + beta * (1.0 - alpha))
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -314,16 +281,15 @@ _X_SEAMS = st.sampled_from([0.65, 0.8, 1.0]).flatmap(_u_near)
                     st.floats(0.11, 0.2)),
     us=st.lists(_U_POINTS, min_size=1, max_size=16),
     xs_seam=st.lists(_X_SEAMS, max_size=4),
-    xs_pos=st.lists(st.floats(0.0, 2.0), max_size=3),
-    beta=st.sampled_from(["alpha", 1.0, 0.5, 1.5]),
+    beta=_BETAS,
     block=st.sampled_from([None, 1, 250]),
 )
-def test_ml_array_matches_ml_in_every_regime(alpha, us, xs_seam, xs_pos,
-                                             beta, block):
+def test_ml_array_matches_ml_in_every_regime(alpha, us, xs_seam, beta,
+                                             block):
     # block caps the entries of a batched series or angle block: 1 and
     # 250 split the rows into blocks of one row or a few
-    beta = alpha if beta == "alpha" else beta
-    x = np.array([-(u**alpha) for u in us] + [-v for v in xs_seam] + xs_pos)
+    beta = _beta(alpha, beta)
+    x = np.array([-(u**alpha) for u in us] + [-v for v in xs_seam])
     want = np.array([ml(float(v), alpha, beta) for v in x])
     with mock.patch.object(mlf, "_BLOCK_ENTRIES",
                            block or mlf._BLOCK_ENTRIES):
@@ -332,11 +298,11 @@ def test_ml_array_matches_ml_in_every_regime(alpha, us, xs_seam, xs_pos,
 
 
 @pytest.mark.parametrize("alpha, beta", [
-    (1.0, 1.0), (1.0, 2.0), (0.6, 1.0), (0.6, 0.6), (0.5, 2.0)])
+    (1.0, 1.0), (0.6, 1.0), (0.6, 0.6), (0.5, 0.7)])
 def test_ml_array_equals_ml_at_exp_zero_and_few_elements(alpha, beta):
     # alpha = beta = 1 (exp), x = 0 (1/Gamma(beta)) and arrays of 0-4
     # elements all go through ml; the band rows are summed in a block
-    pool = [0.0, -0.0, -0.3, -1.2, -2.5, -40.0, 0.7, 3.0, -1e-300]
+    pool = [0.0, -0.0, -0.3, -1.2, -2.5, -40.0, -0.7, -3.0, -1e-300]
     for size in range(len(pool) + 1):
         x = np.array(pool[:size])
         want = np.array([ml(float(v), alpha, beta) for v in x])
@@ -358,18 +324,18 @@ def _adjacent_across(ln_edge):
 @given(
     alpha=st.one_of(st.floats(1e-3, 1.0, exclude_max=True),
                     st.floats(0.995, 1.0, exclude_max=True)),
-    beta=st.sampled_from(["alpha", 1.0, 1.5]),
+    beta=_BETAS,
     unit=st.integers(-20, 28),
 )
 def test_ml_is_continuous_across_the_series_band_edge(alpha, beta, unit):
-    # The series ends at |x| = 0.65 (beta < 1), at |x| = 0.8 or, from alpha
-    # = 0.2 on, u = 1.5 (beta = 1), and at |x| = 1 (beta > 1); past it the
-    # angle form changes grids where ln u crosses an integer (unit) that is
-    # 4 mod 8, and keeps its grid across the others. E_{a,b}(-y) falls with
+    # The series ends at |x| = 0.65 (beta < 1), and at |x| = 0.8 or, from
+    # alpha = 0.2 on, u = 1.5 (beta = 1); past it the angle form changes
+    # grids where ln u crosses an integer (unit) that is 4 mod 8, and
+    # keeps its grid across the others. E_{a,b}(-y) falls with
     # y, and one ulp across either edge it moves by the two routes' errors
     # alone: measured up to 5.6e-14 at alpha ~ 1e-3, 2e-14 from alpha =
     # 0.01 on
-    beta = alpha if beta == "alpha" else beta
+    beta = _beta(alpha, beta)
     tol = 2e-14 if alpha >= 0.01 else 1e-13
     inside, outside = _adjacent_across(mlf._series_edge(alpha, beta))
     pairs = [(inside, outside)]
@@ -390,25 +356,12 @@ def test_ml_is_continuous_across_the_series_band_edge(alpha, beta, unit):
                           [ml(float(v), alpha, beta) for v in xs])
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(beta=st.one_of(
-    st.floats(1e-300, 50.0).filter(lambda b: b != 1.0),
-    st.sampled_from([math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
-                     1.0 - 1e-9, 1.0 + 1e-9]),
-))
-def test_unit_alpha_is_continuous_across_y_60(beta):
-    # Kummer's sum up to y = 60, the algebraic series and its e^-y part past
-    inside, outside = -60.0 * (1.0 - 1e-12), -60.0 * (1.0 + 1e-12)
-    v_in, v_out = ml(inside, 1.0, beta), ml(outside, 1.0, beta)
-    assert abs(v_out - v_in) <= 1e-9 * abs(v_in), (v_in, v_out)
-
-
 def test_narrow_band_at_small_alpha():
     # the series seams sit on |x|, so at small alpha the series band in u
     # narrows to nothing (|x| <= 0.8 is u <= 0.8^(1/alpha)), and ml_array
     # routes as ml does
     for alpha in (1e-3, 0.01, 0.05, 0.15):
-        for beta in (1.0, alpha, 0.5, 2.5):
+        for beta in (1.0, alpha, 0.5):
             edge = math.exp(mlf._series_edge(alpha, beta))
             x = -edge * np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.2, 2.0])
             want = [ml(float(v), alpha, beta) for v in x]
@@ -458,28 +411,15 @@ def test_ml_array_shapes_blocks_and_errors(monkeypatch):
         ml_array([0.5, np.inf], 0.6)
     with pytest.raises(MlfDomainError):
         ml_array([0.5], 1.5)
-    with pytest.raises(MlfOverflowError):
-        ml_array([0.5, 710.0], 1.0)
-
-
-def test_overflow_raises_without_a_numpy_warning():
-    # the positive-axis sum overflows before ml can refuse it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for alpha, x in ((0.5, 26.9), (0.8, 192.0), (0.99, 671.0)):
-            with pytest.raises(MlfOverflowError):
-                ml(x, alpha)
-            with pytest.raises(MlfOverflowError):
-                ml_array(np.full(6, x), alpha)
+    with pytest.raises(MlfDomainError):
+        ml_array([-0.5, 710.0], 1.0)
 
 
 def test_positive_on_negative_axis():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         alpha = float(rng.uniform(0.05, 1.0))
-        # on the growing side stay below the float64 overflow horizon
-        xhi = min(5.0, 0.95 * 740.0**alpha)
-        x = float(rng.uniform(-50.0, xhi))
+        x = float(rng.uniform(-50.0, 0.0))
         assert ml(x, alpha) > 0.0
         assert ml(x, alpha, alpha) > 0.0
 
@@ -500,7 +440,7 @@ def test_bounded_by_one_on_negative_axis():
 def test_monotone_in_argument():
     rng = np.random.default_rng(12)
     for alpha in (0.35, 0.6, 0.85, 1.0):
-        xs = np.sort(rng.uniform(-40.0, 3.0, size=60))
+        xs = np.sort(rng.uniform(-40.0, 0.0, size=60))
         vals = [ml(float(x), alpha) for x in xs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -598,7 +538,7 @@ def test_derivative_identity_against_finite_differences():
     # d/dx E_alpha(x) = E_{alpha,alpha}(x) / alpha, the slope the rate solver uses
     step = 1e-5
     for alpha in (0.45, 0.65, 0.9):
-        for x in np.linspace(-10.0, 2.0, 25):
+        for x in np.linspace(-10.0, -0.5, 20):
             x = float(x)
             fd = (ml(x + step, alpha) - ml(x - step, alpha)) / (2 * step)
             assert ml(x, alpha, alpha) / alpha == pytest.approx(fd, abs=1e-6)
@@ -615,9 +555,9 @@ def test_deterministic_and_thread_safe():
         (-0.3, 0.65, 1.0),     # plain series
         (-12.0, 0.65, 0.65),   # angle form, just past the series band
         (-4000.0, 0.65, 1.0),  # angle form, deep tail
-        (-9.0, 0.997, 1.3),    # angle form after one beta step-down
+        (-9.0, 0.997, 0.997),  # angle form, beta = alpha near 1
         (-20.0, 0.999, 1.0),   # angle form, alpha near 1
-        (2.0, 0.8, 1.0),       # growing side
+        (-0.5, 0.8, 0.9),      # series, beta between alpha and 1
     ]
     want = [ml(*a) for a in args]
     jobs = args * 40
