@@ -9,10 +9,6 @@ class MlfDomainError(HalanayError, ValueError):
     """Raised when Mittag-Leffler parameters are outside the supported range."""
 
 
-class SeriesCapError(HalanayError, RuntimeError):
-    """Raised when a power series fails to converge within the term cap."""
-
-
 class ExprSyntaxError(HalanayError, ValueError):
     """Parse failure in a time-expression string.
 

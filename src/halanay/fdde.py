@@ -329,9 +329,7 @@ def check_envelope(traj, norm_tag, envelope_values, tolerance):
         )
     if not (env >= 0.0).all():  # false at nan too
         raise ValueError("envelope must be nonnegative on the grid")
-    with np.errstate(divide="ignore"):
-        ratio = np.divide(norms, env, out=np.zeros_like(norms),
-                          where=(env > 0.0) | (norms != 0.0))
+    ratio = _ratio(norms, env)
     max_ratio = float(np.max(ratio))
     first = None
     bad = np.nonzero(ratio > 1.0 + tolerance)[0]
@@ -341,6 +339,13 @@ def check_envelope(traj, norm_tag, envelope_values, tolerance):
         max_ratio=max_ratio, first_violation_t=first, tolerance=tolerance,
         passed=max_ratio <= 1.0 + tolerance,
     )
+
+
+def _ratio(norms, env):
+    """norms / env per node, 0 at 0/0 and inf at x/0; nan at a nan env."""
+    with np.errstate(divide="ignore"):
+        return np.divide(norms, env, out=np.zeros_like(norms),
+                         where=(env != 0.0) | (norms != 0.0))
 
 
 def lyapunov_check(traj, alpha):
@@ -359,8 +364,9 @@ def lyapunov_check(traj, alpha):
 def write_csv(traj, path, envelope_values=None, norm_tag="l1"):
     """Trajectory dump: t, components, norms, envelope and norm/envelope.
 
-    Without envelope values the last two columns are nan. 17 significant
-    digits, so a reload reproduces the floats exactly.
+    Without envelope values the last two columns are nan, else the ratio
+    is check_envelope's. 17 significant digits, so a reload reproduces the
+    floats exactly.
     """
     if norm_tag not in ("l1", "l2"):
         raise ValueError(f"norm_tag must be 'l1' or 'l2', got {norm_tag!r}")
@@ -370,8 +376,7 @@ def write_csv(traj, path, envelope_values=None, norm_tag="l1"):
     else:
         env = np.asarray(envelope_values, dtype=float)
     norms = traj.norms_l1 if norm_tag == "l1" else traj.norms_l2
-    with np.errstate(invalid="ignore"):
-        ratio = norms / env
+    ratio = _ratio(norms, env)
     header = "t," + ",".join(f"x{i + 1}" for i in range(d)) + ",norm_l1,norm_l2,envelope,ratio"
     cols = np.column_stack(
         [traj.grid, traj.states, traj.norms_l1, traj.norms_l2, env, ratio]

@@ -55,6 +55,8 @@ RESIDUAL_BOUND = 1e-10
 # rounds per rate solve; bisection alone needs at most 47 (a bracket of
 # width <= a halved down to 1e-14 max(1, a))
 MAX_ROUNDS = 100
+# scan points at most, as fdde.MAX_NODES: (2, d, d, n) sample stacks
+MAX_POINTS = 10**7
 # The min-rate scan (_min_rate) skips a point when h(U + m) < 0, U the
 # seed's verified rate and m = SCAN_MARGIN max(1, max a). Say every
 # computed h is off by at most E. h' >= 1, so the skipped point's root
@@ -79,8 +81,9 @@ class ScanGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be >= 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_POINTS:
+            raise ValueError(f"n_points must lie in [2, {MAX_POINTS:.0e}], "
+                             f"got {self.n_points}")
 
     def times(self):
         return np.linspace(0.0, self.t_max, self.n_points)

@@ -15,11 +15,11 @@ share them. Against 40-digit sums, values hold 1e-14 relative for alpha in
 [0.01, 1] and beta in {1, alpha}, across the seams.
 
 ml evaluates one argument. ml_array evaluates an array of them: it sums
-the series rows together, and the angle rows together per span of ln u,
-with the arithmetic ml does on one row, and passes every other element to
-ml, so both return the same values. _ml_pair gives E_alpha and
-E_alpha,alpha at one argument from one pass over the same terms, as the
-rate solver needs them.
+the series rows together, one row of terms per order, and the angle rows
+together per span of ln u, with the arithmetic ml does on one row; zeros
+and alpha = 1 take ml's own expressions, so both return the same values.
+_ml_pair gives E_alpha and E_alpha,alpha at one argument from one pass
+over the same terms, as the rate solver needs them.
 """
 
 import functools
@@ -27,11 +27,10 @@ import math
 
 import numpy as np
 
-from .errors import MlfDomainError, SeriesCapError
+from .errors import MlfDomainError
 
 __all__ = ["ml", "ml_array"]
 
-SERIES_CAP = 10_000
 # the least alpha: a seeded battery over the double range was clean from
 # 3e-10 up; from 1e-10 down the angle form overflowed or gave nan
 ALPHA_MIN = 1e-9
@@ -47,11 +46,11 @@ _LN_SEAM_BELOW_ONE = math.log(0.65)
 _LN_SEAM = math.log(0.8)
 _LN_U_SEAM = math.log(1.5)
 _ALPHA_U_SEAM = 0.2
-# terms per series chunk: below the seam every term past alpha k = 14
-# (22 from alpha = 0.2 on, where u reaches 1.5), or past k = 176 (|t_k|
-# <= 1.13 |x|^k), is under 1e-16, so the tail test on a chunk's last 4
-# terms passes after one chunk
-_CHUNK_CAP = 180
+# the most terms in a series row: below the seam every term past alpha k
+# = 14 (22 from alpha = 0.2 on, where u reaches 1.5), or past k = 176
+# (|t_k| <= 1.13 |x|^k), is under 1e-16; at the seams a row's last 4
+# terms reach at most 0.064 of 1e-16 (|sum| + 1), worst at alpha 0.0026
+_ROW_CAP = 180
 # entries per ml_array block, which bounds its (rows, terms or nodes)
 # matrix
 _BLOCK_ENTRIES = 1 << 16
@@ -69,8 +68,8 @@ _R_CUT = 50.0
 
 # sums over the last axis, pairwise as ndarray.sum but without its wrapper
 _add = np.add.reduce
-# term indices, sliced per series chunk, and (-1)^k
-_KS = np.arange(SERIES_CAP, dtype=np.float64)
+# term indices, sliced per series row, and (-1)^k
+_KS = np.arange(_ROW_CAP, dtype=np.float64)
 _SIGNS = 1.0 - 2.0 * (_KS % 2.0)
 
 
@@ -112,12 +111,12 @@ def _ml_pair(x, alpha):
 def ml_array(x, alpha, beta=1.0):
     """Evaluate E_{alpha,beta} elementwise on an array of finite x <= 0.
 
-    The orders and the elements are held to ml's domain. Negative elements
-    below the series seam are summed together, in one Taylor series per
-    row; those past it go through the angle form together, per span of ln
-    u. Both take blocks of rows. Each row gets ml's arithmetic, and every
-    other element (0, and each at alpha = 1, where ml takes exp) goes
-    through ml, so each value is the one ml returns. Returns an array of
+    The orders and the elements are held to ml's domain. At alpha = 1 each
+    element takes ml's math.exp, and each zero gets ml's 1 / Gamma(beta).
+    Negative elements below the series seam are summed together over the
+    order's one row of terms; those past it go through the angle form
+    together, per span of ln u. Both take blocks of rows, each with ml's
+    arithmetic, so each value is the one ml returns. Returns an array of
     the shape of x.
     """
     check_orders(alpha, beta)
@@ -126,8 +125,12 @@ def ml_array(x, alpha, beta=1.0):
     if not ((x <= 0.0) & (x > -np.inf)).all():
         raise MlfDomainError("argument must be finite and at most 0")
     flat = x.ravel()
+    if alpha == 1.0:
+        out = np.fromiter(map(math.exp, flat.tolist()), float, flat.size)
+        return out.reshape(x.shape)
     out = np.empty(flat.shape)
-    neg = np.flatnonzero((flat < 0.0) & (alpha < 1.0))
+    out[flat == 0.0] = 1.0 / math.gamma(beta)
+    neg = np.flatnonzero(flat < 0.0)
     y = -flat[neg]
     edge = _series_edge(alpha, beta)
     # ml's math.log, which routes each row and gives it its terms or span
@@ -135,8 +138,7 @@ def ml_array(x, alpha, beta=1.0):
     series = ln_y <= edge
     if series.any():
         rows, ln_s = neg[series], ln_y[series]
-        terms = _series_row(alpha, beta, 0).size
-        block = max(1, _BLOCK_ENTRIES // terms)
+        block = max(1, _BLOCK_ENTRIES // _series_row(alpha, beta).size)
         for start in range(0, rows.size, block):
             stop = start + block
             out[rows[start:stop]] = _series_rows(ln_s[start:stop], alpha, beta)
@@ -148,10 +150,6 @@ def ml_array(x, alpha, beta=1.0):
         for start in range(0, in_span.size, block):
             part = in_span[start:start + block]
             out[part] = _angle_rows(-flat[part], top, alpha, beta)
-    other = np.ones(flat.shape, dtype=bool)
-    other[neg[series]] = other[rows] = False
-    for i in np.flatnonzero(other).tolist():
-        out[i] = ml(float(flat[i]), alpha, beta)
     return out.reshape(x.shape)
 
 
@@ -176,68 +174,42 @@ def _series_edge(alpha, beta):
 
 
 def _series(ln_y, alpha, beta, pair=False):
-    """Taylor sum at x = -exp(ln_y), in log space, over chunks of terms.
-
-    Terms are summed adjacent pairs first (they nearly cancel), chunk
-    after chunk, until the last four of a chunk are below 1e-16 of the
-    sum. With pair, also returns sum_k k t_k.
-    """
-    total = moment = 0.0
-    k0 = 0
-    while k0 < SERIES_CAP:
-        row = _series_row(alpha, beta, k0)
-        hi = k0 + row.size
-        terms = _KS[k0:hi] * ln_y
-        np.exp(terms, terms)
-        terms *= row
-        total += float(_add(terms[0::2] + terms[1::2]))
-        if pair:
-            terms_k = terms * _KS[k0:hi]
-            moment += float(_add(terms_k[0::2] + terms_k[1::2]))
-        if max(map(abs, terms[-4:].tolist())) < 1e-16 * (abs(total) + 1.0):
-            return (total, moment) if pair else total
-        k0 = hi
-    raise SeriesCapError(
-        f"series for E_({alpha},{beta}) did not converge within "
-        f"{SERIES_CAP} terms"
-    )
+    """Taylor sum at x = -exp(ln_y), in log space, over the order's row of
+    terms, adjacent pairs first (they nearly cancel). With pair, also
+    returns sum_k k t_k."""
+    row = _series_row(alpha, beta)
+    ks = _KS[:row.size]
+    terms = ks * ln_y
+    np.exp(terms, terms)
+    terms *= row
+    total = float(_add(terms[0::2] + terms[1::2]))
+    if not pair:
+        return total
+    terms *= ks
+    return total, float(_add(terms[0::2] + terms[1::2]))
 
 
 def _series_rows(ln_y, alpha, beta):
     """_series at x = -exp(ln_y) for rows at once, the same arithmetic on
-    each; rows that have stopped drop out of later chunks."""
-    total = np.zeros(ln_y.shape)
-    rows = np.arange(ln_y.size)
-    k0 = 0
-    while rows.size:
-        if k0 >= SERIES_CAP:
-            raise SeriesCapError(
-                f"series for E_({alpha},{beta}) did not converge within "
-                f"{SERIES_CAP} terms"
-            )
-        row = _series_row(alpha, beta, k0)
-        hi = k0 + row.size
-        terms = np.multiply.outer(ln_y[rows], _KS[k0:hi])
-        np.exp(terms, out=terms)
-        terms *= row
-        sums = total[rows] + _add(terms[:, 0::2] + terms[:, 1::2], axis=1)
-        total[rows] = sums
-        tail = np.abs(terms[:, -4:]).max(axis=1)
-        rows = rows[tail >= 1e-16 * (np.abs(sums) + 1.0)]
-        k0 = hi
-    return total
+    each."""
+    row = _series_row(alpha, beta)
+    terms = np.multiply.outer(ln_y, _KS[:row.size])
+    np.exp(terms, out=terms)
+    terms *= row
+    return _add(terms[:, 0::2] + terms[:, 1::2], axis=1)
 
 
 @functools.lru_cache(maxsize=64)
-def _series_row(alpha, beta, k0):
-    """The series chunk from term k0 (even), shared by calls at one order:
-    per term k, (-1)^k / Gamma(alpha k + beta), which keeps each term's
-    error near an ulp where the sum cancels."""
+def _series_row(alpha, beta):
+    """The series terms of one order, shared by its calls: per term k < n,
+    (-1)^k / Gamma(alpha k + beta), which keeps each term's error near an
+    ulp where the sum cancels. n = ceil(span / alpha) + 4, at most
+    _ROW_CAP, rounded up to whole pairs."""
     span = 14.0 if alpha < _ALPHA_U_SEAM else 22.0
-    chunk = min(math.ceil(span / alpha) + 4, _CHUNK_CAP)
-    hi = min(k0 + chunk + (chunk & 1), SERIES_CAP)  # even: whole pairs
-    args = (alpha * _KS[k0:hi] + beta).tolist()
-    return _frozen(_SIGNS[k0:hi] / np.fromiter(map(math.gamma, args), float))
+    n = min(math.ceil(span / alpha) + 4, _ROW_CAP)
+    n += n & 1
+    args = (alpha * _KS[:n] + beta).tolist()
+    return _frozen(_SIGNS[:n] / np.fromiter(map(math.gamma, args), float))
 
 
 def _frozen(a):

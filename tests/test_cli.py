@@ -186,6 +186,17 @@ def test_output_must_be_an_object(tmp_path, bad):
         ("output", "expected an object {csv_path, report_path}")]
 
 
+def test_scan_points_are_capped(tmp_path):
+    # the solver's node guard: a scan of 1e8 points is refused on load,
+    # before any (2, d, d, n) sample stack is allocated
+    data = scalar_cfg()
+    data["scan"]["n_points"] = 10**8
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_cfg(tmp_path, data))
+    assert [p for p, _ in exc.value.errors] == ["scan"]
+    assert "n_points must lie in [2, 1e+07]" in exc.value.errors[0][1]
+
+
 def test_tolerance_must_be_finite(tmp_path):
     # json reads Infinity, and an infinite tolerance passes every trajectory
     for bad in (math.inf, math.nan, -0.1, "0.02", True):
@@ -335,6 +346,9 @@ def test_verify_passes_on_a_zero_history(tmp_path, config_dir, capsys):
     assert report["certificate"]["M"] == 0.0
     assert report["envelope_check"]["max_ratio"] == 0.0
     assert report["envelope_check"]["passed"] is True
+    # the CSV's ratio column agrees with the report: 0/0 is ratio 0
+    data = np.loadtxt(tmp_path / "example1.csv", delimiter=",", skiprows=1)
+    assert data.shape[0] == 2001 and not data[:, -1].any()
 
 
 def test_run_verify_scalar_multi_delay_certifies_but_wont_simulate(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ def test_zero_trajectory_passes_any_envelope():
     assert chk.first_violation_t is None
 
 
-def test_zero_envelope_holds_only_a_zero_norm():
+def test_zero_envelope_holds_only_a_zero_norm(tmp_path):
     # a zero history gives M = 0 and an envelope of 0 on the grid: 0/0
     # counts as ratio 0, and a nonzero norm over 0 is a violation there
     zero = DelaySystem(alpha=0.5, dim=1, A=mat([["-1"]]), B=mat([["0"]]),
@@ -341,6 +342,14 @@ def test_zero_envelope_holds_only_a_zero_norm():
     assert hit.max_ratio == math.inf
     assert not hit.passed
     assert hit.first_violation_t == traj.grid[37]
+    # write_csv's ratio column agrees, with no numpy warning on the way
+    path = tmp_path / "zero.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_csv(dataclasses.replace(traj, norms_l1=norms), str(path),
+                  envelope_values=env)
+    ratio = np.loadtxt(str(path), delimiter=",", skiprows=1)[:, -1]
+    assert ratio[37] == math.inf and not np.delete(ratio, 37).any()
     # a negative or nan envelope is still refused
     for bad in (-1e-300, math.nan):
         env_bad = np.ones_like(traj.grid)

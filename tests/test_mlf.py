@@ -187,10 +187,27 @@ def test_small_alpha_past_the_band():
 
 def test_tiny_alpha_near_minus_one():
     # at alpha = 1e-4 the series at x = -0.9986 needs ~3e4 terms, past
-    # SERIES_CAP; past the seam on |x| the angle form answers instead
+    # the row cap of 180; past the seam on |x| the angle form answers
+    # instead
     want = ml_reference(-0.9986, 1e-4)
     assert ml(-0.9986, 1e-4) == pytest.approx(want, rel=1e-13, abs=0.0)
     assert _ml_pair(-0.9986, 1e-4)[0] == ml(-0.9986, 1e-4)
+
+
+def test_series_row_needs_no_tail_up_to_the_seam():
+    # the series sums one row per order with no runtime tail test: at the
+    # seam, where the terms are largest, its last four terms must already
+    # be under the stop bound 1e-16 (|sum| + 1), on whole pairs
+    alphas = np.geomspace(mlf.ALPHA_MIN, 1.0, 2001)[:-1].tolist()
+    alphas += [0.2, math.nextafter(0.2, 0.0)]
+    for alpha in alphas:
+        for beta in (1.0, alpha, (1.0 + alpha) / 2.0):
+            ln_y = mlf._series_edge(alpha, beta)
+            row = mlf._series_row(alpha, beta)
+            assert row.size % 2 == 0, (alpha, beta)
+            tail = np.exp(np.arange(row.size - 4, row.size) * ln_y) * row[-4:]
+            bound = 1e-16 * (abs(mlf._series(ln_y, alpha, beta)) + 1.0)
+            assert np.abs(tail).max() < bound, (alpha, beta)
 
 
 def _battery_points(rng, n):
@@ -407,6 +424,8 @@ def test_ml_array_shapes_blocks_and_errors(monkeypatch):
     assert np.array_equal(ml_array(x, 0.6), want)
     assert ml_array(np.float64(-0.5), 0.6).shape == ()
     assert ml_array(np.array([]), 0.6).shape == (0,)
+    assert ml_array(np.float64(-0.5), 1.0).shape == ()
+    assert ml_array(np.array([]), 1.0).shape == (0,)
     with pytest.raises(MlfDomainError):
         ml_array([0.5, np.inf], 0.6)
     with pytest.raises(MlfDomainError):
