@@ -8,8 +8,8 @@ The solver discretizes the Volterra form
 with the implicit product-trapezoid rule (Garrappa, Math. Comput. Simul.
 110, 2015), solved exactly at every node rather than by a predictor and
 corrector sweeps. Delayed states come from the initial function when the
-argument is <= 0 and from linear interpolation between computed nodes
-otherwise.
+argument is <= 0 and from linear interpolation between nodes otherwise;
+one inside the current step interpolates with the state being solved.
 
 The system is linear, so the rule is solved BLOCK steps at a time: the
 states and delayed states of one block are one linear system in that
@@ -87,7 +87,7 @@ class Trajectory:
     norms_l1: np.ndarray
     norms_l2: np.ndarray
     rhs: np.ndarray  # f(t_n, x_n, x_delayed) at every node, for checks
-    clamped: tuple  # node indices where the delayed argument exceeded history
+    clamped: tuple  # nodes whose delayed time lies past the newest computed node
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,9 @@ def solve(sys, cfg):
     d = sys.dim
     n = int(round(cfg.t_end / cfg.h))
     times = cfg.h * np.arange(n + 1)
-    # A and B as [row, column, node]; a clamped node uses x itself as its
-    # delayed state, so it gets A + B and 0
+    # A and B as [row, column, node]
     a_samp, b_samp = sample_matrices(sys, times)
     hist, lo, w_lo, w_hi, clamp = _delay_plan(sys, times, cfg.h)
-    a_samp[..., clamp] += b_samp[..., clamp]
-    b_samp[..., clamp] = 0.0
     # in-block couplings: x_lo and x_(lo + 1) at columns col and col + 1
     # of the node's own block, kept at the nodes that have one; a node of
     # an earlier block is in the known part already and gets weight 0 here
@@ -217,10 +214,10 @@ def _delay_plan(sys, times, h):
     """Delay plan: x(t_k - q_k) = hist_k + w_lo_k x_lo_k + w_hi_k x_(lo_k+1).
 
     Initial-function lookups are exact wherever the delayed time is <= 0.
-    A delayed time inside the current step has no computed value to
-    interpolate yet: it reads the newest node, or, past that node by more
-    than rounding, the state being solved for, and its node is flagged in
-    clamp.
+    Later ones interpolate linearly between x_lo and x_(lo+1), lo at most
+    k - 1: a delayed time inside the current step reads the state being
+    solved for as x_(lo+1), and its node is flagged in clamp when it lies
+    past the newest node by more than rounding.
     """
     q_samp = sys.q.eval_array(times)
     slack = 1e-9 * max(1.0, sys.tau)
@@ -236,14 +233,11 @@ def _delay_plan(sys, times, h):
     for c in range(sys.dim):
         hist[hist_mask, c] = sys.phi[c].eval_array(s_arg[hist_mask])
     pos = s_arg / h
-    lo = np.trunc(pos)
-    late = ~hist_mask & (lo >= prev)
-    clamp = late & (pos > prev + 1e-12)
-    interp = ~hist_mask & ~late
-    w_hi = np.where(interp, pos - lo, 0.0)
-    w_lo = np.where(interp | (late & ~clamp), 1.0 - w_hi, 0.0)
-    lo = np.where(interp, lo, prev).astype(np.intp)
-    return hist, lo, w_lo, w_hi, clamp
+    lo = np.clip(np.trunc(pos), 0, prev)
+    w_hi = np.where(hist_mask, 0.0, pos - lo)
+    w_lo = np.where(hist_mask, 0.0, 1.0 - w_hi)
+    clamp = ~hist_mask & (pos > prev + 1e-12)
+    return hist, lo.astype(np.intp), w_lo, w_hi, clamp
 
 
 def _trapezoid_weights(alpha, h, n):

@@ -24,6 +24,7 @@ over the same terms, as the rate solver needs them.
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -94,11 +95,12 @@ def _ml_pair(x, alpha):
     E_alpha is ml(x, alpha) to the bit. Over the series terms t_k,
     E_{a,a}(x) = (a / x) sum_k k t_k; over the angle nodes, E_{a,a}(-y) =
     (1/y) sum_j W_j r_j e^(-r_j), the y-derivative of E_a(-y) = sum_j W_j
-    e^(-r_j). Elsewhere (x = 0, alpha = 1) it is two ml calls, which
-    refuse what ml refuses.
+    e^(-r_j). Elsewhere (alpha = 1, and x = 0 or subnormal, where the
+    series' terms keep too few bits to divide by x) it is two ml calls,
+    which refuse what ml refuses.
     """
     check_orders(alpha, 1.0)
-    if not (math.isfinite(x) and x < 0.0 and alpha < 1.0):
+    if not (-math.inf < x <= -sys.float_info.min and alpha < 1.0):
         return ml(x, alpha), ml(x, alpha, alpha)
     ln_y = math.log(-x)
     if ln_y <= _series_edge(alpha, 1.0):

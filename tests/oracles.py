@@ -182,10 +182,10 @@ def trapezoid_direct(sys, t_end, h):
     forms, sums the full history with fsum and solves its own d x d system
     (I - g2 A') x = x0 + g2 (hist + B xd) for the current state. Delayed
     arguments at or before 0 read the initial function; later ones
-    interpolate linearly between the two bracketing nodes. A delayed time
-    within the newest step reads the newest node, and one more than 1e-12
-    steps past it reads the current state itself (A' = A + B, no known
-    delayed part). Returns (times, states, rhs).
+    interpolate linearly between the two bracketing nodes. One a fraction
+    w of a step past the newest node interpolates with the current state:
+    A' = A + w B, and the known part is (1 - w) B x_(k-1). Returns (times,
+    states, rhs).
     """
     alpha, d = sys.alpha, sys.dim
     n = int(round(t_end / h))
@@ -212,21 +212,17 @@ def trapezoid_direct(sys, t_end, h):
         t = ts[k]
         a, b = mat(sys.A, t), mat(sys.B, t)
         s = t - min(max(sys.q.eval(t), 0.0), sys.tau)
-        delayed = None  # None: the current state
         if s <= 0.0:
-            delayed = np.array([p.eval(s) for p in sys.phi])
+            known = b @ np.array([p.eval(s) for p in sys.phi])
         else:
             pos = s / h
             i = math.floor(pos)
             if i < k - 1:
                 frac = pos - i
-                delayed = (1.0 - frac) * xs[i] + frac * xs[i + 1]
-            elif pos <= k - 1 + 1e-12:
-                delayed = xs[k - 1]
-        if delayed is None:
-            a, known = a + b, np.zeros(d)
-        else:
-            known = b @ delayed
+                known = b @ ((1.0 - frac) * xs[i] + frac * xs[i + 1])
+            else:
+                w = pos - (k - 1)
+                a, known = a + w * b, (1.0 - w) * b @ xs[k - 1]
         if k == 0:
             fs.append(a @ x0 + known)
             continue

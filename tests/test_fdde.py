@@ -134,6 +134,22 @@ def test_sub_step_delay_is_clamped_and_flagged():
     assert len(ok.clamped) == 0
 
 
+def test_sub_step_delay_converges():
+    # q = 0.004 lies inside every step at h = 0.01 and 0.005; the delayed
+    # state interpolates with the state being solved, so the error falls
+    # with h (reading x itself there left ~5.7e-4 at both steps)
+    sys_ = DelaySystem(alpha=0.7, dim=1, A=mat([["-1"]]), B=mat([["0.6"]]),
+                       q=T("0.004"), tau=1.0, phi=[S("1+s")])
+    ref = solve(sys_, SolverConfig(t_end=4.0, h=1e-4)).states[:, 0]
+    err = {}
+    for h, stride in ((0.01, 100), (0.005, 50)):
+        traj = solve(sys_, SolverConfig(t_end=4.0, h=h))
+        assert len(traj.clamped) == len(traj.grid) - 1
+        err[h] = np.abs(traj.states[:, 0] - ref[::stride]).max()
+    assert err[0.01] < 2e-4
+    assert err[0.005] <= 0.5 * err[0.01]
+
+
 def test_delay_outside_bound_raises():
     bad = DelaySystem(alpha=0.8, dim=1, A=mat([["-1"]]), B=mat([["0.3"]]),
                       q=T("2+t"), tau=1.0, phi=[S("1")])

@@ -255,6 +255,14 @@ def test_pair_is_two_ml_calls_off_the_negative_axis():
         assert _ml_pair(x, alpha) == (ml(x, alpha), ml(x, alpha, alpha))
 
 
+def test_pair_is_two_ml_calls_at_subnormal_x():
+    # dividing the series moment by a subnormal x lost E_{a,a}: at -5e-324
+    # it gave 0, at -1e-320 it was off by 7e-5 relative
+    for x in (-5e-324, -1e-320, -1e-310):
+        for alpha in (0.3, 0.5, 0.9):
+            assert _ml_pair(x, alpha) == (ml(x, alpha), ml(x, alpha, alpha))
+
+
 def test_half_order_deep_tail():
     # relative accuracy where E_{1/2}(-y) = erfcx(y) ~ 1/(y sqrt(pi)) is tiny
     for y in (60.0, 2e3, 1e6, 1e12, 1e150):
