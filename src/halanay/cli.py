@@ -28,7 +28,7 @@ from .errors import (
 )
 from .expr import parse
 from .fdde import SolverConfig, check_envelope, solve, write_csv
-from .halanay import ScanGrid, certify, envelope as decay_envelope
+from .halanay import NONE, ScanGrid, certify, envelope as decay_envelope
 # classify_conditions is not called here; perfbench/tracer.py wraps it by name
 from .halanay import classify_conditions  # noqa: F401
 from .lmi import certify_lmi
@@ -403,8 +403,10 @@ def _summary_lines(report):
             f"certificate: lambda*={cert['lambda_star']:.8g} "
             f"w0={cert['w0']:.8g} M={cert['M']:.8g} ({cert['case_tag']})"
         )
-    else:
-        lines.append("no certificate")
+    elif verdict["case_tag"] == NONE:
+        lines.append("no certificate: neither smallness condition holds")
+    else:  # only the lmi route withholds a certificate from a tagged verdict
+        lines.append("no certificate: the lmi blocks are not negative semidefinite")
     chk = report.get("envelope_check")
     if chk:
         lines.append(

@@ -70,15 +70,21 @@ def initial_amplitude(sys, kind="l1"):
 
     Reads only sys.phi and sys.tau. Uniform sampling; phi is assumed
     smooth enough that the grid sup is an adequate stand-in for the
-    continuous one.
+    continuous one. A bad kind raises ValueError before phi is evaluated.
+
+    Each component is sampled on its own, folded in place (|phi_i| or
+    phi_i^2) and added, in component order, to one running total, so
+    memory does not grow with dim.
     """
+    if kind not in ("l1", "sq"):
+        raise ValueError(f"kind must be 'l1' or 'sq', got {kind!r}")
+    fold = np.abs if kind == "l1" else np.square
     ss = np.linspace(-sys.tau, 0.0, AMPLITUDE_SAMPLES)
-    vals = np.vstack([p.eval_array(ss) for p in sys.phi])
-    if kind == "l1":
-        return float(np.max(np.abs(vals).sum(axis=0)))
-    if kind == "sq":
-        return float(np.max((vals * vals).sum(axis=0)))
-    raise ValueError(f"kind must be 'l1' or 'sq', got {kind!r}")
+    total = np.zeros_like(ss)
+    for p in sys.phi:
+        vals = p.eval_array(ss)  # a fresh array, so folding in place is safe
+        total += fold(vals, out=vals)
+    return float(np.max(total))
 
 
 def certify_positive(sys, grid, a_bounded=None):

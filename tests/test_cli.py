@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -208,6 +209,35 @@ def test_tolerance_must_be_finite(tmp_path):
     data = scalar_cfg()
     data["solver"]["tolerance"] = 0
     assert load_config(write_cfg(tmp_path, data)).tolerance == 0.0
+
+
+def test_a_parsed_config_keeps_few_tracked_objects(tmp_path):
+    # every object a config keeps alive counts toward the collector's
+    # thresholds during later runs; compiled expressions hold ~19 each,
+    # where closure cells held ~35
+    d = 4
+    data = {
+        "alpha": 0.65, "dim": d, "tau": 2.0, "analysis": "lmi",
+        "A": [[f"-{1.6 + 0.3 * i}-0.17*sin({1 + 0.1 * i}*t)^2" if i == j
+               else f"0.12*cos(t+{0.5 + i + 0.1 * j})" for j in range(d)]
+              for i in range(d)],
+        "B": [[f"0.04*(1+sin(t+{0.3 * j + 0.1 * i})^2)/2" for j in range(d)]
+              for i in range(d)],
+        "q": "0.7+0.5*t/(1+t)",
+        "phi": [f"{0.1 + 0.1 * i}+0.2*cos(s)" for i in range(d)],
+        "gamma": "0.5", "sigma": "0.28",
+        "scan": {"t_max": 100.0, "n_points": 201},
+    }
+    n_exprs = 2 * d * d + 1 + d + 2
+    path = write_cfg(tmp_path, data)
+    load_config(path)  # warm the regex and import caches
+    gc.collect()
+    before = len(gc.get_objects())
+    cfg = load_config(path)
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert cfg.dim == d
+    assert kept <= 28 * n_exprs, kept
 
 
 def test_scalar_route_samples_each_coefficient_once(tmp_path, eval_counts):
@@ -432,6 +462,32 @@ def test_main_verify_bundled_config(tmp_path, config_dir, capsys):
     assert report["certificate"]["lambda_star"] == (
         direct["certificate"]["lambda_star"]
     )
+
+
+def test_main_names_why_there_is_no_certificate(tmp_path, config_dir, capsys):
+    # gamma 5 breaks the blocks while the scalar problem stays BOUNDED_GAP,
+    # so the line after the condition class must not read like a pass
+    data = json.loads((config_dir / "example3.json").read_text())
+    data["gamma"] = "5"
+    path = write_cfg(tmp_path, data)
+    assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("lmi feasibility: False (worst eigenvalue 4.6 ")
+    assert lines[1:3] == [
+        "condition class: BOUNDED_GAP",
+        "no certificate: the lmi blocks are not negative semidefinite",
+    ]
+    report = json.loads((tmp_path / "example3_report.json").read_text())
+    assert report["certificate"] is None
+    assert report["verdict"]["feasible"] is False
+
+    none_cfg = write_cfg(tmp_path, scalar_cfg(B=[["0.4"]]))
+    assert main(["certify", "--config", none_cfg, "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "condition class: NONE",
+        "no certificate: neither smallness condition holds",
+    ]
 
 
 def test_main_exit_codes(tmp_path, config_dir, capsys):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from halanay.errors import StructureError
+from halanay.errors import ExprEvalError, StructureError
 from halanay.expr import parse
 from halanay.halanay import (
     BOUNDED_GAP, NONE, RATIO, ScanGrid, certify, lambda_at,
@@ -197,6 +199,55 @@ def test_initial_amplitude_against_direct_sampling():
     )
     sq = (0.3 - 0.5 * np.cos(2 * ss)) ** 2
     assert initial_amplitude(sys3, "sq") == pytest.approx(float(sq.max()), abs=1e-12)
+
+
+def history(phi, tau=2.0):
+    """A system that only carries the history phi (source strings in s)."""
+    zero = mat([["0"] * len(phi)] * len(phi))
+    return DelaySystem(alpha=0.5, dim=len(phi), A=zero, B=zero, q=T("1"),
+                       tau=tau, phi=[S(p) for p in phi])
+
+
+def test_initial_amplitude_equals_the_stacked_sum_bit_for_bit():
+    # the components are folded one at a time, in the order a stacked
+    # axis-0 sum adds its rows, so the sup is the same float
+    rng = np.random.default_rng(20241012)
+    for d in range(1, 9):
+        for _ in range(6):
+            phi = ["s", f"{float(rng.normal())!r}"]
+            for _ in range(d - 2):
+                c0, c1, c2 = (float(x) for x in rng.normal(size=3))
+                phi.append(f"{c0!r}+({c1!r})*sin(({c2!r})*s)")
+            sys_ = history([phi[k] for k in rng.permutation(len(phi))[:d]],
+                           tau=float(rng.uniform(0.1, 5.0)))
+            ss = np.linspace(-sys_.tau, 0.0, 10_000)
+            vals = np.vstack([p.eval_array(ss) for p in sys_.phi])
+            assert initial_amplitude(sys_, "l1") == np.max(np.abs(vals).sum(axis=0))
+            assert initial_amplitude(sys_, "sq") == np.max((vals * vals).sum(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["l1", "sq"])
+def test_initial_amplitude_memory_does_not_grow_with_dim(kind):
+    def peak(d):
+        sys_ = history(["0.3+0.4*sin(s)"] * d)
+        initial_amplitude(sys_, kind)  # warm
+        tracemalloc.start()
+        try:
+            initial_amplitude(sys_, kind)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # at most one more 10,000-sample float array at d = 8 than at d = 4
+    assert peak(8) - peak(4) <= 10_000 * 8
+
+
+def test_initial_amplitude_checks_kind_before_sampling():
+    sys_ = history(["log(s)"])  # not finite on [-tau, 0]
+    with pytest.raises(ExprEvalError):
+        initial_amplitude(sys_, "l1")
+    with pytest.raises(ValueError, match="kind must be"):
+        initial_amplitude(sys_, "l2")
 
 
 # --------------------------------------------------------- certify_positive
