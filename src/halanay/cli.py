@@ -28,12 +28,13 @@ from .errors import (
 )
 from .expr import parse
 from .fdde import SolverConfig, check_envelope, solve, write_csv
-from .halanay import NONE, ScanGrid, certify, envelope as decay_envelope
-# classify_conditions is not called here; perfbench/tracer.py wraps it by name
-from .halanay import classify_conditions  # noqa: F401
+from .halanay import NONE, ScanGrid, envelope as decay_envelope
+# certify and classify_conditions are not called here; perfbench/tracer.py
+# wraps both by name
+from .halanay import certify, classify_conditions  # noqa: F401
 from .lmi import certify_lmi
 from .mlf import check_orders, ml
-from .positivity import DelaySystem, certify_positive, initial_amplitude
+from .positivity import DelaySystem, certify_positive
 
 __all__ = [
     "RunConfig",
@@ -61,14 +62,8 @@ _SECTION_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    alpha: float
-    dim: int
-    tau: float
+    system: DelaySystem
     analysis: str
-    A: tuple  # rows of TimeExpr
-    B: tuple
-    q: tuple  # one TimeExpr per delay term
-    phi: tuple
     gamma: object  # TimeExpr or None
     sigma: object
     a_bounded: object  # bool or None
@@ -77,17 +72,6 @@ class RunConfig:
     tolerance: float
     csv_path: str
     report_path: str
-
-    def system(self):
-        """The configured DelaySystem, which takes a single delay."""
-        if len(self.q) != 1:
-            raise ConfigError([("q", "simulation supports a single delay; "
-                                     "certify handles lists")])
-        return DelaySystem(
-            alpha=self.alpha, dim=self.dim, A=[list(row) for row in self.A],
-            B=[list(row) for row in self.B], q=self.q[0], tau=self.tau,
-            phi=list(self.phi),
-        )
 
 
 def _want(errors, data, key, types, path=None):
@@ -178,7 +162,7 @@ def load_config(path):
         analysis = None
 
     raw_q = data.get("q")
-    q = None
+    q, n_delays = None, 1
     if raw_q is None:
         errors.append(("q", "missing required field"))
     elif isinstance(raw_q, str):
@@ -189,21 +173,17 @@ def load_config(path):
             errors.append(("q", "a list of delays needs analysis = halanay-scalar"))
         parsed = tuple(_expr(errors, e, f"q[{i}]", "t") for i, e in enumerate(raw_q))
         q = parsed if all(e is not None for e in parsed) else None
+        n_delays = len(parsed)
     else:
         errors.append(("q", f"expected an expression string or list, got {raw_q!r}"))
 
     A = B = None
-    if dim is not None:
-        if analysis == "halanay-scalar":
-            if dim != 1:
-                errors.append(("dim", "halanay-scalar analysis requires dim = 1"))
-            else:
-                A = _matrix(errors, data, "A", 1, 1)
-                if q is not None:
-                    B = _matrix(errors, data, "B", 1, len(q))
-        else:
-            A = _matrix(errors, data, "A", dim, dim)
-            B = _matrix(errors, data, "B", dim, dim)
+    if analysis == "halanay-scalar" and dim not in (None, 1):
+        errors.append(("dim", "halanay-scalar analysis requires dim = 1"))
+    elif dim is not None:
+        # B is the block row [B_1 ... B_K], one dim x dim block per delay
+        A = _matrix(errors, data, "A", dim, dim)
+        B = _matrix(errors, data, "B", dim, dim * n_delays)
 
     phi = None
     raw_phi = data.get("phi")
@@ -283,14 +263,9 @@ def load_config(path):
     if errors:
         raise ConfigError(errors)
     return RunConfig(
-        alpha=float(alpha),
-        dim=dim,
-        tau=float(tau),
+        system=DelaySystem(alpha=float(alpha), dim=dim, A=A, B=B, q=q,
+                           tau=float(tau), phi=phi),
         analysis=analysis,
-        A=A,
-        B=B,
-        q=q,
-        phi=phi,
         gamma=gamma,
         sigma=sigma,
         a_bounded=a_bounded,
@@ -313,36 +288,28 @@ def _strict_json(obj):
 
 def _certify(cfg):
     """Run the configured analysis; returns (verdict_json, certificate, norm_tag)."""
-    if cfg.analysis == "halanay-scalar":
-        ts = cfg.scan.times()
-        # the decay coefficient is the negated self-interaction term; given
-        # directly, a negative one is an input error, not a NONE verdict
-        a = -cfg.A[0][0].eval_array(ts)
-        if np.min(a) < 0:
-            raise InfeasiblePointError("a must be nonnegative on the grid")
-        verdict, cert = certify(
-            cfg.alpha, cfg.tau, ts, a,
-            np.vstack([b.eval_array(ts) for b in cfg.B[0]]),
-            np.vstack([q.eval_array(ts) for q in cfg.q]),
-            np.zeros_like(ts), initial_amplitude(cfg, "l1"),
-            a_bounded=cfg.a_bounded,
-        )
-    elif cfg.analysis == "positive":
-        verdict, cert = certify_positive(cfg.system(), cfg.scan,
-                                         a_bounded=cfg.a_bounded)
-    else:
-        verdict, cert = certify_lmi(cfg.system(), cfg.gamma, cfg.sigma,
-                                    cfg.scan)
-    return asdict(verdict), cert, "l2" if cfg.analysis == "lmi" else "l1"
+    if cfg.analysis == "lmi":
+        verdict, cert = certify_lmi(cfg.system, cfg.gamma, cfg.sigma, cfg.scan)
+        return asdict(verdict), cert, "l2"
+    # halanay-scalar is the positive route at dim 1, where a = -A[0][0] is
+    # given directly: a negative one is an input error, not a NONE verdict
+    verdict, cert = certify_positive(cfg.system, cfg.scan,
+                                     a_bounded=cfg.a_bounded)
+    if cfg.analysis == "halanay-scalar" and verdict.a0 < 0:
+        raise InfeasiblePointError("a must be nonnegative on the grid")
+    return asdict(verdict), cert, "l1"
 
 
 def _simulate(cfg, cert, norm_tag, out_dir):
     if cfg.solver is None:
         raise ConfigError([("solver", "required for simulate/verify")])
-    traj = solve(cfg.system(), cfg.solver)
+    if len(cfg.system.q) != 1:
+        raise ConfigError([("q", "simulation supports a single delay; "
+                                 "certify handles lists")])
+    traj = solve(cfg.system, cfg.solver)
     env_vals = None
     if cert is not None:
-        env_vals = decay_envelope(cert, cfg.alpha, traj.grid)
+        env_vals = decay_envelope(cert, cfg.system.alpha, traj.grid)
         if norm_tag == "l2":
             env_vals = np.sqrt(env_vals)
     csv_path = os.path.join(out_dir, cfg.csv_path)

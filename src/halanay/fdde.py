@@ -102,8 +102,11 @@ def solve(sys, cfg):
     """Integrate the delay system on [0, t_end] with step h.
 
     t_end is rounded to the nearest multiple of h. Deterministic: the
-    same system and config always produce the same bits.
+    same system and config always produce the same bits. The system must
+    have a single delay (K = 1); ValueError otherwise.
     """
+    if len(sys.q) != 1:
+        raise ValueError(f"solve takes a single delay, got {len(sys.q)}")
     d = sys.dim
     n = int(round(cfg.t_end / cfg.h))
     times = cfg.h * np.arange(n + 1)
@@ -219,7 +222,7 @@ def _delay_plan(sys, times, h):
     solved for as x_(lo+1), and its node is flagged in clamp when it lies
     past the newest node by more than rounding.
     """
-    q_samp = sys.q.eval_array(times)
+    q_samp = sys.q[0].eval_array(times)
     slack = 1e-9 * max(1.0, sys.tau)
     if np.min(q_samp) < -slack or np.max(q_samp) > sys.tau + slack:
         k = int(np.argmax((q_samp < -slack) | (q_samp > sys.tau + slack)))

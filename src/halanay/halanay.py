@@ -10,10 +10,11 @@ and the certificate takes the grid minimum together with an offset w0
 determined by which smallness condition the coefficients satisfy. The
 resulting envelope is w0 + M E_alpha(-lambda* t^alpha).
 
-All three certification routes reduce to this inequality and end in
-certify, which takes the coefficients already sampled on the grid:
-positivity.certify_positive passes column sums, lmi.certify_lmi its
-gamma and sigma, and the scalar route the configured coefficients.
+Both certification routes reduce to this inequality and end in certify,
+which takes the coefficients already sampled on the grid:
+positivity.certify_positive passes column sums, one b row per delay term
+(at dimension 1, a scalar comparison inequality given directly, they are
+the configured coefficients), and lmi.certify_lmi its gamma and sigma.
 classify_conditions, its first half, gives the verdict alone. Each route
 returns (verdict, certificate): the verdict is this module's
 ConditionVerdict (lmi's LmiReport extends it with its eigen scan), and
@@ -55,7 +56,7 @@ RESIDUAL_BOUND = 1e-10
 # rounds per rate solve; bisection alone needs at most 47 (a bracket of
 # width <= a halved down to 1e-14 max(1, a))
 MAX_ROUNDS = 100
-# scan points at most, as fdde.MAX_NODES: (2, d, d, n) sample stacks
+# scan points at most, as fdde.MAX_NODES: (d, K d, n) sample stacks
 MAX_POINTS = 10**7
 # The min-rate scan (_min_rate) skips a point when h(U + m) < 0, U the
 # seed's verified rate and m = SCAN_MARGIN max(1, max a). Say every
@@ -321,7 +322,7 @@ def classify_conditions(tau, a, bs, qs, c, a_bounded=None):
 def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
     """Classify sampled coefficients and certify their least rate.
 
-    The one core of all three routes: ts are the grid times, a and c hold
+    The one core of both routes: ts are the grid times, a and c hold
     one sample per time, bs and qs one row per delay term, and M is the
     envelope's amplitude. alpha, the finiteness of a, bs, qs and c, tau,
     M and the shapes are checked first, whatever the verdict, and once.

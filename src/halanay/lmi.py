@@ -14,7 +14,7 @@ halanay.classify_conditions alone classifies them when a block fails.
 The blocks of the whole grid are assembled as one stack and their top
 eigenvalues come from a single batched symmetric eigen solve.
 
-certify_lmi returns (verdict, certificate) like the other two routes:
+certify_lmi returns (verdict, certificate) like the positive route:
 the verdict (LmiReport) is the scalar problem's ConditionVerdict plus
 what the eigen scan found, and the certificate is None when the blocks
 or the scalar conditions fail.
@@ -82,10 +82,10 @@ def certify_lmi(sys, gamma, sigma, grid):
     """Scan the grid for block feasibility and certify the l2 envelope.
 
     gamma and sigma are TimeExpr, nonnegative on the grid; the amplitude
-    is M2 = sup phi^T phi. Returns (verdict, certificate). Infeasibility
-    (a positive eigenvalue beyond EIGEN_TOL, gamma touching 0, or
-    sigma/gamma reaching 1) is reported, not raised; the certificate is
-    then None.
+    is M2 = sup phi^T phi, and sys has one delay (lmi_block refuses a
+    wider B). Returns (verdict, certificate). Infeasibility (a positive
+    eigenvalue beyond EIGEN_TOL, gamma touching 0, or sigma/gamma
+    reaching 1) is reported, not raised; the certificate is then None.
     """
     M2 = initial_amplitude(sys, "sq")
     ts = grid.times()
@@ -101,7 +101,7 @@ def certify_lmi(sys, gamma, sigma, grid):
     worst_eigen = float(eigs[arg])
     # gamma and sigma play a and b of the scalar inequality; its verdict is
     # NONE exactly when min gamma = 0 or max sigma/gamma >= 1
-    coeffs = (g_vals, s_vals[None], sys.q.eval_array(ts)[None],
+    coeffs = (g_vals, s_vals[None], sys.q[0].eval_array(ts)[None],
               np.zeros_like(ts))
     if worst_eigen <= EIGEN_TOL:
         verdict, cert = _hal.certify(sys.alpha, sys.tau, ts, *coeffs, M2)

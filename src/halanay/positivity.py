@@ -1,12 +1,14 @@
 """Order-preserving structure checks and the l1 decay certificate.
 
-A delay system x' (in the Caputo sense) = A(t) x + B(t) x(t - q(t)) is
-order preserving when A(t) is Metzler and B(t) is nonnegative. Column
-sums of A and B then bound the l1 norm of any nonnegative solution by a
-scalar comparison inequality, which halanay.certify certifies from the
-same sampled arrays; certify_positive returns its verdict and
-certificate unchanged. The resulting envelope is
-sup_s ||phi(s)||_1 times E_alpha(-lambda* t^alpha).
+A delay system x' (in the Caputo sense) = A(t) x + sum_k B_k(t) x(t - q_k(t))
+is order preserving when A(t) is Metzler and every B_k(t) is
+nonnegative. Column sums of A and of each B_k then bound the l1 norm of
+any nonnegative solution by a scalar comparison inequality with one
+delay term per k, which halanay.certify certifies from the same sampled
+arrays; certify_positive returns its verdict and certificate unchanged.
+The resulting envelope is sup_s ||phi(s)||_1 times
+E_alpha(-lambda* t^alpha). At dim 1 the column sums are the entries
+themselves, so a scalar comparison inequality is this route's d = 1 case.
 """
 
 import math
@@ -34,35 +36,43 @@ class DelaySystem:
     alpha: float
     dim: int
     A: list  # dim x dim nested list of TimeExpr
-    B: list  # dim x dim nested list of TimeExpr
-    q: object  # TimeExpr, single delay
+    B: list  # dim x (K*dim) block row [B_1 ... B_K] of TimeExpr
+    q: tuple  # K TimeExpr, one delay per block of B; a bare one means K = 1
     tau: float
     phi: list  # dim TimeExpr in the history variable on [-tau, 0]
 
     def __post_init__(self):
+        q = tuple(self.q) if isinstance(self.q, (tuple, list)) else (self.q,)
+        object.__setattr__(self, "q", q)
         check_orders(self.alpha)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive, got {self.tau}")
-        for name, mat in (("A", self.A), ("B", self.B)):
-            if len(mat) != self.dim or any(len(row) != self.dim for row in mat):
-                raise ValueError(f"{name} must be {self.dim}x{self.dim}")
+        if not self.q:
+            raise ValueError("q must hold at least one delay")
+        for name, mat, cols in (("A", self.A, self.dim),
+                                ("B", self.B, len(self.q) * self.dim)):
+            if len(mat) != self.dim or any(len(row) != cols for row in mat):
+                raise ValueError(f"{name} must be {self.dim}x{cols}")
         if len(self.phi) != self.dim:
             raise ValueError(f"phi must have {self.dim} components")
 
 
 def sample_matrices(sys, ts):
-    """A(t) and B(t) on the times ts, each shaped (dim, dim, len(ts)).
+    """A(t) and B(t) on the times ts, shaped (dim, dim, len(ts)) and
+    (dim, K*dim, len(ts)).
 
     Every entry expression is evaluated exactly once.
     """
-    out = np.empty((2, sys.dim, sys.dim, len(ts)))
-    for k, mat in enumerate((sys.A, sys.B)):
+    out = []
+    for mat in (sys.A, sys.B):
+        vals = np.empty((sys.dim, len(mat[0]), len(ts)))
         for i, row in enumerate(mat):
             for j, entry in enumerate(row):
-                out[k, i, j] = entry.eval_array(ts)
-    return out[0], out[1]
+                vals[i, j] = entry.eval_array(ts)
+        out.append(vals)
+    return tuple(out)
 
 
 def initial_amplitude(sys, kind="l1"):
@@ -88,7 +98,7 @@ def initial_amplitude(sys, kind="l1"):
 
 
 def certify_positive(sys, grid, a_bounded=None):
-    """Certify the l1 envelope from the column sums of A and B.
+    """Certify the l1 envelope from the column sums of A and of each B_k.
 
     Returns halanay.certify's (verdict, certificate); the certificate is
     None when neither condition holds (the verdict carries the
@@ -105,11 +115,13 @@ def certify_positive(sys, grid, a_bounded=None):
         bad.append("B has a negative entry on the grid")
     if bad:
         raise StructureError("; ".join(bad))
-    # the column sums: a(t) = -max_j sum_i A_ij(t), b(t) = max_j sum_i B_ij(t);
-    # B passed the structure check, so clamping b only absorbs rounding
+    # the column sums: a(t) = -max_j sum_i A_ij(t) and, one row per delay,
+    # b_k(t) = max_j sum_i (B_k)_ij(t); B passed the structure check, so
+    # clamping b only absorbs rounding
     a_fun = -a_vals.sum(axis=0).max(axis=0)
-    b_fun = np.maximum(b_vals.sum(axis=0).max(axis=0), 0.0)
+    b_rows = b_vals.sum(axis=0).reshape(len(sys.q), sys.dim, len(ts))
     return _hal.certify(
-        sys.alpha, sys.tau, ts, a_fun, b_fun[None], sys.q.eval_array(ts)[None],
-        np.zeros_like(ts), initial_amplitude(sys, "l1"), a_bounded=a_bounded,
+        sys.alpha, sys.tau, ts, a_fun, np.maximum(b_rows.max(axis=1), 0.0),
+        np.vstack([q.eval_array(ts) for q in sys.q]), np.zeros_like(ts),
+        initial_amplitude(sys, "l1"), a_bounded=a_bounded,
     )

@@ -34,7 +34,10 @@ def on_grid(fn, traj):
 
 
 def column_sums(sys_, ts):
-    """a(t) = -max_j sum_i A_ij(t) and b(t) = max_j sum_i B_ij(t) at ts,
-    summed here from the sampled matrices."""
+    """a(t) = -max_j sum_i A_ij(t) and, one row per delay k, b_k(t) =
+    max_j sum_i (B_k)_ij(t) at ts, summed here from the sampled matrices."""
     A, B = sample_matrices(sys_, ts)
-    return -A.sum(axis=0).max(axis=0), B.sum(axis=0).max(axis=0)
+    d = sys_.dim
+    b_rows = [B[:, k * d:(k + 1) * d].sum(axis=0).max(axis=0)
+              for k in range(len(sys_.q))]
+    return -A.sum(axis=0).max(axis=0), np.array(b_rows)

@@ -158,7 +158,7 @@ def rk4_dde(sys, t_end, h):
                 + h01 * xs[i] + h * h11 * fs[i])
 
     def f(t, x):
-        return A(t) @ x + B(t) @ hist(t - sys.q.eval(t))
+        return A(t) @ x + B(t) @ hist(t - sys.q[0].eval(t))
 
     xs[0] = phi(0.0)
     fs[0] = f(0.0, xs[0])
@@ -211,7 +211,7 @@ def trapezoid_direct(sys, t_end, h):
     for k in range(n + 1):
         t = ts[k]
         a, b = mat(sys.A, t), mat(sys.B, t)
-        s = t - min(max(sys.q.eval(t), 0.0), sys.tau)
+        s = t - min(max(sys.q[0].eval(t), 0.0), sys.tau)
         if s <= 0.0:
             known = b @ np.array([p.eval(s) for p in sys.phi])
         else:

@@ -72,7 +72,7 @@ def test_02_sub_semigroup_property():
 def test_03_example1_end_to_end(config_dir):
     t0 = time.perf_counter()
     cfg = load_config(str(config_dir / "example1.json"))
-    sys_ = cfg.system()
+    sys_ = cfg.system
 
     ts = cfg.scan.times()
     a_vals, b_vals = column_sums(sys_, ts)
@@ -104,7 +104,7 @@ def test_03_example1_end_to_end(config_dir):
 def test_04_example2_end_to_end(config_dir):
     t0 = time.perf_counter()
     cfg = load_config(str(config_dir / "example2.json"))
-    sys_ = cfg.system()
+    sys_ = cfg.system
 
     verdict, cert = certify_positive(sys_, cfg.scan)
     assert cert.case_tag == BOUNDED_GAP
@@ -132,7 +132,7 @@ def test_04_example2_end_to_end(config_dir):
 def test_05_example3_end_to_end(config_dir):
     t0 = time.perf_counter()
     cfg = load_config(str(config_dir / "example3.json"))
-    sys_ = cfg.system()
+    sys_ = cfg.system
     m2 = initial_amplitude(sys_, "sq")
     report, cert = certify_lmi(sys_, cfg.gamma, cfg.sigma, cfg.scan)
     assert cert.M == m2

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from halanay.cli import (
     run,
 )
 from halanay.errors import ConfigError
-from halanay.halanay import ScanGrid
+from halanay.halanay import ScanGrid, certify
 from halanay.mlf import ALPHA_MIN
+from halanay.positivity import DelaySystem, initial_amplitude
 
 from conftest import REPO
 
@@ -58,9 +60,9 @@ def test_load_bundled_configs(config_dir):
         cfg = load_config(str(config_dir / name))
         assert isinstance(cfg, RunConfig)
         assert cfg.analysis == analysis
-        assert cfg.dim == dim
+        assert cfg.system.dim == dim
         assert cfg.scan == ScanGrid(100.0, 2001)
-        assert len(cfg.A) == dim and len(cfg.A[0]) == dim
+        assert len(cfg.system.A) == dim and len(cfg.system.A[0]) == dim
     cfg3 = load_config(str(config_dir / "example3.json"))
     assert cfg3.gamma is not None and cfg3.sigma is not None
     assert cfg3.gamma.eval(0.0) == 0.3
@@ -106,7 +108,7 @@ def test_alpha_below_the_mlf_floor_is_a_config_error(tmp_path, config_dir,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "\n  alpha: " in err
     data["alpha"] = ALPHA_MIN
-    assert load_config(write_cfg(tmp_path, data)).alpha == ALPHA_MIN
+    assert load_config(write_cfg(tmp_path, data)).system.alpha == ALPHA_MIN
 
 
 def test_outputs_may_not_overwrite_each_other(tmp_path):
@@ -149,7 +151,7 @@ def test_multi_delay_requires_scalar_analysis(tmp_path):
     multi = scalar_cfg(B=[["0.1", "0.1"]], q=["0.5", "1.5"])
     del multi["solver"]
     cfg = load_config(write_cfg(tmp_path, multi))
-    assert len(cfg.q) == 2
+    assert len(cfg.system.q) == 2
 
     bad = scalar_cfg(analysis="positive", B=[["0.1", "0.1"]], q=["0.5", "1.5"])
     with pytest.raises(ConfigError) as exc:
@@ -236,7 +238,7 @@ def test_a_parsed_config_keeps_few_tracked_objects(tmp_path):
     cfg = load_config(path)
     gc.collect()
     kept = len(gc.get_objects()) - before
-    assert cfg.dim == d
+    assert cfg.system.dim == d
     assert kept <= 28 * n_exprs, kept
 
 
@@ -394,16 +396,17 @@ def test_run_verify_scalar_multi_delay_certifies_but_wont_simulate(tmp_path):
 def test_system_takes_a_single_delay(tmp_path, capsys):
     path = write_cfg(tmp_path, scalar_cfg(B=[["0.1", "0.1"]], q=["0.5", "1.5"]))
     with pytest.raises(ConfigError) as exc:
-        load_config(path).system()
+        run("simulate", load_config(path), out_dir=str(tmp_path))
     assert exc.value.errors == [
         ("q", "simulation supports a single delay; certify handles lists")]
     # the error simulate prints
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"config error: {exc.value}\n"
-    cfg = load_config(write_cfg(tmp_path, scalar_cfg()))
-    sys_ = cfg.system()
-    assert (sys_.alpha, sys_.q, sys_.A, sys_.phi) == (
-        cfg.alpha, cfg.q[0], [list(cfg.A[0])], list(cfg.phi))
+    sys_ = load_config(write_cfg(tmp_path, scalar_cfg())).system
+    assert isinstance(sys_, DelaySystem)
+    assert (sys_.alpha, sys_.dim, sys_.tau) == (0.65, 1, 2.0)
+    assert [e.source for e in (*sys_.q, sys_.A[0][0], *sys_.B[0], *sys_.phi)] == [
+        "2", "-0.3", "0.2", "1+0.2*s"]
 
 
 def test_simulate_writes_the_csv_and_the_report_alone(tmp_path, config_dir):
@@ -428,6 +431,35 @@ def test_every_route_reports_the_scalar_verdict(tmp_path, config_dir):
         report, _ = run("certify", cfg, out_dir=str(tmp_path))
         want = condition + (eigen_scan if cfg.analysis == "lmi" else [])
         assert list(report["verdict"]) == want, cfg.analysis
+
+
+def test_scalar_route_is_the_positive_route_at_dim_one(tmp_path):
+    # a time-varying one-delay system gives the same verify report either way
+    one = scalar_cfg(alpha=0.6, tau=1.5, A=[["-(2+0.5*sin(t))"]],
+                     B=[["0.4+0.3*cos(t)^2"]], q="1+0.5*sin(t)^2",
+                     scan={"t_max": 50.0, "n_points": 1001})
+    reports = []
+    for analysis in ("halanay-scalar", "positive"):
+        cfg = load_config(write_cfg(tmp_path, dict(one, analysis=analysis)))
+        report, code = run("verify", cfg, out_dir=str(tmp_path))
+        assert code == 0
+        reports.append([report[k] for k in
+                        ("verdict", "certificate", "envelope_check")])
+    assert reports[0] == reports[1]
+    # with two delays, certify is halanay.certify on -A[0][0], the B row
+    # and the q list, bit for bit
+    two = scalar_cfg(B=[["0.1", "0.05+0.05*sin(t)"]], q=["0.5", "1.5"])
+    cfg = load_config(write_cfg(tmp_path, two))
+    report, code = run("certify", cfg, out_dir=str(tmp_path))
+    assert code == 0
+    sys_, ts = cfg.system, cfg.scan.times()
+    verdict, cert = certify(
+        sys_.alpha, sys_.tau, ts, -sys_.A[0][0].eval_array(ts),
+        np.vstack([b.eval_array(ts) for b in sys_.B[0]]),
+        np.vstack([q.eval_array(ts) for q in sys_.q]), np.zeros_like(ts),
+        initial_amplitude(sys_, "l1"))
+    assert (report["verdict"], report["certificate"]) == (asdict(verdict),
+                                                           asdict(cert))
 
 
 def test_run_simulate_requires_solver_section(tmp_path):
@@ -566,8 +598,8 @@ def test_run_config_pickles(config_dir):
     back = pickle.loads(pickle.dumps(cfg))
     assert back == cfg
     ts = np.linspace(0.0, 10.0, 11)
-    assert (back.A[0][0].eval_array(ts).tobytes()
-            == cfg.A[0][0].eval_array(ts).tobytes())
+    assert (back.system.A[0][0].eval_array(ts).tobytes()
+            == cfg.system.A[0][0].eval_array(ts).tobytes())
 
 
 def test_main_reports_unwritable_output_paths(tmp_path, capsys):

@@ -161,6 +161,16 @@ def test_delay_outside_bound_raises():
         solve(future, SolverConfig(t_end=1.0, h=0.01))
 
 
+def test_solve_refuses_several_delays():
+    # a DelaySystem may carry K delays for certify_positive; the integrator
+    # takes one, and says so before sampling anything
+    two = DelaySystem(alpha=0.8, dim=2, A=mat([["-1", "0"], ["0", "-1"]]),
+                      B=mat([["0.1", "0", "0.1", "0"], ["0", "0.1", "0", "0.1"]]),
+                      q=(T("0.5"), T("1")), tau=1.0, phi=[S("1"), S("1")])
+    with pytest.raises(ValueError, match="single delay, got 2"):
+        solve(two, SolverConfig(t_end=1.0, h=0.01))
+
+
 def test_solver_is_deterministic():
     sys_ = DelaySystem(
         alpha=0.45, dim=2,
@@ -192,7 +202,7 @@ def test_divergent_solution_raises():
 
 
 def bundled(config_dir, name, q=None):
-    sys_ = load_config(str(config_dir / name)).system()
+    sys_ = load_config(str(config_dir / name)).system
     return sys_ if q is None else dataclasses.replace(sys_, q=T(q))
 
 

@@ -174,7 +174,7 @@ def test_certify_delay_example_feasible():
     assert cert.M == initial_amplitude(args[0], "sq")
     # rate agrees with a direct scalar solve at the grid argmin
     t = cert.grid_argmin
-    lam = lambda_at(0.65, 0.3, [0.2], [args[0].q.eval(t)])
+    lam = lambda_at(0.65, 0.3, [0.2], [args[0].q[0].eval(t)])
     assert cert.lambda_star == pytest.approx(lam, rel=1e-12)
 
 
@@ -182,7 +182,7 @@ def test_each_coefficient_is_evaluated_once_per_certify(eval_counts):
     sys_, gamma, sigma, grid = example3_args()
     rep, _ = certify_lmi(sys_, gamma, sigma, grid)
     assert rep.feasible
-    exprs = [sys_.A[0][0], sys_.B[0][0], sys_.q, gamma, sigma, *sys_.phi]
+    exprs = [sys_.A[0][0], sys_.B[0][0], *sys_.q, gamma, sigma, *sys_.phi]
     assert sorted(eval_counts) == sorted(id(e) for e in exprs)
     assert set(eval_counts.values()) == {1}
 

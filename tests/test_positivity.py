@@ -123,7 +123,7 @@ def test_column_sums_match_closed_forms():
     ):
         a_fun, b_fun = column_sums(sys_, ts)
         np.testing.assert_allclose(a_fun, a_want, atol=1e-12)
-        np.testing.assert_allclose(b_fun, b_want, atol=1e-12)
+        np.testing.assert_allclose(b_fun[0], b_want, atol=1e-12)
         # the verdict's margins are those of the same column sums
         verdict, _ = certify_positive(sys_, GRID)
         assert verdict.a0 == float(np.min(a_fun))
@@ -164,7 +164,7 @@ def test_column_sums_brute_force_on_random_constant_matrices():
         want_b = max(B[:, j].sum() for j in range(d))
         assert np.all(a_fun == a_fun[0])
         assert a_fun[0] == pytest.approx(want_a, abs=1e-12)
-        assert b_fun[0] == pytest.approx(want_b, abs=1e-12)
+        assert b_fun[0, 0] == pytest.approx(want_b, abs=1e-12)
         # the same matrices with the order-preserving signs, through
         # certify_positive's own column sums
         off = ~np.eye(d, dtype=bool)
@@ -297,8 +297,8 @@ def test_certificate_consistency_with_rate_precondition():
     a_fun, b_fun = column_sums(sys_, ts)
     assert np.all(a_fun > b_fun)
     for i in range(0, len(ts), 500):
-        q = sys_.q.eval(float(ts[i]))
-        lam = lambda_at(sys_.alpha, float(a_fun[i]), [float(b_fun[i])], [q])
+        q = sys_.q[0].eval(float(ts[i]))
+        lam = lambda_at(sys_.alpha, float(a_fun[i]), b_fun[:, i], [q])
         assert cert.lambda_star <= lam + 1e-12
 
 
@@ -328,7 +328,7 @@ def test_each_entry_is_evaluated_once_per_certify(eval_counts):
     sys_ = example1_system()
     verdict, cert = certify_positive(sys_, GRID)
     assert cert is not None
-    exprs = [e for row in sys_.A + sys_.B for e in row] + [sys_.q] + sys_.phi
+    exprs = [e for row in sys_.A + sys_.B for e in row] + list(sys_.q) + sys_.phi
     assert sorted(eval_counts) == sorted(id(e) for e in exprs)
     assert set(eval_counts.values()) == {1}
 
@@ -352,13 +352,25 @@ def test_certify_positive_is_certify_on_the_column_sums(a_bounded):
         alpha=0.5, dim=1, A=mat([["0.1"]]), B=mat([["0.05"]]),
         q=T("0.5"), tau=1.0, phi=[S("1")],
     )
-    for sys_ in (example1_system(), example2_system(), growing):
+    # two delays: B is the block row [B_1 B_2], one column-sum row each
+    two_delays = DelaySystem(
+        alpha=0.6, dim=2,
+        A=mat([["-2-0.5*sin(t)", "0.3"], ["0.2+0.1*cos(t)", "-2.5"]]),
+        B=mat([["0.2", "0.1*sin(t)^2", "0.05", "0"],
+               ["0.1", "0.3", "0.1/(1+t)", "0.2"]]),
+        q=(T("0.5+0.25*sin(t)"), T("1")), tau=1.0,
+        phi=[S("1"), S("0.5*cos(s)")],
+    )
+    for sys_ in (example1_system(), example2_system(), growing, two_delays):
         ts = GRID.times()
         a_fun, b_fun = column_sums(sys_, ts)
-        want = certify(sys_.alpha, sys_.tau, ts, a_fun, b_fun[None],
-                       sys_.q.eval_array(ts)[None], np.zeros_like(ts),
-                       initial_amplitude(sys_, "l1"), a_bounded=a_bounded)
+        assert b_fun.shape == (len(sys_.q), len(ts))
+        want = certify(sys_.alpha, sys_.tau, ts, a_fun, b_fun,
+                       np.vstack([q.eval_array(ts) for q in sys_.q]),
+                       np.zeros_like(ts), initial_amplitude(sys_, "l1"),
+                       a_bounded=a_bounded)
         assert certify_positive(sys_, GRID, a_bounded=a_bounded) == want
+    assert want[1] is not None
 
 
 def test_user_boundedness_flag_switches_route():
