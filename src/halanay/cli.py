@@ -169,8 +169,8 @@ def load_config(path):
         e = _expr(errors, raw_q, "q", "t")
         q = (e,) if e is not None else None
     elif isinstance(raw_q, list) and raw_q:
-        if analysis is not None and analysis != "halanay-scalar":
-            errors.append(("q", "a list of delays needs analysis = halanay-scalar"))
+        if analysis == "lmi":
+            errors.append(("q", "analysis = lmi takes a single delay"))
         parsed = tuple(_expr(errors, e, f"q[{i}]", "t") for i, e in enumerate(raw_q))
         q = parsed if all(e is not None for e in parsed) else None
         n_delays = len(parsed)
@@ -301,11 +301,6 @@ def _certify(cfg):
 
 
 def _simulate(cfg, cert, norm_tag, out_dir):
-    if cfg.solver is None:
-        raise ConfigError([("solver", "required for simulate/verify")])
-    if len(cfg.system.q) != 1:
-        raise ConfigError([("q", "simulation supports a single delay; "
-                                 "certify handles lists")])
     traj = solve(cfg.system, cfg.solver)
     env_vals = None
     if cert is not None:
@@ -334,6 +329,8 @@ def run(command, cfg, out_dir="."):
         "scan": {"t_max": cfg.scan.t_max, "n_points": cfg.scan.n_points},
         "note": GRID_NOTE,
     }
+    if command in ("simulate", "verify") and cfg.solver is None:
+        raise ConfigError([("solver", "required for simulate/verify")])
     verdict, cert, norm_tag = _certify(cfg)
     report["verdict"] = verdict
     report["certificate"] = None if cert is None else asdict(cert)

@@ -3,7 +3,7 @@
 The solver discretizes the Volterra form
 
     x(t) = phi(0) + (1/Gamma(alpha)) int_0^t (t-u)^(alpha-1) f(u) du,
-    f(u) = A(u) x(u) + B(u) x(u - q(u)),
+    f(u) = A(u) x(u) + sum_k B_k(u) x(u - q_k(u)),
 
 with the implicit product-trapezoid rule (Garrappa, Math. Comput. Simul.
 110, 2015), solved exactly at every node rather than by a predictor and
@@ -26,8 +26,8 @@ couplings of nodes whose delayed time falls inside their own block)
 does not; it is built per block, with no stack over the whole
 trajectory: -W A is one broadcast product, and C is added only at the
 nodes found before the loop. The states enter through the known
-delayed part fc = B xd, the right-hand side sums + W fc, the solve,
-f = A x + C x + fc and the history convolution. The history weights
+delayed part fc = sum_k B_k xd_k, the right-hand side sums + W fc, the
+solve, f = A x + C x + fc and the history convolution. The history weights
 depend on the span alone, so each distinct span's operator is built
 once per solve: a Toeplitz matrix up to DIRECT_SPAN steps, where a
 direct product beats an FFT, and the weights' spectrum beyond it.
@@ -101,29 +101,28 @@ class EnvelopeCheck:
 def solve(sys, cfg):
     """Integrate the delay system on [0, t_end] with step h.
 
+    f = A x + sum_k B_k x(t - q_k), with B the block row [B_1 ... B_K].
     t_end is rounded to the nearest multiple of h. Deterministic: the
-    same system and config always produce the same bits. The system must
-    have a single delay (K = 1); ValueError otherwise.
+    same system and config always produce the same bits.
     """
-    if len(sys.q) != 1:
-        raise ValueError(f"solve takes a single delay, got {len(sys.q)}")
-    d = sys.dim
+    d, n_q = sys.dim, len(sys.q)
     n = int(round(cfg.t_end / cfg.h))
     times = cfg.h * np.arange(n + 1)
     # A and B as [row, column, node]
     a_samp, b_samp = sample_matrices(sys, times)
     hist, lo, w_lo, w_hi, clamp = _delay_plan(sys, times, cfg.h)
-    # in-block couplings: x_lo and x_(lo + 1) at columns col and col + 1
-    # of the node's own block, kept at the nodes that have one; a node of
-    # an earlier block is in the known part already and gets weight 0 here
-    col = lo - 1 - (np.maximum(np.arange(n + 1) - 1, 0) // BLOCK) * BLOCK
-    c_wlo = np.where(col >= 0, w_lo, 0.0)
-    c_whi = np.where(col >= -1, w_hi, 0.0)
-    c_node = np.flatnonzero((c_wlo != 0.0) | (c_whi != 0.0))
-    c_col, c_wlo, c_whi = col[c_node], c_wlo[c_node], c_whi[c_node]
+    # in-block couplings, one per (node, delay) pair that has one: x_lo and
+    # x_(lo + 1) at columns col and col + 1 of the node's own block; a node
+    # of an earlier block is in the known part already and gets weight 0
+    col = lo - 1 - (np.maximum(np.arange(n + 1) - 1, 0) // BLOCK)[:, None] * BLOCK
+    c_wlo = np.where(col >= 0, w_lo, 0.0).ravel()
+    c_whi = np.where(col >= -1, w_hi, 0.0).ravel()
+    c_pair = np.flatnonzero((c_wlo != 0.0) | (c_whi != 0.0))
+    c_node, c_q = np.divmod(c_pair, n_q)
+    c_col, c_wlo, c_whi = col.ravel()[c_pair], c_wlo[c_pair], c_whi[c_pair]
     # the couplings of block t - 1 are [c_cut[t - 1], c_cut[t])
     c_cut = np.searchsorted(c_node, np.arange(1, n + 1 + BLOCK, BLOCK)).tolist()
-    w_lo, w_hi = w_lo[:, None], w_hi[:, None]
+    w_lo, w_hi = w_lo[..., None], w_hi[..., None]
 
     weights, end_weights, c_corr = _trapezoid_weights(sys.alpha, cfg.h, n)
     # -W: minus the same weights inside one block and the weight c_corr of
@@ -137,7 +136,7 @@ def solve(sys, cfg):
     rhs = np.zeros((n + 1, d))
     x0 = np.array([p.eval(0.0) for p in sys.phi])
     states[0] = x0
-    rhs[0] = a_samp[..., 0] @ x0 + b_samp[..., 0] @ hist[0]
+    rhs[0] = a_samp[..., 0] @ x0 + b_samp[..., 0] @ hist[0].ravel()
     # x0 plus the trapezoid sums over the nodes of earlier blocks; node 0
     # carries its own end weight
     sums = np.zeros((n + 1, d))
@@ -148,17 +147,17 @@ def solve(sys, cfg):
     for t, k0 in enumerate(range(1, n + 1, BLOCK), start=1):
         k1 = min(k0 + BLOCK, n + 1)
         m = k1 - k0
-        # a_blk[a, (i, b)] = A_i[a, b], b_blk[a, b, i] = B_i[a, b]
+        # a_blk[a, (i, b)] = A_i[a, b], b_blk[a, (k, b), i] = (B_k)_i[a, b]
         a_blk = a_samp[..., k0:k1].transpose(0, 2, 1).reshape(d, m * d)
         b_blk = b_samp[..., k0:k1]
         neg_w = neg_tri[:m, :m]
-        # f = A x + B xd = A x + C x + fc, C the couplings to this block's
-        # own states and fc = B xd over the states known from earlier
-        # blocks (this block's are still zero); the rule x = sums + W f is
-        # (I - W A - W C) x = sums + W fc
+        # f = A x + sum_k B_k xd_k = A x + C x + fc, C the couplings to this
+        # block's own states and fc = sum_k B_k xd_k over the states known
+        # from earlier blocks (this block's are still zero); the rule
+        # x = sums + W f is (I - W A - W C) x = sums + W fc
         xd = (hist[k0:k1] + w_lo[k0:k1] * states[lo[k0:k1]]
               + w_hi[k0:k1] * states[lo[k0:k1] + 1])
-        fc = np.einsum("abi,ib->ia", b_blk, xd)
+        fc = np.einsum("abi,ib->ia", b_blk, xd.reshape(m, n_q * d))
         # C order: the reshape and ravel below are views, so the diagonal
         # += 1 lands in lhs
         lhs = np.multiply(neg_rep[:m, None, :m * d], a_blk, order="C")
@@ -166,7 +165,7 @@ def solve(sys, cfg):
         if c0 < c1:
             # the rows of C at the block's nodes that have couplings
             at, cols = c_node[c0:c1] - k0, c_col[c0:c1]
-            b_at = b_blk[..., at].transpose(2, 0, 1)
+            b_at = b_blk.reshape(d, n_q, d, m)[:, c_q[c0:c1], :, at]
             rows = np.arange(c1 - c0)
             c_at = np.zeros((c1 - c0, d, m, d))
             c_at[rows, :, np.maximum(cols, 0)] = c_wlo[c0:c1, None, None] * b_at
@@ -179,7 +178,7 @@ def solve(sys, cfg):
         x = x.reshape(m, d)
         f = np.einsum("aib,ib->ia", a_blk.reshape(d, m, d), x) + fc
         if c0 < c1:
-            f[at] += c_at @ x.ravel()
+            np.add.at(f, at, c_at @ x.ravel())  # two pairs may share a node
         states[k0:k1] = x
         rhs[k0:k1] = f
         finite = np.isfinite(x) & np.isfinite(f)
@@ -214,24 +213,26 @@ def solve(sys, cfg):
 
 
 def _delay_plan(sys, times, h):
-    """Delay plan: x(t_k - q_k) = hist_k + w_lo_k x_lo_k + w_hi_k x_(lo_k+1).
+    """Delay plan: x(t_i - q_k) = hist_ik + w_lo_ik x_lo_ik + w_hi_ik x_(lo_ik+1).
 
-    Initial-function lookups are exact wherever the delayed time is <= 0.
-    Later ones interpolate linearly between x_lo and x_(lo+1), lo at most
-    k - 1: a delayed time inside the current step reads the state being
-    solved for as x_(lo+1), and its node is flagged in clamp when it lies
-    past the newest node by more than rounding.
+    hist is (n+1, K, d) and lo, w_lo, w_hi are (n+1, K): every delay k at
+    every node i. Initial-function lookups are exact wherever the delayed
+    time is <= 0. Later ones interpolate linearly between x_lo and
+    x_(lo+1), lo at most i - 1: a delayed time inside the current step
+    reads the state being solved for as x_(lo+1), and its node is flagged
+    in clamp when it lies past the newest node by more than rounding.
     """
-    q_samp = sys.q[0].eval_array(times)
+    q_samp = np.stack([q.eval_array(times) for q in sys.q], axis=1)
     slack = 1e-9 * max(1.0, sys.tau)
-    if np.min(q_samp) < -slack or np.max(q_samp) > sys.tau + slack:
-        k = int(np.argmax((q_samp < -slack) | (q_samp > sys.tau + slack)))
+    out = (q_samp < -slack) | (q_samp > sys.tau + slack)
+    if out.any():
+        i, k = np.unravel_index(np.argmax(out), out.shape)
         raise StepSizeError(
-            f"delay q(t)={q_samp[k]:.6g} leaves [0, {sys.tau}] at t={times[k]:.6g}"
+            f"delay q(t)={q_samp[i, k]:.6g} leaves [0, {sys.tau}] at t={times[i]:.6g}"
         )
-    s_arg = times - np.clip(q_samp, 0.0, sys.tau)
-    prev = np.maximum(np.arange(len(times)) - 1, 0)
-    hist = np.zeros((len(times), sys.dim))
+    s_arg = times[:, None] - np.clip(q_samp, 0.0, sys.tau)
+    prev = np.maximum(np.arange(len(times)) - 1, 0)[:, None]
+    hist = np.zeros(s_arg.shape + (sys.dim,))
     hist_mask = s_arg <= 0.0
     for c in range(sys.dim):
         hist[hist_mask, c] = sys.phi[c].eval_array(s_arg[hist_mask])
@@ -239,7 +240,7 @@ def _delay_plan(sys, times, h):
     lo = np.clip(np.trunc(pos), 0, prev)
     w_hi = np.where(hist_mask, 0.0, pos - lo)
     w_lo = np.where(hist_mask, 0.0, 1.0 - w_hi)
-    clamp = ~hist_mask & (pos > prev + 1e-12)
+    clamp = (~hist_mask & (pos > prev + 1e-12)).any(axis=1)
     return hist, lo.astype(np.intp), w_lo, w_hi, clamp
 
 

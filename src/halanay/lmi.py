@@ -82,11 +82,13 @@ def certify_lmi(sys, gamma, sigma, grid):
     """Scan the grid for block feasibility and certify the l2 envelope.
 
     gamma and sigma are TimeExpr, nonnegative on the grid; the amplitude
-    is M2 = sup phi^T phi, and sys has one delay (lmi_block refuses a
-    wider B). Returns (verdict, certificate). Infeasibility (a positive
+    is M2 = sup phi^T phi, and sys has one delay (ValueError otherwise,
+    before anything is sampled). Returns (verdict, certificate). Infeasibility (a positive
     eigenvalue beyond EIGEN_TOL, gamma touching 0, or sigma/gamma
     reaching 1) is reported, not raised; the certificate is then None.
     """
+    if len(sys.q) != 1:
+        raise ValueError(f"certify_lmi takes a single delay, got {len(sys.q)}")
     M2 = initial_amplitude(sys, "sq")
     ts = grid.times()
     g_vals = gamma.eval_array(ts)

@@ -180,12 +180,13 @@ def trapezoid_direct(sys, t_end, h):
 
     Every node recomputes its product-trapezoid weights from the closed
     forms, sums the full history with fsum and solves its own d x d system
-    (I - g2 A') x = x0 + g2 (hist + B xd) for the current state. Delayed
-    arguments at or before 0 read the initial function; later ones
-    interpolate linearly between the two bracketing nodes. One a fraction
-    w of a step past the newest node interpolates with the current state:
-    A' = A + w B, and the known part is (1 - w) B x_(k-1). Returns (times,
-    states, rhs).
+    (I - g2 A') x = x0 + g2 (hist + known) for the current state, where
+    f = A x + sum_k B_k x(t - q_k). Delayed arguments at or before 0 read
+    the initial function; later ones interpolate linearly between the two
+    bracketing nodes. A delay k whose time lies a fraction w_k of a step
+    past the newest node interpolates with the current state: it adds
+    w_k B_k to A', and (1 - w_k) B_k x_(k-1) to the known part. Returns
+    (times, states, rhs).
     """
     alpha, d = sys.alpha, sys.dim
     n = int(round(t_end / h))
@@ -210,19 +211,23 @@ def trapezoid_direct(sys, t_end, h):
     xs, fs = [x0], []
     for k in range(n + 1):
         t = ts[k]
-        a, b = mat(sys.A, t), mat(sys.B, t)
-        s = t - min(max(sys.q[0].eval(t), 0.0), sys.tau)
-        if s <= 0.0:
-            known = b @ np.array([p.eval(s) for p in sys.phi])
-        else:
+        a, b_row = mat(sys.A, t), mat(sys.B, t)
+        known = np.zeros(d)
+        for j, q in enumerate(sys.q):
+            b = b_row[:, j * d:(j + 1) * d]
+            s = t - min(max(q.eval(t), 0.0), sys.tau)
+            if s <= 0.0:
+                known = known + b @ np.array([p.eval(s) for p in sys.phi])
+                continue
             pos = s / h
             i = math.floor(pos)
             if i < k - 1:
                 frac = pos - i
-                known = b @ ((1.0 - frac) * xs[i] + frac * xs[i + 1])
+                known = known + b @ ((1.0 - frac) * xs[i] + frac * xs[i + 1])
             else:
                 w = pos - (k - 1)
-                a, known = a + w * b, (1.0 - w) * b @ xs[k - 1]
+                a = a + w * b
+                known = known + (1.0 - w) * b @ xs[k - 1]
         if k == 0:
             fs.append(a @ x0 + known)
             continue

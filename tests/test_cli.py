@@ -10,6 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from halanay import cli
 from halanay.cli import (
     GRID_NOTE,
     RunConfig,
@@ -147,16 +148,16 @@ def test_dimension_mismatch_is_reported(tmp_path):
     assert any(p == "A" for p, _ in exc.value.errors)
 
 
-def test_multi_delay_requires_scalar_analysis(tmp_path):
-    multi = scalar_cfg(B=[["0.1", "0.1"]], q=["0.5", "1.5"])
-    del multi["solver"]
-    cfg = load_config(write_cfg(tmp_path, multi))
-    assert len(cfg.system.q) == 2
+def test_only_the_lmi_route_refuses_a_delay_list(tmp_path):
+    two = {"B": [["0.1", "0.1"]], "q": ["0.5", "1.5"]}
+    for analysis in ("halanay-scalar", "positive"):
+        cfg = load_config(write_cfg(tmp_path, scalar_cfg(analysis=analysis, **two)))
+        assert [e.source for e in cfg.system.q] == ["0.5", "1.5"]
 
-    bad = scalar_cfg(analysis="positive", B=[["0.1", "0.1"]], q=["0.5", "1.5"])
+    bad = scalar_cfg(analysis="lmi", gamma="0.3", sigma="0.2", **two)
     with pytest.raises(ConfigError) as exc:
         load_config(write_cfg(tmp_path, bad))
-    assert any(p == "q" for p, _ in exc.value.errors)
+    assert exc.value.errors == [("q", "analysis = lmi takes a single delay")]
 
 
 def test_unknown_nested_fields_are_reported(tmp_path, capsys):
@@ -383,30 +384,34 @@ def test_verify_passes_on_a_zero_history(tmp_path, config_dir, capsys):
     assert data.shape[0] == 2001 and not data[:, -1].any()
 
 
-def test_run_verify_scalar_multi_delay_certifies_but_wont_simulate(tmp_path):
-    multi = scalar_cfg(B=[["0.1", "0.1"]], q=["0.5", "1.5"])
-    cfg = load_config(write_cfg(tmp_path, multi))
-    report, code = run("certify", cfg, out_dir=str(tmp_path))
-    assert code == 0
-    assert report["certificate"]["lambda_star"] > 0.0
-    with pytest.raises(ConfigError):
-        run("simulate", cfg, out_dir=str(tmp_path))
+def test_run_verify_checks_two_delay_certificates(tmp_path, config_dir):
+    # a two-delay certificate holds on the trajectory, as halanay-scalar and
+    # as example 1 with B split in halves over its delay and a second one
+    scalar = scalar_cfg(B=[["0.1", "0.05+0.05*sin(t)"]], q=["0.5", "1.5"])
+    positive = json.loads((config_dir / "example1.json").read_text())
+    positive["B"] = [[f"({e})/2" for e in row] * 2 for row in positive["B"]]
+    positive["q"] = [positive["q"], "0.5+0.3*sin(t)^2"]
+    for data in (scalar, positive):
+        cfg = load_config(write_cfg(tmp_path, data))
+        assert len(cfg.system.q) == 2
+        report, code = run("verify", cfg, out_dir=str(tmp_path))
+        assert code == 0, cfg.analysis
+        assert report["certificate"]["lambda_star"] > 0.0
+        assert report["envelope_check"]["passed"] is True
 
 
-def test_system_takes_a_single_delay(tmp_path, capsys):
+def test_simulate_takes_a_delay_list(tmp_path, capsys):
     path = write_cfg(tmp_path, scalar_cfg(B=[["0.1", "0.1"]], q=["0.5", "1.5"]))
-    with pytest.raises(ConfigError) as exc:
-        run("simulate", load_config(path), out_dir=str(tmp_path))
-    assert exc.value.errors == [
-        ("q", "simulation supports a single delay; certify handles lists")]
-    # the error simulate prints
-    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"config error: {exc.value}\n"
-    sys_ = load_config(write_cfg(tmp_path, scalar_cfg())).system
+    assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == f"note: {GRID_NOTE}\n"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["simulation"]["nodes"] == 501
+    # the config's fields land in one DelaySystem
+    sys_ = load_config(path).system
     assert isinstance(sys_, DelaySystem)
     assert (sys_.alpha, sys_.dim, sys_.tau) == (0.65, 1, 2.0)
     assert [e.source for e in (*sys_.q, sys_.A[0][0], *sys_.B[0], *sys_.phi)] == [
-        "2", "-0.3", "0.2", "1+0.2*s"]
+        "0.5", "1.5", "-0.3", "0.1", "0.1", "1+0.2*s"]
 
 
 def test_simulate_writes_the_csv_and_the_report_alone(tmp_path, config_dir):
@@ -462,14 +467,22 @@ def test_scalar_route_is_the_positive_route_at_dim_one(tmp_path):
                                                            asdict(cert))
 
 
-def test_run_simulate_requires_solver_section(tmp_path):
+def test_run_simulate_requires_solver_section(tmp_path, monkeypatch):
     data = scalar_cfg()
     del data["solver"]
     cfg = load_config(write_cfg(tmp_path, data))
-    with pytest.raises(ConfigError):
-        run("simulate", cfg, out_dir=str(tmp_path))
     _, code = run("certify", cfg, out_dir=str(tmp_path))
     assert code == 0
+
+    # simulate and verify refuse it before certifying anything
+    def no_certify(*args, **kwargs):
+        raise AssertionError("certified before the solver check")
+
+    monkeypatch.setattr(cli, "certify_positive", no_certify)
+    for command in ("simulate", "verify"):
+        with pytest.raises(ConfigError) as exc:
+            run(command, cfg, out_dir=str(tmp_path))
+        assert exc.value.errors == [("solver", "required for simulate/verify")]
 
 
 # --------------------------------------------------------------------- main

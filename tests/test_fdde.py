@@ -161,14 +161,38 @@ def test_delay_outside_bound_raises():
         solve(future, SolverConfig(t_end=1.0, h=0.01))
 
 
-def test_solve_refuses_several_delays():
-    # a DelaySystem may carry K delays for certify_positive; the integrator
-    # takes one, and says so before sampling anything
-    two = DelaySystem(alpha=0.8, dim=2, A=mat([["-1", "0"], ["0", "-1"]]),
-                      B=mat([["0.1", "0", "0.1", "0"], ["0", "0.1", "0", "0.1"]]),
-                      q=(T("0.5"), T("1")), tau=1.0, phi=[S("1"), S("1")])
-    with pytest.raises(ValueError, match="single delay, got 2"):
-        solve(two, SolverConfig(t_end=1.0, h=0.01))
+def with_delays(sys_, qs, shares):
+    """sys_ with the delays qs, B_k = shares[k] * B; a share of 0 is a
+    zero block."""
+    B = [[T(f"{w}*({e.source})") if w else T("0") for w in shares for e in row]
+         for row in sys_.B]
+    return dataclasses.replace(sys_, B=B, q=tuple(T(q) for q in qs))
+
+
+def test_a_zero_delay_block_changes_no_bit(config_dir):
+    # K = 2 with B_2 = 0 is the K = 1 solve, bit for bit, with the first
+    # delay under one step, inside the block or from the history
+    cfg = SolverConfig(t_end=2.5, h=0.01)
+    for name, q in (("example1.json", "0.004"), ("example2.json", "0.05"),
+                    ("example3.json", None)):
+        one = bundled(config_dir, name, q)
+        two = with_delays(one, (one.q[0].source, "0.8+0.1*sin(t)"), (1, 0))
+        a, b = solve(one, cfg), solve(two, cfg)
+        assert np.array_equal(a.states, b.states), name
+        assert np.array_equal(a.rhs, b.rhs), name
+        assert a.clamped == b.clamped
+
+
+def test_equal_delays_share_the_coupling(config_dir):
+    # the same delay twice, each with half of B, is the one-delay system
+    cfg = SolverConfig(t_end=2.5, h=0.01)
+    for name, q in (("example1.json", "0.004"), ("example2.json", "0.013"),
+                    ("example1.json", None)):
+        one = bundled(config_dir, name, q)
+        two = with_delays(one, (one.q[0].source,) * 2, (0.5, 0.5))
+        a, b = solve(one, cfg), solve(two, cfg)
+        assert np.abs(a.states - b.states).max() <= 1e-13 * np.abs(a.states).max()
+        assert np.abs(a.rhs - b.rhs).max() <= 1e-13 * np.abs(a.rhs).max()
 
 
 def test_solver_is_deterministic():
@@ -202,7 +226,11 @@ def test_divergent_solution_raises():
 
 
 def bundled(config_dir, name, q=None):
+    """A bundled system, with the delay q if given; a tuple of delays
+    splits B over them, a quarter to the first."""
     sys_ = load_config(str(config_dir / name)).system
+    if isinstance(q, tuple):
+        return with_delays(sys_, q, (0.25, 0.75))
     return sys_ if q is None else dataclasses.replace(sys_, q=T(q))
 
 
@@ -218,6 +246,11 @@ def bundled(config_dir, name, q=None):
     # long enough to carry history both as a matrix and by FFT
     ("example1.json", "0.005+0.02*sin(3*t)^2", 6.01, None),
     ("example3.json", None, 6.01, 0),
+    # two delays that both couple inside the block
+    ("example1.json", ("0.004", "0.05"), 1.3, 130),
+    ("example3.json", ("0.013", "0.005+0.02*sin(3*t)^2"), 1.3, None),
+    # two delays, one reaching back past the block, over the FFT history
+    ("example1.json", ("0.7+0.25*sin(t)", "0.05+0.02*sin(t)"), 6.01, 0),
 ])
 def test_solve_matches_direct_trapezoid(config_dir, name, q, t_end, clamps):
     sys_ = bundled(config_dir, name, q)

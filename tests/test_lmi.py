@@ -187,6 +187,17 @@ def test_each_coefficient_is_evaluated_once_per_certify(eval_counts):
     assert set(eval_counts.values()) == {1}
 
 
+def test_certify_lmi_refuses_several_delays(eval_counts):
+    # the block inequality has one delayed state; a wider system is refused
+    # by name before anything is sampled
+    sys_, gamma, sigma, grid = example3_args()
+    two = DelaySystem(alpha=0.65, dim=1, A=sys_.A, B=mat([["-0.01", "-0.01"]]),
+                      q=(T("1"), T("1.5")), tau=2.0, phi=sys_.phi)
+    with pytest.raises(ValueError, match="certify_lmi takes a single delay, got 2"):
+        certify_lmi(two, gamma, sigma, grid)
+    assert not eval_counts
+
+
 def test_certify_trace_det_cross_check():
     # 2x2 negative semidefinite <=> trace <= 0 and det >= 0
     for t in (0.0, 1.0, 10.0, 100.0):
