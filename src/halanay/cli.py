@@ -8,7 +8,6 @@ codes: 0 pass/feasible, 2 infeasible or envelope violation, 1 input
 error (usage errors included).
 """
 
-import argparse
 import json
 import math
 import os
@@ -383,13 +382,14 @@ def _summary_lines(report):
     return lines
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a usage error is bad input: exit 1, not 2
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def main(argv=None):
+    import argparse  # here, not at module level: only main parses arguments
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error is bad input: exit 1, not 2
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="halanay-certify",
         description=(

@@ -33,9 +33,11 @@ once per solve: a Toeplitz matrix up to DIRECT_SPAN steps, where a
 direct product beats an FFT, and the weights' spectrum beyond it.
 
 Companion routines re-check certified envelopes and the
-quadratic-Lyapunov inequality on the computed trajectory.
+quadratic-Lyapunov inequality on the computed trajectory, and write_csv
+dumps it with every field exactly as Python's '%.17g' writes it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +60,7 @@ __all__ = [
 MAX_NODES = 10**7  # memory guard: per-node coefficient stacks and weight tables
 BLOCK = 32  # steps per linear solve
 DIRECT_SPAN = 128  # longest history span applied as a matrix, not by FFT
-CSV_ROWS = 1024  # rows per formatted chunk in write_csv
+CSV_ROWS = 256  # rows per write_csv chunk; its numpy temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -320,11 +322,7 @@ def check_envelope(traj, norm_tag, envelope_values, tolerance):
         norms = traj.norms_l2
     else:
         raise ValueError(f"norm_tag must be 'l1' or 'l2', got {norm_tag!r}")
-    env = np.asarray(envelope_values, dtype=float)
-    if env.shape != traj.grid.shape:
-        raise ValueError(
-            f"expected {len(traj.grid)} envelope values, got shape {env.shape}"
-        )
+    env = _envelope_array(traj, envelope_values)
     if not (env >= 0.0).all():  # false at nan too
         raise ValueError("envelope must be nonnegative on the grid")
     ratio = _ratio(norms, env)
@@ -337,6 +335,13 @@ def check_envelope(traj, norm_tag, envelope_values, tolerance):
         max_ratio=max_ratio, first_violation_t=first, tolerance=tolerance,
         passed=max_ratio <= 1.0 + tolerance,
     )
+
+
+def _envelope_array(traj, values):
+    env = np.asarray(values, dtype=float)
+    if env.shape != traj.grid.shape:
+        raise ValueError(f"expected {len(traj.grid)} envelope values, got shape {env.shape}")
+    return env
 
 
 def _ratio(norms, env):
@@ -363,8 +368,8 @@ def write_csv(traj, path, envelope_values=None, norm_tag="l1"):
     """Trajectory dump: t, components, norms, envelope and norm/envelope.
 
     Without envelope values the last two columns are nan, else the ratio
-    is check_envelope's. 17 significant digits, so a reload reproduces the
-    floats exactly.
+    is check_envelope's. Each field is exactly Python's '%.17g', so a
+    reload reproduces the floats; the rows go out CSV_ROWS at a time.
     """
     if norm_tag not in ("l1", "l2"):
         raise ValueError(f"norm_tag must be 'l1' or 'l2', got {norm_tag!r}")
@@ -372,16 +377,101 @@ def write_csv(traj, path, envelope_values=None, norm_tag="l1"):
     if envelope_values is None:
         env = np.full(n, math.nan)
     else:
-        env = np.asarray(envelope_values, dtype=float)
+        env = _envelope_array(traj, envelope_values)
     norms = traj.norms_l1 if norm_tag == "l1" else traj.norms_l2
     ratio = _ratio(norms, env)
     header = "t," + ",".join(f"x{i + 1}" for i in range(d)) + ",norm_l1,norm_l2,envelope,ratio"
-    cols = np.column_stack(
-        [traj.grid, traj.states, traj.norms_l1, traj.norms_l2, env, ratio]
-    )
-    row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        # one % format per chunk of rows keeps the float objects few
-        for part in np.array_split(cols, range(CSV_ROWS, n, CSV_ROWS)):
-            fh.write(row * len(part) % tuple(part.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        cols = (traj.grid, traj.states, traj.norms_l1, traj.norms_l2, env, ratio)
+        for s in range(0, n, CSV_ROWS):
+            block = np.column_stack([c[s:s + CSV_ROWS] for c in cols])
+            fh.write(_format_rows(block, d + 5))
+
+
+@functools.cache
+def _csv_tables():
+    """_format_rows' tables, built in 1-d steps: hi + lo = 10^j (j = -264
+    .. 297, from Python ints); '0000' .. '9999' as int64 words, a 0 byte
+    after each ASCII digit and in the top byte the digit count to the last
+    nonzero one; keep[j, kk] keeps digits 4j + 1 .. 4j + 4 below digit kk."""
+    hi, lo = [], []
+    for j in range(-264, 298):
+        num, den = 10 ** max(j, 0), 10 ** max(-j, 0)
+        hn, hd = (num / den).as_integer_ratio()
+        hi.append(hn / hd)
+        lo.append((num * hd - hn * den) / (den * hd))
+    g = np.arange(10000)
+    groups = (4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0) - (g == 0)) << 56
+    for i, q in enumerate((1000, 100, 10, 1)):
+        groups |= (g // q % 10 + ord("0")) << 16 * i
+    kept = np.clip(np.arange(18) - np.arange(1, 17, 4)[:, None], 0, 4)
+    leads = [int.from_bytes(b"0.000"[:c + 1], "little") if c else 0 for c in range(5)]
+    return (np.array(hi), np.array(lo), groups,
+            (1 << np.minimum(16 * kept, 56)) - 1, np.array(leads))
+
+
+def _format_rows(block, ncols):
+    """The bytes '%.17g' gives for block's values, ncols to a ',' line.
+
+    For 1e-280 <= |x| <= 1e280 and e = floor(log10 |x|), D = round(|x|
+    10^(16-e)), 10^(16-e) = hi + lo: |x| hi = p + err exactly (Dekker's
+    split product), r = err + |x| lo and D = p + floor(r), + 1 when
+    r - floor(r) > 0.5. r's error is below ~4e-15 (|r| <= ~20), so a field
+    is kept only when p + floor(r) is in [10^16, 10^17) (e was the decade)
+    and r - floor(r) is over 1e-6 from 0.5 (no flipped rounding, no tie);
+    a carry to 10^17 gives 10^16 and e + 1. Other fields (nan, inf,
+    subnormals, |x| out of range, near-ties, log10 a decade high) are
+    '%.17g' itself, spliced in order. A field is six little-endian int64
+    words (sign, '0.000', digit i at byte 6 + 2i then a point slot, 'e+ddd',
+    separator) whose 0 bytes are deleted; uint8 loops paged in more numpy.
+    """
+    hi, lo, groups, keep, leads = _csv_tables()
+    x = np.ravel(block)
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # nan compares false, quietly
+        zero = a == 0.0
+        fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)  # a zero becomes 1: digits 10^16, e = 0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    h, hl = hi[280 - e], lo[280 - e]
+    p, sa, sh = a * h, 134217729.0 * a, 134217729.0 * h
+    a1, h1 = sa - (sa - a), sh - (sh - h)
+    a2, h2 = a - a1, h - h1
+    r = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * hl
+    fl = np.floor(r)
+    frac = r - fl
+    dig = p.astype(np.int64) + fl.astype(np.int64)
+    ok = zero | fast & (dig >= 10**16) & (dig < 10**17) & (np.abs(frac - 0.5) > 1e-6)
+    dig += frac > 0.5
+    carry = dig == 10**17
+    dig -= (carry * 9 + zero) * 10**16
+    e += carry
+    sci = (e < -4) | (e > 16)
+    whole = np.where(sci, 1, np.maximum(e + 1, 0))  # digits before the point
+    quo = np.array([dig // 10**16, dig // 10**12, dig // 10**8, dig // 10**4, dig])
+    words = groups[quo[1:] - 10**4 * quo[:4]]
+    sig = words >> 56
+    # significant digits: to the last nonzero digit of the last nonzero group
+    k = np.max((sig + [[1], [5], [9], [13]]) * (sig > 0), axis=0, initial=1)
+    w = np.empty((6, x.size), np.dtype("<i8"))
+    w[0] = (np.signbit(x) * ord("-") | leads[(whole == 0) * -e] << 8
+            | (quo[0] + ord("0")) << 48)
+    w[1:5] = words & np.take(keep, np.maximum(k, whole), axis=1)
+    at = np.flatnonzero((k > whole) & (whole > 0))
+    b = 5 + 2 * whole[at]  # byte of the point
+    w[b >> 3, at] |= ord(".") << ((b & 7) << 3)
+    w[5] = ord(",") << 40
+    w[5, ncols - 1::ncols] = ord("\n") << 40
+    at = np.flatnonzero(sci & ok)
+    ee = np.abs(e[at])
+    w[5, at] |= (ord("e") | np.where(e[at] < 0, ord("-"), ord("+")) << 8
+                 | (ee >= 100) * (ee // 100 + 48) << 16 | (ee // 10 % 10 + 48) << 24
+                 | (ee % 10 + 48) << 32)  # 48 is '0'
+    at = np.flatnonzero(~ok)
+    w[:5, at] = 0
+    w[0, at] = int.from_bytes(b"%b", "little")
+    out = w.T.tobytes().translate(None, b"\0")
+    if at.size:
+        out %= tuple(b"%.17g" % v for v in x[at].tolist())
+    return out

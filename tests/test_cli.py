@@ -745,6 +745,16 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_defers_argparse():
+    # only main parses arguments, so importing the module skips argparse
+    proc = run_script([
+        "import sys",
+        "import halanay.cli",
+        "assert 'argparse' not in sys.modules",
+    ])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_runs_without_mpmath(tmp_path, config_dir):
     # mpmath is a test dependency only; with it unimportable, ml past the
     # series band (beta = alpha near 1, and alpha = 1) and certify still run

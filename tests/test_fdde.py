@@ -542,3 +542,46 @@ def test_csv_bytes_match_savetxt(tmp_path):
         np.savetxt(str(want), cols, fmt="%.17g", delimiter=",",
                    header="t,x1,norm_l1,norm_l2,envelope,ratio", comments="")
         assert path.read_bytes() == want.read_bytes()
+
+
+def test_csv_checks_envelope_before_opening(tmp_path):
+    traj = solve(scalar_decay(0.65), SolverConfig(t_end=1.0, h=0.1))
+    path = tmp_path / "bad.csv"
+    for values in (np.ones(len(traj.grid) - 1), np.ones(1), 1.0):
+        with pytest.raises(ValueError, match=f"expected {len(traj.grid)} "
+                                             "envelope values, got shape"):
+            write_csv(traj, str(path), envelope_values=values)
+        assert not path.exists()
+
+
+def test_format_rows_matches_percent_g():
+    # every class of float64 the digit path decides or must hand back
+    rng = np.random.default_rng(20240601)
+    bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64)
+    short = (rng.integers(-10**8, 10**8, 790_000)
+             / 10.0 ** rng.integers(-12, 13, 790_000))
+    # m 2^(e-17), m odd, lies in [10^e, 10^(e+1)) with digit 18 an exact 5
+    e = rng.integers(-8, 15, 150_000)  # m < 2^53
+    lo = np.ceil(5.0**e * 2**17)
+    m = lo + np.floor(rng.random(len(e)) * 9 * lo)
+    ties = np.ldexp(m + (m % 2 == 0), e - 17)
+    tens = [float(f"1e{k}") for k in range(-20, 26)]
+    carry = [float(f"9.99999999999999995e{k}") for k in range(-300, 300)]
+    near = np.array(tens + carry + [1e-280, 1e280])
+    special = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, 1e-12]
+    rest = np.concatenate([short, ties, near, np.nextafter(near, 0.0),
+                           np.nextafter(near, np.inf), special, np.negative(special)])
+    values = rng.permutation(np.concatenate(
+        [bits, rest * rng.choice([-1.0, 1.0], len(rest))]))
+    assert len(values) >= 1_000_000
+    row = ",".join(["%.17g"] * 7) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for part in np.array_split(values[: len(values) // 7 * 7].reshape(-1, 7), 512):
+            got = fdde._format_rows(part, 7)
+            want = (row * len(part) % tuple(part.ravel().tolist())).encode("ascii")
+            if got != want:
+                pairs = zip(got.splitlines(), want.splitlines())
+                pytest.fail("first differing line: %r != %r"
+                            % next((g, w) for g, w in pairs if g != w))
