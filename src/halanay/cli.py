@@ -309,7 +309,7 @@ def _simulate(cfg, cert, norm_tag, out_dir):
     csv_path = os.path.join(out_dir, cfg.csv_path)
     write_csv(traj, csv_path, envelope_values=env_vals, norm_tag=norm_tag)
     sim_json = {
-        "t_end": cfg.solver.t_end,
+        "t_end": float(traj.grid[-1]),  # t_end rounded to the h grid
         "h": cfg.solver.h,
         "nodes": len(traj.grid),
         "clamped_nodes": list(traj.clamped),

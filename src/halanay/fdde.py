@@ -10,6 +10,8 @@ with the implicit product-trapezoid rule (Garrappa, Math. Comput. Simul.
 corrector sweeps. Delayed states come from the initial function when the
 argument is <= 0 and from linear interpolation between nodes otherwise;
 one inside the current step interpolates with the state being solved.
+solve samples A, B and q once (DelaySystem.sample) for _integrate, so the
+solver evaluates no coefficient expression, only the history phi.
 
 The system is linear, so the rule is solved BLOCK steps at a time: the
 states and delayed states of one block are one linear system in that
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepSizeError
-from .positivity import sample_matrices
 
 __all__ = [
     "SolverConfig",
@@ -107,12 +108,15 @@ def solve(sys, cfg):
     t_end is rounded to the nearest multiple of h. Deterministic: the
     same system and config always produce the same bits.
     """
-    d, n_q = sys.dim, len(sys.q)
-    n = int(round(cfg.t_end / cfg.h))
-    times = cfg.h * np.arange(n + 1)
-    # A and B as [row, column, node]
-    a_samp, b_samp = sample_matrices(sys, times)
-    hist, lo, w_lo, w_hi, clamp = _delay_plan(sys, times, cfg.h)
+    times = cfg.h * np.arange(int(round(cfg.t_end / cfg.h)) + 1)
+    return _integrate(sys.alpha, sys.tau, sys.phi, cfg.h, *sys.sample(times))
+
+
+def _integrate(alpha, tau, phi, h, a_samp, b_samp, q_samp):
+    """solve on samples at h*(0..n): A (d, d, n+1), B (d, K*d, n+1), q (K, n+1)."""
+    d, n_q, n = a_samp.shape[0], q_samp.shape[0], a_samp.shape[-1] - 1
+    times = h * np.arange(n + 1)
+    hist, lo, w_lo, w_hi, clamp = _delay_plan(q_samp, tau, phi, times, h)
     # in-block couplings, one per (node, delay) pair that has one: x_lo and
     # x_(lo + 1) at columns col and col + 1 of the node's own block; a node
     # of an earlier block is in the known part already and gets weight 0
@@ -126,7 +130,7 @@ def solve(sys, cfg):
     c_cut = np.searchsorted(c_node, np.arange(1, n + 1 + BLOCK, BLOCK)).tolist()
     w_lo, w_hi = w_lo[..., None], w_hi[..., None]
 
-    weights, end_weights, c_corr = _trapezoid_weights(sys.alpha, cfg.h, n)
+    weights, end_weights, c_corr = _trapezoid_weights(alpha, h, n)
     # -W: minus the same weights inside one block and the weight c_corr of
     # the current node, which makes the rule implicit; neg_rep[j, (i, b)]
     # is -W[j, i], so -W A of a block is one product with the rows of A
@@ -136,7 +140,7 @@ def solve(sys, cfg):
 
     states = np.zeros((n + 1, d))
     rhs = np.zeros((n + 1, d))
-    x0 = np.array([p.eval(0.0) for p in sys.phi])
+    x0 = np.array([p.eval(0.0) for p in phi])
     states[0] = x0
     rhs[0] = a_samp[..., 0] @ x0 + b_samp[..., 0] @ hist[0].ravel()
     # x0 plus the trapezoid sums over the nodes of earlier blocks; node 0
@@ -188,7 +192,7 @@ def solve(sys, cfg):
             t_bad = times[k0 + int(np.argmin(finite.all(axis=1)))]
             raise StepSizeError(
                 f"the solution is not finite at t={t_bad:.6g}: the system "
-                f"grows past float range, or h={cfg.h} is too coarse"
+                f"grows past float range, or h={h} is too coarse"
             )
 
         # dyadic split: blocks [t - span, t) feed blocks [t, t + span)
@@ -214,30 +218,30 @@ def solve(sys, cfg):
     )
 
 
-def _delay_plan(sys, times, h):
+def _delay_plan(q_samp, tau, phi, times, h):
     """Delay plan: x(t_i - q_k) = hist_ik + w_lo_ik x_lo_ik + w_hi_ik x_(lo_ik+1).
 
-    hist is (n+1, K, d) and lo, w_lo, w_hi are (n+1, K): every delay k at
-    every node i. Initial-function lookups are exact wherever the delayed
-    time is <= 0. Later ones interpolate linearly between x_lo and
-    x_(lo+1), lo at most i - 1: a delayed time inside the current step
+    q_samp is (K, n+1), hist (n+1, K, d) and lo, w_lo, w_hi (n+1, K): every
+    delay k at every node i. Initial-function lookups are exact wherever
+    the delayed time is <= 0. Later ones interpolate linearly between x_lo
+    and x_(lo+1), lo at most i - 1: a delayed time inside the current step
     reads the state being solved for as x_(lo+1), and its node is flagged
     in clamp when it lies past the newest node by more than rounding.
     """
-    q_samp = np.stack([q.eval_array(times) for q in sys.q], axis=1)
-    slack = 1e-9 * max(1.0, sys.tau)
-    out = (q_samp < -slack) | (q_samp > sys.tau + slack)
+    q_samp = q_samp.T
+    slack = 1e-9 * max(1.0, tau)
+    out = (q_samp < -slack) | (q_samp > tau + slack)
     if out.any():
         i, k = np.unravel_index(np.argmax(out), out.shape)
         raise StepSizeError(
-            f"delay q(t)={q_samp[i, k]:.6g} leaves [0, {sys.tau}] at t={times[i]:.6g}"
+            f"delay q[{k}]={q_samp[i, k]:.6g} leaves [0, {tau}] at t={times[i]:.6g}"
         )
-    s_arg = times[:, None] - np.clip(q_samp, 0.0, sys.tau)
+    s_arg = times[:, None] - np.clip(q_samp, 0.0, tau)
     prev = np.maximum(np.arange(len(times)) - 1, 0)[:, None]
-    hist = np.zeros(s_arg.shape + (sys.dim,))
+    hist = np.zeros(s_arg.shape + (len(phi),))
     hist_mask = s_arg <= 0.0
-    for c in range(sys.dim):
-        hist[hist_mask, c] = sys.phi[c].eval_array(s_arg[hist_mask])
+    for c, p in enumerate(phi):
+        hist[hist_mask, c] = p.eval_array(s_arg[hist_mask])
     pos = s_arg / h
     lo = np.clip(np.trunc(pos), 0, prev)
     w_hi = np.where(hist_mask, 0.0, pos - lo)

@@ -140,12 +140,6 @@ def lambda_at(alpha, a_val, b_vals, q_vals):
     return _rate(alpha, a, bs, qas)[0]
 
 
-def _check_samples(alpha, a, bs, qs):
-    check_orders(alpha)
-    if not all(np.isfinite(v).all() for v in (a, bs, qs)):
-        raise MlfDomainError("a, b and q samples must be finite")
-
-
 def _q_alpha(qs, alpha):
     # q**alpha in Python floats, as scalar code takes it: np.power can
     # differ in the last bit, which the series shows near its seam
@@ -298,8 +292,11 @@ def classify_conditions(tau, a, bs, qs, c, a_bounded=None):
     if np.min(bs) < 0 or np.min(c) < 0:
         raise InfeasiblePointError("b and c must be nonnegative on the grid")
     slack = 1e-9 * max(1.0, tau)
-    if np.min(qs) < -slack or np.max(qs) > tau + slack:
-        raise InfeasiblePointError(f"delays must stay within [0, {tau}] on the grid")
+    out = (np.asarray(qs) < -slack) | (np.asarray(qs) > tau + slack)
+    if out.any():  # name the first grid time's first delay out of range
+        i, k = np.argwhere(out.T)[0]
+        raise InfeasiblePointError(f"delays must stay within [0, {tau}] on "
+                                   f"the grid: q[{k}]={qs[k][i]:.6g}")
     sum_b = sum(bs)  # row by row, as _min_rate sums; numpy may pair rows
     sigma = float(np.min(a - sum_b))
     a0 = float(np.min(a))
@@ -333,8 +330,11 @@ def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
     solves only the points that can set them, and residual_max is the
     worst |h| over the points it solved.
     """
-    _check_samples(alpha, a, bs, qs)  # a nan in a or bs would classify as NONE
-    if not np.isfinite(c).all():  # and one in c would give a nan w0
+    check_orders(alpha)
+    # a nan in a or bs would classify as NONE, and one in c give a nan w0
+    if not all(np.isfinite(v).all() for v in (a, bs, qs)):
+        raise MlfDomainError("a, b and q samples must be finite")
+    if not np.isfinite(c).all():
         raise MlfDomainError("c samples must be finite")
     if not M >= 0.0:
         raise ValueError(f"amplitude M must be nonnegative, got {M}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import halanay as _hal
 from .errors import InfeasiblePointError
-from .positivity import initial_amplitude, sample_matrices
+from .positivity import initial_amplitude
 
 __all__ = ["LmiReport", "lmi_block", "max_eigen_sym", "certify_lmi"]
 
@@ -95,7 +95,7 @@ def certify_lmi(sys, gamma, sigma, grid):
     s_vals = sigma.eval_array(ts)
     if np.min(g_vals) < 0 or np.min(s_vals) < 0:
         raise InfeasiblePointError("gamma and sigma must be nonnegative on the grid")
-    a_vals, b_vals = sample_matrices(sys, ts)
+    a_vals, b_vals, q_vals = sys.sample(ts)
     eigs = max_eigen_sym(lmi_block(
         np.moveaxis(a_vals, -1, 0), np.moveaxis(b_vals, -1, 0), g_vals, s_vals
     ))
@@ -103,8 +103,7 @@ def certify_lmi(sys, gamma, sigma, grid):
     worst_eigen = float(eigs[arg])
     # gamma and sigma play a and b of the scalar inequality; its verdict is
     # NONE exactly when min gamma = 0 or max sigma/gamma >= 1
-    coeffs = (g_vals, s_vals[None], sys.q[0].eval_array(ts)[None],
-              np.zeros_like(ts))
+    coeffs = (g_vals, s_vals[None], q_vals, np.zeros_like(ts))
     if worst_eigen <= EIGEN_TOL:
         verdict, cert = _hal.certify(sys.alpha, sys.tau, ts, *coeffs, M2)
     else:

@@ -9,6 +9,9 @@ arrays; certify_positive returns its verdict and certificate unchanged.
 The resulting envelope is sup_s ||phi(s)||_1 times
 E_alpha(-lambda* t^alpha). At dim 1 the column sums are the entries
 themselves, so a scalar comparison inequality is this route's d = 1 case.
+
+DelaySystem.sample is the one place A, B and the delays q are evaluated;
+both routes and fdde.solve take their coefficients from it.
 """
 
 import math
@@ -22,7 +25,6 @@ from .mlf import check_orders
 
 __all__ = [
     "DelaySystem",
-    "sample_matrices",
     "certify_positive",
     "initial_amplitude",
 ]
@@ -58,21 +60,17 @@ class DelaySystem:
         if len(self.phi) != self.dim:
             raise ValueError(f"phi must have {self.dim} components")
 
-
-def sample_matrices(sys, ts):
-    """A(t) and B(t) on the times ts, shaped (dim, dim, len(ts)) and
-    (dim, K*dim, len(ts)).
-
-    Every entry expression is evaluated exactly once.
-    """
-    out = []
-    for mat in (sys.A, sys.B):
-        vals = np.empty((sys.dim, len(mat[0]), len(ts)))
-        for i, row in enumerate(mat):
-            for j, entry in enumerate(row):
-                vals[i, j] = entry.eval_array(ts)
-        out.append(vals)
-    return tuple(out)
+    def sample(self, ts):
+        """A(t), B(t) and the delays q(t) on the n times ts, shaped (dim,
+        dim, n), (dim, K*dim, n) and (K, n); each entry evaluated once."""
+        out = []
+        for rows in (self.A, self.B, (self.q,)):  # q as a 1 x K matrix
+            vals = np.empty((len(rows), len(rows[0]), len(ts)))
+            for i, row in enumerate(rows):
+                for j, entry in enumerate(row):
+                    vals[i, j] = entry.eval_array(ts)
+            out.append(vals)
+        return out[0], out[1], out[2][0]
 
 
 def initial_amplitude(sys, kind="l1"):
@@ -106,7 +104,7 @@ def certify_positive(sys, grid, a_bounded=None):
     argument needs them.
     """
     ts = grid.times()
-    a_vals, b_vals = sample_matrices(sys, ts)
+    a_vals, b_vals, q_vals = sys.sample(ts)
     off = ~np.eye(sys.dim, dtype=bool)
     bad = []
     if not np.min(a_vals[off], initial=np.inf) >= SIGN_SLACK:
@@ -122,6 +120,5 @@ def certify_positive(sys, grid, a_bounded=None):
     b_rows = b_vals.sum(axis=0).reshape(len(sys.q), sys.dim, len(ts))
     return _hal.certify(
         sys.alpha, sys.tau, ts, a_fun, np.maximum(b_rows.max(axis=1), 0.0),
-        np.vstack([q.eval_array(ts) for q in sys.q]), np.zeros_like(ts),
-        initial_amplitude(sys, "l1"), a_bounded=a_bounded,
+        q_vals, np.zeros_like(ts), initial_amplitude(sys, "l1"), a_bounded=a_bounded,
     )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from halanay.expr import TimeExpr
-from halanay.positivity import sample_matrices
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -36,7 +35,7 @@ def on_grid(fn, traj):
 def column_sums(sys_, ts):
     """a(t) = -max_j sum_i A_ij(t) and, one row per delay k, b_k(t) =
     max_j sum_i (B_k)_ij(t) at ts, summed here from the sampled matrices."""
-    A, B = sample_matrices(sys_, ts)
+    A, B, _ = sys_.sample(ts)
     d = sys_.dim
     b_rows = [B[:, k * d:(k + 1) * d].sum(axis=0).max(axis=0)
               for k in range(len(sys_.q))]

@@ -414,6 +414,17 @@ def test_simulate_takes_a_delay_list(tmp_path, capsys):
         "0.5", "1.5", "-0.3", "0.1", "0.1", "1+0.2*s"]
 
 
+def test_report_gives_the_horizon_solved(tmp_path):
+    # t_end 1.0 rounds to two steps of 0.6: the CSV and the report end at 1.2
+    cfg = load_config(write_cfg(tmp_path, scalar_cfg(solver={"t_end": 1.0, "h": 0.6})))
+    report, code = run("simulate", cfg, out_dir=str(tmp_path))
+    assert code == 0
+    assert report["simulation"]["t_end"] == 1.2
+    assert report["simulation"]["nodes"] == 3
+    rows = (tmp_path / "run.csv").read_text().splitlines()
+    assert rows[-1].split(",")[0] == "1.2"
+
+
 def test_simulate_writes_the_csv_and_the_report_alone(tmp_path, config_dir):
     out = tmp_path / "out"
     code = main(["simulate", "--config", str(config_dir / "example1.json"),
@@ -732,6 +743,17 @@ def test_mlf_import_loads_only_what_it_uses():
     assert "halanay.mlf" in loaded
     assert "halanay.cli" not in loaded
     assert "halanay.fdde" not in loaded
+
+
+def test_solver_import_loads_no_route_and_no_expressions():
+    # fdde integrates sampled arrays: it needs no route and no parser
+    proc = run_script([
+        "import sys",
+        "import halanay.fdde",
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'halanay'))",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["halanay", "halanay.errors", "halanay.fdde"]
 
 
 def test_cli_import_loads_no_scipy():

@@ -8,7 +8,7 @@ import pytest
 
 from halanay import fdde
 from halanay.cli import load_config
-from halanay.errors import StepSizeError
+from halanay.errors import InfeasiblePointError, StepSizeError
 from halanay.expr import parse
 from halanay.fdde import (
     BLOCK,
@@ -21,10 +21,12 @@ from halanay.fdde import (
     solve,
     write_csv,
 )
+from halanay.halanay import ScanGrid, envelope
+from halanay.lmi import certify_lmi
 from halanay.mlf import ml, ml_array
-from halanay.positivity import DelaySystem
+from halanay.positivity import DelaySystem, certify_positive
 
-from conftest import on_grid
+from conftest import column_sums, on_grid
 from oracles import caputo_l1_node, rk4_dde, trapezoid_direct
 
 
@@ -159,6 +161,46 @@ def test_delay_outside_bound_raises():
                          q=T("-0.5"), tau=1.0, phi=[S("1")])
     with pytest.raises(StepSizeError):
         solve(future, SolverConfig(t_end=1.0, h=0.01))
+
+
+def test_out_of_range_delay_is_named():
+    # only the second of two delays leaves [0, tau]: both the classifier and
+    # the solver name it, its value and (the solver) the first time it does
+    two = DelaySystem(alpha=0.8, dim=1, A=mat([["-1"]]), B=mat([["0.3", "0.2"]]),
+                      q=(T("0.5"), T("0.5+t")), tau=1.0, phi=[S("1")])
+    with pytest.raises(InfeasiblePointError,
+                       match=r"within \[0, 1\.0\] on the grid: q\[1\]=1\.5$"):
+        certify_positive(two, ScanGrid(1.0, 3))
+    with pytest.raises(StepSizeError,
+                       match=r"^delay q\[1\]=1\.01 leaves \[0, 1\.0\] at t=0\.51$"):
+        solve(two, SolverConfig(t_end=1.0, h=0.01))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_scalar_problem_bounds_the_system_and_the_envelope_bounds_it(config_dir, name):
+    # each route bounds the system by one scalar delayed problem w, solved
+    # here from its sampled coefficients with w = M on the history: the
+    # route's reduction is |x|_1 <= w (|x|_2^2 <= w on the lmi route), and
+    # the generalized Halanay inequality is w <= the certified envelope
+    cfg = load_config(str(config_dir / f"{name}.json"))
+    sys_, h = cfg.system, 0.01
+    traj = solve(sys_, SolverConfig(t_end=20.0, h=h))
+    ts = traj.grid
+    if cfg.analysis == "lmi":
+        _, cert = certify_lmi(sys_, cfg.gamma, cfg.sigma, cfg.scan)
+        a, b = cfg.gamma.eval_array(ts), cfg.sigma.eval_array(ts)[None]
+        x = traj.norms_l2**2
+    else:
+        _, cert = certify_positive(sys_, cfg.scan)
+        a, b = column_sums(sys_, ts)
+        x = traj.norms_l1
+    w = fdde._integrate(sys_.alpha, sys_.tau, [S(repr(cert.M))], h,
+                        -a[None, None], b[None], sys_.sample(ts)[2])
+    w = w.states[:, 0]
+    env = envelope(cert, sys_.alpha, ts)
+    assert w[0] == cert.M == env[0]
+    assert np.all(x <= 1.02 * w), np.max(x / w)
+    assert np.all(w <= 1.02 * env), np.max(w / env)
 
 
 def with_delays(sys_, qs, shares):

@@ -5,6 +5,7 @@ import pytest
 
 from halanay.errors import ExprEvalError, StructureError
 from halanay.expr import parse
+from halanay.fdde import SolverConfig, solve
 from halanay.halanay import (
     BOUNDED_GAP, NONE, RATIO, ScanGrid, certify, lambda_at,
 )
@@ -331,6 +332,26 @@ def test_each_entry_is_evaluated_once_per_certify(eval_counts):
     exprs = [e for row in sys_.A + sys_.B for e in row] + list(sys_.q) + sys_.phi
     assert sorted(eval_counts) == sorted(id(e) for e in exprs)
     assert set(eval_counts.values()) == {1}
+
+
+def test_each_entry_is_evaluated_once_per_solve(eval_counts):
+    sys_ = example1_system()
+    solve(sys_, SolverConfig(t_end=2.0, h=0.01))
+    coeffs = [id(e) for row in sys_.A + sys_.B for e in row] + list(map(id, sys_.q))
+    assert {c: eval_counts.get(c) for c in coeffs} == dict.fromkeys(coeffs, 1)
+
+
+def test_sample_shapes_its_stacks():
+    # A (d, d, n), B (d, K*d, n) and the delays (K, n), each entry in place
+    two = DelaySystem(alpha=0.5, dim=2, A=mat([["-1", "t"], ["2*t", "-3"]]),
+                      B=mat([["0.1", "0", "0.2", "0"], ["0", "0.1", "0", "t"]]),
+                      q=(T("0.5"), T("1-t/4")), tau=1.0, phi=[S("1"), S("s")])
+    ts = np.array([0.0, 1.0, 2.0])
+    A, B, Q = two.sample(ts)
+    assert (A.shape, B.shape, Q.shape) == ((2, 2, 3), (2, 4, 3), (2, 3))
+    assert A[1, 0].tolist() == [0.0, 2.0, 4.0]
+    assert B[1, 3].tolist() == ts.tolist()
+    assert Q.tolist() == [[0.5] * 3, [1.0, 0.75, 0.5]]
 
 
 def test_unstable_system_returns_none_verdict():
