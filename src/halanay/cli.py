@@ -168,13 +168,12 @@ def load_config(path):
         e = _expr(errors, raw_q, "q", "t")
         q = (e,) if e is not None else None
     elif isinstance(raw_q, list) and raw_q:
-        if analysis == "lmi":
-            errors.append(("q", "analysis = lmi takes a single delay"))
         parsed = tuple(_expr(errors, e, f"q[{i}]", "t") for i, e in enumerate(raw_q))
         q = parsed if all(e is not None for e in parsed) else None
         n_delays = len(parsed)
     else:
-        errors.append(("q", f"expected an expression string or list, got {raw_q!r}"))
+        errors.append(("q", "expected an expression string or a non-empty list, "
+                            f"got {raw_q!r}"))
 
     A = B = None
     if analysis == "halanay-scalar" and dim not in (None, 1):

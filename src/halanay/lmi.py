@@ -5,12 +5,13 @@ At each grid time the block matrix
     S(t) = [ A(t)^T + A(t) + gamma(t) I    B(t)      ]
            [ B(t)^T                       -sigma(t) I ]
 
-must be negative semidefinite. Together with gamma bounded away from 0
-and sup sigma/gamma < 1, the squared norm V = x^T x then obeys the same
-scalar comparison inequality the halanay module certifies, giving
+must be negative semidefinite; B = [B_1 ... B_K] is the block row of the
+K delays, so the sigma identity is K*d wide. S <= 0 gives V = x^T x the
+scalar comparison inequality D^alpha V <= -gamma V + sigma sum_k
+V(t - q_k), which halanay.certify certifies with sigma as every b_k: with
+gamma bounded away from 0 and sup K sigma/gamma < 1 it gives
 ||x(t)|| <= sqrt(M2 * E_alpha(-lambda* t^alpha)) with M2 = sup phi^T phi;
-halanay.certify certifies gamma and sigma as its a and b, and
-halanay.classify_conditions alone classifies them when a block fails.
+halanay.classify_conditions alone classifies it when a block fails.
 The blocks of the whole grid are assembled as one stack and their top
 eigenvalues come from a single batched symmetric eigen solve.
 
@@ -44,20 +45,20 @@ class LmiReport(_hal.ConditionVerdict):
 def lmi_block(A, B, gamma_val, sigma_val):
     """Assemble [[A^T+A+gamma I, B], [B^T, -sigma I]]; exactly symmetric.
 
-    A and B may also be stacks of shape (n, d, d), with gamma_val and
-    sigma_val of shape (n,); the result is then the (n, 2d, 2d) stack.
+    B is the block row [B_1 ... B_K], d x K*d, so the result is (K+1)d
+    square; stacks A (n, d, d) and B (n, d, K*d) with gamma_val and
+    sigma_val of shape (n,) give the (n, (K+1)d, (K+1)d) stack.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    if B.shape != A.shape:
-        raise ValueError(f"B shape {B.shape} does not match A shape {A.shape}")
-    eye = np.eye(A.shape[-1])
+    if B.shape[:-1] != A.shape[:-1] or B.shape[-1] % A.shape[-1]:
+        raise ValueError(f"B shape {B.shape} is no block row for A shape {A.shape}")
     g = np.asarray(gamma_val, dtype=float)[..., None, None]
     s = np.asarray(sigma_val, dtype=float)[..., None, None]
-    return np.block([[np.swapaxes(A, -1, -2) + A + g * eye, B],
-                     [np.swapaxes(B, -1, -2), -s * eye]])
+    return np.block([[np.swapaxes(A, -1, -2) + A + g * np.eye(A.shape[-1]), B],
+                     [np.swapaxes(B, -1, -2), -s * np.eye(B.shape[-1])]])
 
 
 def max_eigen_sym(S):
@@ -82,13 +83,11 @@ def certify_lmi(sys, gamma, sigma, grid):
     """Scan the grid for block feasibility and certify the l2 envelope.
 
     gamma and sigma are TimeExpr, nonnegative on the grid; the amplitude
-    is M2 = sup phi^T phi, and sys has one delay (ValueError otherwise,
-    before anything is sampled). Returns (verdict, certificate). Infeasibility (a positive
-    eigenvalue beyond EIGEN_TOL, gamma touching 0, or sigma/gamma
-    reaching 1) is reported, not raised; the certificate is then None.
+    is M2 = sup phi^T phi, and sigma weighs each of sys's K delays.
+    Returns (verdict, certificate). Infeasibility (a positive eigenvalue
+    beyond EIGEN_TOL, gamma touching 0, or K sigma/gamma reaching 1) is
+    reported, not raised; the certificate is then None.
     """
-    if len(sys.q) != 1:
-        raise ValueError(f"certify_lmi takes a single delay, got {len(sys.q)}")
     M2 = initial_amplitude(sys, "sq")
     ts = grid.times()
     g_vals = gamma.eval_array(ts)
@@ -101,9 +100,10 @@ def certify_lmi(sys, gamma, sigma, grid):
     ))
     arg = int(np.argmax(eigs))
     worst_eigen = float(eigs[arg])
-    # gamma and sigma play a and b of the scalar inequality; its verdict is
-    # NONE exactly when min gamma = 0 or max sigma/gamma >= 1
-    coeffs = (g_vals, s_vals[None], q_vals, np.zeros_like(ts))
+    # gamma and sigma play a and b of the scalar inequality, sigma once per
+    # delay; its verdict is NONE exactly when min gamma = 0 or max K sigma/gamma >= 1
+    b_rows = np.repeat(s_vals[None], len(q_vals), axis=0)
+    coeffs = (g_vals, b_rows, q_vals, np.zeros_like(ts))
     if worst_eigen <= EIGEN_TOL:
         verdict, cert = _hal.certify(sys.alpha, sys.tau, ts, *coeffs, M2)
     else:

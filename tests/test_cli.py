@@ -148,16 +148,29 @@ def test_dimension_mismatch_is_reported(tmp_path):
     assert any(p == "A" for p, _ in exc.value.errors)
 
 
-def test_only_the_lmi_route_refuses_a_delay_list(tmp_path):
+def test_every_route_takes_a_delay_list(tmp_path, config_dir, capsys):
     two = {"B": [["0.1", "0.1"]], "q": ["0.5", "1.5"]}
     for analysis in ("halanay-scalar", "positive"):
         cfg = load_config(write_cfg(tmp_path, scalar_cfg(analysis=analysis, **two)))
         assert [e.source for e in cfg.system.q] == ["0.5", "1.5"]
 
-    bad = scalar_cfg(analysis="lmi", gamma="0.3", sigma="0.2", **two)
+    # example 3 with its one delay in a list certifies byte for byte as the
+    # bare string does
+    data = json.loads((config_dir / "example3.json").read_text())
+    outputs = []
+    for q in (data["q"], [data["q"]]):
+        path = write_cfg(tmp_path, dict(data, q=q))
+        assert main(["certify", "--config", path, "--out", str(tmp_path)]) == 0
+        outputs.append((capsys.readouterr(),
+                        (tmp_path / "example3_report.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_an_empty_delay_list_is_refused(tmp_path):
     with pytest.raises(ConfigError) as exc:
-        load_config(write_cfg(tmp_path, bad))
-    assert exc.value.errors == [("q", "analysis = lmi takes a single delay")]
+        load_config(write_cfg(tmp_path, scalar_cfg(q=[])))
+    assert exc.value.errors == [
+        ("q", "expected an expression string or a non-empty list, got []")]
 
 
 def test_unknown_nested_fields_are_reported(tmp_path, capsys):

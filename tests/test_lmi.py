@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -89,6 +89,20 @@ def test_block_dimension_mismatch():
         lmi_block(np.zeros((2, 2)), np.zeros((3, 3)), 0.0, 0.0)
     with pytest.raises(ValueError):
         lmi_block(np.zeros((2, 3)), np.zeros((2, 3)), 0.0, 0.0)
+    with pytest.raises(ValueError):  # not a whole number of 2 x 2 blocks
+        lmi_block(np.zeros((2, 2)), np.zeros((2, 5)), 0.0, 0.0)
+
+
+def test_block_on_a_block_row():
+    # d = 2, K = 3: [[A^T+A+gamma I, B_1 B_2 B_3], [B^T, -sigma I_6]]
+    rng = np.random.default_rng(17)
+    A, B = rng.normal(size=(2, 2)), rng.normal(size=(2, 6))
+    S_ = lmi_block(A, B, 0.4, 0.7)
+    assert S_.shape == (8, 8)
+    np.testing.assert_array_equal(S_, S_.T)
+    np.testing.assert_array_equal(S_[2:, 2:], -0.7 * np.eye(6))
+    np.testing.assert_array_equal(S_[:2, 2:], B)
+    np.testing.assert_array_equal(S_[:2, :2], A.T + A + 0.4 * np.eye(2))
 
 
 # ------------------------------------------------------------ max_eigen_sym
@@ -187,15 +201,35 @@ def test_each_coefficient_is_evaluated_once_per_certify(eval_counts):
     assert set(eval_counts.values()) == {1}
 
 
-def test_certify_lmi_refuses_several_delays(eval_counts):
-    # the block inequality has one delayed state; a wider system is refused
-    # by name before anything is sampled
-    sys_, gamma, sigma, grid = example3_args()
-    two = DelaySystem(alpha=0.65, dim=1, A=sys_.A, B=mat([["-0.01", "-0.01"]]),
-                      q=(T("1"), T("1.5")), tau=2.0, phi=sys_.phi)
-    with pytest.raises(ValueError, match="certify_lmi takes a single delay, got 2"):
-        certify_lmi(two, gamma, sigma, grid)
-    assert not eval_counts
+def test_each_coefficient_is_evaluated_once_with_two_delays(eval_counts):
+    # the block row [B_1 B_2] is sampled once, as is each delay
+    one, gamma, _, grid = example3_args()
+    two = DelaySystem(alpha=0.65, dim=1, A=one.A, B=mat([["-0.01", "0.01*cos(t)"]]),
+                      q=(T("1"), T("0.5+0.3*sin(t)^2")), tau=2.0, phi=one.phi)
+    sigma = T("0.1")
+    rep, _ = certify_lmi(two, gamma, sigma, grid)
+    assert rep.feasible
+    exprs = [two.A[0][0], *two.B[0], *two.q, gamma, sigma, *two.phi]
+    assert sorted(eval_counts) == sorted(id(e) for e in exprs)
+    assert set(eval_counts.values()) == {1}
+
+
+def test_split_delay_reduces_to_the_one_delay_problem():
+    # B split in halves over the same delay twice, each half weighed by
+    # sigma/2, is the one-delay scalar problem exactly: x + x = 2x in floats
+    one, gamma, _, grid = example3_args()
+    two = DelaySystem(
+        alpha=0.65, dim=1, A=one.A, B=mat([["(-0.02*sqrt(t))/2"] * 2]),
+        q=(T("1+1/(2+sin(t))"), T("1+1/(2+sin(t))")), tau=2.0, phi=one.phi,
+    )
+    rep1, cert1 = certify_lmi(one, gamma, T("0.2"), grid)
+    rep2, cert2 = certify_lmi(two, gamma, T("0.1"), grid)
+    assert rep1.feasible and rep2.feasible
+    assert cert2 == cert1
+    assert cert1.lambda_star == pytest.approx(0.0734085080339, rel=1e-9)
+    scan = {"worst_eigen", "worst_t"}
+    assert ({k: v for k, v in asdict(rep2).items() if k not in scan}
+            == {k: v for k, v in asdict(rep1).items() if k not in scan})
 
 
 def test_certify_trace_det_cross_check():
