@@ -319,6 +319,11 @@ def _simulate(cfg, cert, norm_tag, out_dir):
 
 def run(command, cfg, out_dir="."):
     """Execute one subcommand; returns (report dict, exit code)."""
+    # refuse a bad command or a missing solver before any output or work
+    if command not in ("certify", "simulate", "verify"):
+        raise ValueError(f"unknown command {command!r}")
+    if command != "certify" and cfg.solver is None:
+        raise ConfigError([("solver", "required for simulate/verify")])
     os.makedirs(out_dir, exist_ok=True)
     report = {
         "tool": {"name": "halanay", "version": __version__},
@@ -327,8 +332,6 @@ def run(command, cfg, out_dir="."):
         "scan": {"t_max": cfg.scan.t_max, "n_points": cfg.scan.n_points},
         "note": GRID_NOTE,
     }
-    if command in ("simulate", "verify") and cfg.solver is None:
-        raise ConfigError([("solver", "required for simulate/verify")])
     verdict, cert, norm_tag = _certify(cfg)
     report["verdict"] = verdict
     report["certificate"] = None if cert is None else asdict(cert)
@@ -340,9 +343,7 @@ def run(command, cfg, out_dir="."):
         _, _, sim_json = _simulate(cfg, cert, norm_tag, out_dir)
         report["simulation"] = sim_json
         return report, 0
-    if command != "verify":
-        raise ValueError(f"unknown command {command!r}")
-    if cert is None:
+    if cert is None:  # verify
         return report, 2
     traj, env_vals, sim_json = _simulate(cfg, cert, norm_tag, out_dir)
     report["simulation"] = sim_json

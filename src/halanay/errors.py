@@ -42,7 +42,7 @@ class StructureError(HalanayError, ValueError):
 
 
 class StepSizeError(HalanayError, ValueError):
-    """Solver step size is incompatible with the delay or horizon."""
+    """The solution left float range: the system grows, or h is too coarse."""
 
 
 class ConfigError(HalanayError, ValueError):

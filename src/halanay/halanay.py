@@ -231,7 +231,7 @@ def _min_rate(alpha, a, bs, qs):
     solved rate falls below U, U takes it and the unsolved rest are tested
     again. A point's rate depends on its own samples alone: lambda* and
     its first argmin are those of a scan of every point. The samples are
-    certify's, checked there (q clipped at 0); its RATIO or BOUNDED_GAP
+    certify's, checked there (q >= 0 among them); its RATIO or BOUNDED_GAP
     verdict means a > sum_k b_k, summed as here, at every point.
     """
     gap = a - sum(bs)  # row by row, as _rate sums
@@ -269,7 +269,7 @@ def _min_rate(alpha, a, bs, qs):
     return float(rates[arg]), arg, max(res for _, res in solved.values())
 
 
-def classify_conditions(tau, a, bs, qs, c, a_bounded=None):
+def classify_conditions(a, bs, qs, c, a_bounded=None):
     """Decide which smallness condition the sampled coefficients satisfy.
 
     a and c hold one sample per grid time; bs and qs hold one row per
@@ -277,10 +277,9 @@ def classify_conditions(tau, a, bs, qs, c, a_bounded=None):
     boundedness is not decidable from finitely many samples, it is taken
     from a_bounded when given, else from a two-half growth heuristic
     (grid max of a must not grow by more than 1% between halves). A
-    negative a is a NONE verdict, not an error.
+    negative a is a NONE verdict; a negative b, q or c, as lambda_at
+    refuses, raises InfeasiblePointError.
     """
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be positive, got {tau}")
     n = np.shape(a)
     if (len(n) != 1 or np.shape(c) != n or np.ndim(bs) != 2
             or np.shape(bs) != np.shape(qs) or np.shape(bs)[1:] != n
@@ -289,14 +288,8 @@ def classify_conditions(tau, a, bs, qs, c, a_bounded=None):
             "a and c need one sample per grid time, and bs and qs the same "
             "number (at least one) of such rows"
         )
-    if np.min(bs) < 0 or np.min(c) < 0:
-        raise InfeasiblePointError("b and c must be nonnegative on the grid")
-    slack = 1e-9 * max(1.0, tau)
-    out = (np.asarray(qs) < -slack) | (np.asarray(qs) > tau + slack)
-    if out.any():  # name the first grid time's first delay out of range
-        i, k = np.argwhere(out.T)[0]
-        raise InfeasiblePointError(f"delays must stay within [0, {tau}] on "
-                                   f"the grid: q[{k}]={qs[k][i]:.6g}")
+    if np.min(bs) < 0 or np.min(qs) < 0 or np.min(c) < 0:
+        raise InfeasiblePointError("b, q and c must be nonnegative on the grid")
     sum_b = sum(bs)  # row by row, as _min_rate sums; numpy may pair rows
     sigma = float(np.min(a - sum_b))
     a0 = float(np.min(a))
@@ -316,13 +309,14 @@ def classify_conditions(tau, a, bs, qs, c, a_bounded=None):
     )
 
 
-def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
+def certify(alpha, ts, a, bs, qs, c, M, a_bounded=None):
     """Classify sampled coefficients and certify their least rate.
 
     The one core of both routes: ts are the grid times, a and c hold
     one sample per time, bs and qs one row per delay term, and M is the
-    envelope's amplitude. alpha, the finiteness of a, bs, qs and c, tau,
-    M and the shapes are checked first, whatever the verdict, and once.
+    envelope's amplitude. alpha, the finiteness of a, bs, qs and c, M
+    and the shapes are checked first, whatever the verdict, and once;
+    then classify_conditions refuses a negative b, q or c sample.
 
     Returns (verdict, certificate); the certificate is None when the
     verdict is NONE. lambda_star and grid_argmin (the first grid time of
@@ -340,13 +334,12 @@ def certify(alpha, tau, ts, a, bs, qs, c, M, a_bounded=None):
         raise ValueError(f"amplitude M must be nonnegative, got {M}")
     if np.shape(ts) != np.shape(a):
         raise ValueError("ts and a must have one sample per grid time")
-    verdict = classify_conditions(tau, a, bs, qs, c, a_bounded)
+    verdict = classify_conditions(a, bs, qs, c, a_bounded)
     tag = verdict.case_tag
     if tag == NONE:
         return verdict, None
 
-    lambda_star, arg, residual_max = _min_rate(
-        alpha, a, bs, np.clip(qs, 0.0, None))
+    lambda_star, arg, residual_max = _min_rate(alpha, a, bs, qs)
     if residual_max > RESIDUAL_BOUND:
         raise HalanayError(
             f"rate-equation residual {residual_max:.3e} exceeds {RESIDUAL_BOUND}"

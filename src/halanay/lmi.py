@@ -105,9 +105,9 @@ def certify_lmi(sys, gamma, sigma, grid):
     b_rows = np.repeat(s_vals[None], len(q_vals), axis=0)
     coeffs = (g_vals, b_rows, q_vals, np.zeros_like(ts))
     if worst_eigen <= EIGEN_TOL:
-        verdict, cert = _hal.certify(sys.alpha, sys.tau, ts, *coeffs, M2)
+        verdict, cert = _hal.certify(sys.alpha, ts, *coeffs, M2)
     else:
-        verdict, cert = _hal.classify_conditions(sys.tau, *coeffs), None
+        verdict, cert = _hal.classify_conditions(*coeffs), None
     return LmiReport(
         **asdict(verdict),
         feasible=cert is not None,

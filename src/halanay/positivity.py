@@ -10,7 +10,8 @@ The resulting envelope is sup_s ||phi(s)||_1 times
 E_alpha(-lambda* t^alpha). At dim 1 the column sums are the entries
 themselves, so a scalar comparison inequality is this route's d = 1 case.
 
-DelaySystem.sample is the one place A, B and the delays q are evaluated;
+DelaySystem.sample is the one place A, B and the delays q are evaluated
+and q is held to [0, tau], the window on which initial_amplitude takes M;
 both routes and fdde.solve take their coefficients from it.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import halanay as _hal
-from .errors import StructureError
+from .errors import InfeasiblePointError, StructureError
 from .mlf import check_orders
 
 __all__ = [
@@ -62,7 +63,10 @@ class DelaySystem:
 
     def sample(self, ts):
         """A(t), B(t) and the delays q(t) on the n times ts, shaped (dim,
-        dim, n), (dim, K*dim, n) and (K, n); each entry evaluated once."""
+        dim, n), (dim, K*dim, n) and (K, n); each entry evaluated once. A
+        delay below 0 or above tau by more than 1e-9 max(1, tau) raises
+        InfeasiblePointError (the first time's first one); Q is clipped to
+        [0, tau]."""
         out = []
         for rows in (self.A, self.B, (self.q,)):  # q as a 1 x K matrix
             vals = np.empty((len(rows), len(rows[0]), len(ts)))
@@ -70,7 +74,14 @@ class DelaySystem:
                 for j, entry in enumerate(row):
                     vals[i, j] = entry.eval_array(ts)
             out.append(vals)
-        return out[0], out[1], out[2][0]
+        q = out[2][0]
+        slack = 1e-9 * max(1.0, self.tau)
+        bad = (q < -slack) | (q > self.tau + slack)
+        if bad.any():
+            i, k = np.argwhere(bad.T)[0]
+            raise InfeasiblePointError(f"delay q[{k}]={q[k, i]:.6g} leaves "
+                                       f"[0, {self.tau}] at t={ts[i]:.6g}")
+        return out[0], out[1], np.clip(q, 0.0, self.tau, out=q)
 
 
 def initial_amplitude(sys, kind="l1"):
@@ -119,6 +130,6 @@ def certify_positive(sys, grid, a_bounded=None):
     a_fun = -a_vals.sum(axis=0).max(axis=0)
     b_rows = b_vals.sum(axis=0).reshape(len(sys.q), sys.dim, len(ts))
     return _hal.certify(
-        sys.alpha, sys.tau, ts, a_fun, np.maximum(b_rows.max(axis=1), 0.0),
+        sys.alpha, ts, a_fun, np.maximum(b_rows.max(axis=1), 0.0),
         q_vals, np.zeros_like(ts), initial_amplitude(sys, "l1"), a_bounded=a_bounded,
     )

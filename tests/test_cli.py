@@ -483,7 +483,7 @@ def test_scalar_route_is_the_positive_route_at_dim_one(tmp_path):
     assert code == 0
     sys_, ts = cfg.system, cfg.scan.times()
     verdict, cert = certify(
-        sys_.alpha, sys_.tau, ts, -sys_.A[0][0].eval_array(ts),
+        sys_.alpha, ts, -sys_.A[0][0].eval_array(ts),
         np.vstack([b.eval_array(ts) for b in sys_.B[0]]),
         np.vstack([q.eval_array(ts) for q in sys_.q]), np.zeros_like(ts),
         initial_amplitude(sys_, "l1"))
@@ -493,20 +493,24 @@ def test_scalar_route_is_the_positive_route_at_dim_one(tmp_path):
 
 def test_run_simulate_requires_solver_section(tmp_path, monkeypatch):
     data = scalar_cfg()
+    cfg_full = load_config(write_cfg(tmp_path, data))
     del data["solver"]
     cfg = load_config(write_cfg(tmp_path, data))
     _, code = run("certify", cfg, out_dir=str(tmp_path))
     assert code == 0
 
-    # simulate and verify refuse it before certifying anything
-    def no_certify(*args, **kwargs):
-        raise AssertionError("certified before the solver check")
-
-    monkeypatch.setattr(cli, "certify_positive", no_certify)
+    # simulate and verify refuse it, and run an unknown command, before
+    # certifying anything or creating the output directory
+    calls = []
+    monkeypatch.setattr(cli, "certify_positive", lambda *a, **k: calls.append(a))
+    out = tmp_path / "new"
     for command in ("simulate", "verify"):
         with pytest.raises(ConfigError) as exc:
-            run(command, cfg, out_dir=str(tmp_path))
+            run(command, cfg, out_dir=str(out))
         assert exc.value.errors == [("solver", "required for simulate/verify")]
+    with pytest.raises(ValueError, match=r"^unknown command 'bogus'$"):
+        run("bogus", cfg_full, out_dir=str(out))
+    assert calls == [] and not out.exists()
 
 
 # --------------------------------------------------------------------- main

@@ -152,28 +152,50 @@ def test_sub_step_delay_converges():
     assert err[0.005] <= 0.5 * err[0.01]
 
 
-def test_delay_outside_bound_raises():
-    bad = DelaySystem(alpha=0.8, dim=1, A=mat([["-1"]]), B=mat([["0.3"]]),
-                      q=T("2+t"), tau=1.0, phi=[S("1")])
-    with pytest.raises(StepSizeError):
-        solve(bad, SolverConfig(t_end=1.0, h=0.01))
-    future = DelaySystem(alpha=0.8, dim=1, A=mat([["-1"]]), B=mat([["0.3"]]),
-                         q=T("-0.5"), tau=1.0, phi=[S("1")])
-    with pytest.raises(StepSizeError):
-        solve(future, SolverConfig(t_end=1.0, h=0.01))
+def two_delay_system(q, tau=1.0):
+    # phi varies, so a delay moved by a bit reads another history value
+    return DelaySystem(alpha=0.8, dim=1, A=mat([["-1"]]), B=mat([["0.3", "0.2"]]),
+                       q=tuple(T(e) for e in q), tau=tau, phi=[S("1+s")])
 
 
-def test_out_of_range_delay_is_named():
-    # only the second of two delays leaves [0, tau]: both the classifier and
-    # the solver name it, its value and (the solver) the first time it does
-    two = DelaySystem(alpha=0.8, dim=1, A=mat([["-1"]]), B=mat([["0.3", "0.2"]]),
-                      q=(T("0.5"), T("0.5+t")), tau=1.0, phi=[S("1")])
-    with pytest.raises(InfeasiblePointError,
-                       match=r"within \[0, 1\.0\] on the grid: q\[1\]=1\.5$"):
-        certify_positive(two, ScanGrid(1.0, 3))
-    with pytest.raises(StepSizeError,
-                       match=r"^delay q\[1\]=1\.01 leaves \[0, 1\.0\] at t=0\.51$"):
-        solve(two, SolverConfig(t_end=1.0, h=0.01))
+def routes_and_solver(sys_, grid):
+    """certify_positive, certify_lmi and solve on sys_, each deferred; the
+    solver's nodes at h = 0.01 are the grid's times when it spans [0, 1]."""
+    return (lambda: certify_positive(sys_, grid),
+            lambda: certify_lmi(sys_, T("1"), T("0.2"), grid),
+            lambda: solve(sys_, SolverConfig(t_end=grid.t_max, h=0.01)))
+
+
+@pytest.mark.parametrize("q, message", [
+    (("0.5", "0.5+t"), "delay q[1]=1.01 leaves [0, 1.0] at t=0.51"),
+    (("0.2-t", "0.5"), "delay q[0]=-0.01 leaves [0, 1.0] at t=0.21"),
+], ids=["second_above_tau", "first_negative"])
+def test_a_delay_outside_the_window_is_one_error(q, message):
+    # DelaySystem.sample alone holds the delays to [0, tau]: both routes and
+    # the solver raise its one error, naming the first time's first delay
+    # out of range
+    for call in routes_and_solver(two_delay_system(q), ScanGrid(1.0, 101)):
+        with pytest.raises(InfeasiblePointError) as got:
+            call()
+        assert str(got.value) == message
+
+
+@pytest.mark.parametrize("q, bound", [
+    ("2+1e-11*t", "2"),
+    ("-1e-11*t", "0"),
+], ids=["above_tau", "below_0"])
+def test_a_delay_inside_the_slack_is_the_delay_at_the_bound(q, bound):
+    # within 1e-9 max(1, tau) of the window the delays are clipped to it:
+    # certificates and trajectory keep the bits of q set at the bound
+    got, want = (routes_and_solver(two_delay_system([e, "1"], tau=2.0),
+                                   ScanGrid(1.0, 101))
+                 for e in (q, bound))
+    for run_got, run_want in zip(got[:2], want[:2]):
+        verdict, cert = run_got()
+        assert cert is not None and (verdict, cert) == run_want()
+    traj, ref = got[2](), want[2]()
+    assert traj.states.tobytes() == ref.states.tobytes()
+    assert traj.rhs.tobytes() == ref.rhs.tobytes()
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
@@ -194,7 +216,7 @@ def test_scalar_problem_bounds_the_system_and_the_envelope_bounds_it(config_dir,
         _, cert = certify_positive(sys_, cfg.scan)
         a, b = column_sums(sys_, ts)
         x = traj.norms_l1
-    w = fdde._integrate(sys_.alpha, sys_.tau, [S(repr(cert.M))], h,
+    w = fdde._integrate(sys_.alpha, [S(repr(cert.M))], h,
                         -a[None, None], b[None], sys_.sample(ts)[2])
     w = w.states[:, 0]
     env = envelope(cert, sys_.alpha, ts)

@@ -68,27 +68,27 @@ def counting_ml(monkeypatch):
     return calls
 
 
-def problem(alpha, tau, a, b, q, c="0", scan=None):
-    """(alpha, tau, ts, a, bs, qs, c) sampled on the scan grid, the leading
+def problem(alpha, a, b, q, c="0", scan=None):
+    """(alpha, ts, a, bs, qs, c) sampled on the scan grid, the leading
     arguments of certify; b and q list one expression per delay term."""
     ts = (scan or ScanGrid(100.0, 2001)).times()
-    return (alpha, tau, ts, T(a).eval_array(ts),
+    return (alpha, ts, T(a).eval_array(ts),
             np.vstack([T(e).eval_array(ts) for e in b]),
             np.vstack([T(e).eval_array(ts) for e in q]), T(c).eval_array(ts))
 
 
 def classify(prob, a_bounded=None):
     """classify_conditions on the coefficients of a problem tuple."""
-    return classify_conditions(prob[1], *prob[3:], a_bounded=a_bounded)
+    return classify_conditions(*prob[2:], a_bounded=a_bounded)
 
 
 def example1(scan=None):
-    return problem(0.45, 2.0, "0.2+0.002*t", ["0.1+0.0015*t"], ["2-cos(t)^4"],
+    return problem(0.45, "0.2+0.002*t", ["0.1+0.0015*t"], ["2-cos(t)^4"],
                    scan=scan)
 
 
 def example2():
-    return problem(0.75, 1.0, "1.6+1.2/sqrt(1+t)", ["1.5+t*sin(t)^2/(1+t^2)"],
+    return problem(0.75, "1.6+1.2/sqrt(1+t)", ["1.5+t*sin(t)^2/(1+t^2)"],
                    ["(1+exp(-t))/2"])
 
 
@@ -186,7 +186,7 @@ def test_rate_scan_is_a_few_array_calls(monkeypatch):
     assert 0 < solver[0.45] <= 64, solver
     arrays.clear()
     solver.clear()
-    two = problem(0.55, 2.0, "1.0+0.1*sin(t)", ["0.2", "0.3"], ["0.5", "1.5"],
+    two = problem(0.55, "1.0+0.1*sin(t)", ["0.2", "0.3"], ["0.5", "1.5"],
                   scan=ScanGrid(30.0, 501))
     certify(*two, M=2.0)
     assert arrays == {1.0: 2}, arrays
@@ -195,7 +195,7 @@ def test_rate_scan_is_a_few_array_calls(monkeypatch):
     solver.clear()
     prob = example2()
     certify(*prob, M=0.7)
-    assert elements[1.0] <= len(prob[2]), elements
+    assert elements[1.0] <= len(prob[1]), elements
     assert 0 < solver[prob[0]] <= 64, solver
 
 
@@ -206,9 +206,9 @@ def test_constant_coefficients_solve_one_point(monkeypatch):
     lam = lambda_at(0.65, 0.3, [0.2], [2.0])
     one = calls[0.65]
     calls.clear()
-    prob = problem(0.65, 2.0, "0.3", ["0.2"], ["2"])
+    prob = problem(0.65, "0.3", ["0.2"], ["2"])
     _, cert = certify(*prob, M=1.0)
-    assert len(prob[2]) == 2001 and 0 < one == calls[0.65], (one, calls)
+    assert len(prob[1]) == 2001 and 0 < one == calls[0.65], (one, calls)
     assert cert.lambda_star == lam and cert.grid_argmin == 0.0
 
 
@@ -281,11 +281,11 @@ def test_min_rate_scan_matches_the_exhaustive_scan(alpha, m):
 def test_certify_with_three_delays_matches_the_exhaustive_scan(a_bounded, tag):
     # certify checks its samples once, and the scan trusts them: under
     # either verdict, lambda* keeps the bits of solving every point
-    prob = problem(0.6, 2.0, "1.0+0.3*sin(0.07*t)",
+    prob = problem(0.6, "1.0+0.3*sin(0.07*t)",
                    ["0.1+0.05*cos(t)", "0.2*sin(0.3*t)^2", "0.15"],
                    ["0.5+0.5*cos(t)^2", "2", "1+sin(t)"],
                    scan=ScanGrid(100.0, 401))
-    alpha, _, ts, a, bs, qs, _ = prob
+    alpha, ts, a, bs, qs, _ = prob
     verdict, cert = certify(*prob, M=1.0, a_bounded=a_bounded)
     lam, arg, resid = _exhaustive_min_rate(alpha, a, bs, qs)
     assert verdict.case_tag == cert.case_tag == tag
@@ -299,7 +299,7 @@ def test_verdict_sums_the_delay_rows_as_the_scan_does():
     # no rate exists and the verdict is NONE, not a gap the scan can't solve
     bs = np.asfortranarray(np.random.default_rng(0).uniform(0.0, 0.1, (9, 3)))
     a = np.array([2.0, 2.0, sum(bs)[2]])
-    verdict, cert = certify(0.5, 1.0, np.linspace(0.0, 1.0, 3), a, bs,
+    verdict, cert = certify(0.5, np.linspace(0.0, 1.0, 3), a, bs,
                             np.ones((9, 3)), np.zeros(3), M=1.0, a_bounded=True)
     assert (verdict.case_tag, verdict.sigma, verdict.p) == (NONE, 0.0, 1.0)
     assert cert is None
@@ -516,8 +516,8 @@ def test_lambda_at_raises_what_the_scan_validation_raises(args, kind, message):
 
 
 def none_verdict_samples():
-    """(tau, ts, a, bs, qs, c) whose verdict is NONE: b exceeds a."""
-    return problem(0.5, 1.0, "0.3", ["0.4"], ["1"], scan=ScanGrid(10.0, 11))[1:]
+    """(ts, a, bs, qs, c) whose verdict is NONE: b exceeds a."""
+    return problem(0.5, "0.3", ["0.4"], ["1"], scan=ScanGrid(10.0, 11))[1:]
 
 
 @pytest.mark.parametrize("check", [
@@ -532,16 +532,17 @@ def test_order_floor_is_mlf_alpha_min(check):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("row", [3, 4, 5, 6])  # a, the b row, the q row, c
-def test_certify_rejects_nonfinite_samples_before_classifying(row, bad):
+# the 1-based position in certify's arguments: a, the b row, the q row, c
+@pytest.mark.parametrize("arg", [3, 4, 5, 6])
+def test_certify_rejects_nonfinite_samples_before_classifying(arg, bad):
     # a nan in a or b once classified as a NONE verdict with nan margins,
     # and a nan in c as a BOUNDED_GAP verdict with a nan w0
-    prob = list(problem(0.5, 1.0, "0.3", ["0.1"], ["1"], scan=ScanGrid(10.0, 11)))
-    prob[row].reshape(-1)[3] = bad
-    _, _, _, a, bs, qs, _ = prob
+    prob = list(problem(0.5, "0.3", ["0.1"], ["1"], scan=ScanGrid(10.0, 11)))
+    prob[arg - 1].reshape(-1)[3] = bad
+    _, _, a, bs, qs, _ = prob
     with pytest.raises(MlfDomainError) as got:
         certify(*prob, M=1.0)
-    if row == 6:  # lambda_at takes no c
+    if arg == 6:  # lambda_at takes no c
         assert str(got.value) == "c samples must be finite"
         return
     with pytest.raises(MlfDomainError) as want:
@@ -577,7 +578,7 @@ def test_classifier_bounded_gap_route():
 
 
 def test_classifier_prefers_gap_when_both_hold():
-    v = classify(problem(0.65, 2.0, "0.3", ["0.2"], ["2"],
+    v = classify(problem(0.65, "0.3", ["0.2"], ["2"],
                          scan=ScanGrid(100.0, 201)))
     assert v.case_tag == BOUNDED_GAP
     assert v.sigma == pytest.approx(0.1, abs=1e-12)
@@ -587,7 +588,7 @@ def test_classifier_prefers_gap_when_both_hold():
 
 
 def test_classifier_none_when_gap_reverses():
-    v = classify(problem(0.65, 1.0, "0.3", ["0.4"], ["1"],
+    v = classify(problem(0.65, "0.3", ["0.4"], ["1"],
                          scan=ScanGrid(10.0, 101)))
     assert v.case_tag == NONE
 
@@ -605,15 +606,20 @@ def test_classifier_respects_user_boundedness_flag():
 
 
 def test_negative_samples_are_input_errors():
+    # a negative b, c or q: the scalar core refuses each, as lambda_at does
     scan = ScanGrid(10.0, 51)
-    with pytest.raises(InfeasiblePointError):
-        classify(problem(0.65, 1.0, "1", ["0.1-t"], ["0.5"], scan=scan))
-    with pytest.raises(InfeasiblePointError):
-        classify(problem(0.65, 1.0, "1", ["0.1"], ["0.5"], c="-t", scan=scan))
-    with pytest.raises(InfeasiblePointError):
-        classify(problem(0.65, 1.0, "1", ["0.1"], ["t"], scan=scan))
+    for prob in (problem(0.65, "1", ["0.1-t"], ["0.5"], scan=scan),
+                 problem(0.65, "1", ["0.1"], ["0.5"], c="-t", scan=scan),
+                 problem(0.65, "1", ["0.1"], ["0.5-t"], scan=scan),
+                 problem(0.65, "1", ["0.1", "0.1"], ["0.5", "-1e-300"], scan=scan)):
+        for check in (classify, lambda p: certify(*p, M=1.0)):
+            with pytest.raises(InfeasiblePointError,
+                               match=r"^b, q and c must be nonnegative on the grid$"):
+                check(prob)
+    with pytest.raises(ValueError, match="nonnegative"):
+        lambda_at(0.65, 1.0, [0.1], [-1e-300])
     # a negative a, as column sums of an unstable system give, is a verdict
-    prob = problem(0.65, 1.0, "1-t", ["0.1"], ["0.5"], scan=scan)
+    prob = problem(0.65, "1-t", ["0.1"], ["0.5"], scan=scan)
     assert classify(prob).case_tag == NONE
     assert certify(*prob, M=1.0) == (classify(prob), None)
 
@@ -630,7 +636,7 @@ def test_certificate_for_ratio_example():
     assert cert.residual_max <= 1e-10
     assert cert.t_max == 100.0 and cert.n_points == 2001
     # grid minimality: spot-check lambda(t) at a few grid points
-    _, _, ts, a, bs, qs, _ = prob
+    _, ts, a, bs, qs, _ = prob
     for i in range(0, len(ts), 400):
         rate = lambda_at(0.45, a[i], bs[:, i], qs[:, i])
         assert cert.lambda_star <= rate + 1e-12
@@ -649,11 +655,11 @@ def test_certificate_for_gap_example():
 
 
 def test_offset_formulas_with_forcing():
-    gap = problem(0.65, 2.0, "0.3", ["0.2"], ["2"], c="0.3",
+    gap = problem(0.65, "0.3", ["0.2"], ["2"], c="0.3",
                   scan=ScanGrid(50.0, 101))
     _, cert = certify(*gap, M=0.0)
     assert cert.w0 == pytest.approx(3.0, abs=1e-12)  # c*/sigma
-    ratio = problem(0.65, 1.0, "0.2+0.002*t", ["0.1+0.0015*t"], ["1"],
+    ratio = problem(0.65, "0.2+0.002*t", ["0.1+0.0015*t"], ["1"],
                     c="0.3", scan=ScanGrid(100.0, 201))
     _, cert2 = certify(*ratio, M=0.0)
     want = 0.3 / ((1.0 - 0.625) * 0.2)  # c*/((1-p) a0)
@@ -661,15 +667,15 @@ def test_offset_formulas_with_forcing():
 
 
 def test_degenerate_delay_reduces_to_closed_form():
-    prob = problem(0.65, 1.0, "1+0.5*sin(t)", ["0.2", "0.1"], ["0", "0"],
+    prob = problem(0.65, "1+0.5*sin(t)", ["0.2", "0.1"], ["0", "0"],
                    scan=ScanGrid(20.0, 401))
     _, cert = certify(*prob, M=1.0)
-    gap = 1.0 + 0.5 * np.sin(prob[2]) - 0.3
+    gap = 1.0 + 0.5 * np.sin(prob[1]) - 0.3
     assert cert.lambda_star == pytest.approx(float(gap.min()), abs=1e-12)
 
 
 def test_certify_rejects_none_verdict_and_bad_amplitude():
-    prob = problem(0.65, 1.0, "0.3", ["0.4"], ["1"], scan=ScanGrid(10.0, 101))
+    prob = problem(0.65, "0.3", ["0.4"], ["1"], scan=ScanGrid(10.0, 101))
     verdict, cert = certify(*prob, M=1.0)
     assert cert is None
     assert verdict.case_tag == "NONE"
@@ -682,7 +688,7 @@ def test_certify_rejects_none_verdict_and_bad_amplitude():
 
 
 def test_multi_delay_certificate():
-    prob = problem(0.55, 2.0, "1.0", ["0.2", "0.3"], ["0.5", "1.5"],
+    prob = problem(0.55, "1.0", ["0.2", "0.3"], ["0.5", "1.5"],
                    scan=ScanGrid(30.0, 301))
     _, cert = certify(*prob, M=2.0)
     assert 0.0 < cert.lambda_star <= 1.0
@@ -698,8 +704,8 @@ def test_delay_rows_of_unequal_count_are_rejected():
     a, c = np.full(n, 2.0), np.zeros(n)
     bs = np.full((2, n), 0.5)
     with pytest.raises(ValueError):
-        certify(0.5, 2.0, ts, a, bs, np.ones((1, n)), c, M=1.0)
-    _, cert = certify(0.5, 2.0, ts, a, bs, np.ones((2, n)), c, M=1.0)
+        certify(0.5, ts, a, bs, np.ones((1, n)), c, M=1.0)
+    _, cert = certify(0.5, ts, a, bs, np.ones((2, n)), c, M=1.0)
     assert cert.lambda_star == pytest.approx(0.44699, abs=1e-5)
 
 
@@ -726,7 +732,7 @@ def test_envelope_values_and_monotonicity():
 
 
 def test_envelope_with_zero_amplitude_is_flat():
-    gap = problem(0.65, 2.0, "0.3", ["0.2"], ["2"], c="0.3",
+    gap = problem(0.65, "0.3", ["0.2"], ["2"], c="0.3",
                   scan=ScanGrid(50.0, 101))
     _, cert = certify(*gap, M=0.0)
     for t in (0.0, 1.0, 100.0):
@@ -735,7 +741,7 @@ def test_envelope_with_zero_amplitude_is_flat():
 
 def test_envelope_uses_tabulated_ml_value():
     _, cert = certify(
-        *problem(0.65, 2.0, "0.3", ["0.2"], ["2"], scan=ScanGrid(100.0, 201)),
+        *problem(0.65, "0.3", ["0.2"], ["2"], scan=ScanGrid(100.0, 201)),
         M=1.0,
     )
     # lambda* for constant data is the single-point rate
@@ -785,16 +791,14 @@ def test_input_validation():
         ScanGrid(0.0, 100)
     with pytest.raises(ValueError):
         ScanGrid(10.0, 1)
-    _, tau, ts, a, bs, qs, c = problem(0.5, 1.0, "1", ["0"], ["0"],
-                                       scan=ScanGrid(10.0, 11))
+    _, ts, a, bs, qs, c = problem(0.5, "1", ["0"], ["0"], scan=ScanGrid(10.0, 11))
     for args in (
-        (1.5, tau, ts, a, bs, qs, c),  # alpha outside (0, 1]
-        (0.5, tau, ts, a, np.vstack([bs, bs]), qs, c),  # 2 b rows, 1 q row
-        (0.5, tau, ts, a, bs[:0], qs[:0], c),  # no delay rows
-        (0.5, -1.0, ts, a, bs, qs, c),  # tau
-        (0.5, tau, ts[:-1], a, bs, qs, c),  # one time short
-        (0.5, tau, ts, a, bs, qs, c[:-1]),  # c one sample short
-        (0.5, tau, ts, a, bs[:, :-1], qs[:, :-1], c),  # rows one sample short
+        (1.5, ts, a, bs, qs, c),  # alpha outside (0, 1]
+        (0.5, ts, a, np.vstack([bs, bs]), qs, c),  # 2 b rows, 1 q row
+        (0.5, ts, a, bs[:0], qs[:0], c),  # no delay rows
+        (0.5, ts[:-1], a, bs, qs, c),  # one time short
+        (0.5, ts, a, bs, qs, c[:-1]),  # c one sample short
+        (0.5, ts, a, bs[:, :-1], qs[:, :-1], c),  # rows one sample short
     ):
         with pytest.raises(ValueError):
             certify(*args, M=1.0)

@@ -315,7 +315,7 @@ def test_verdict_is_the_scalar_verdict_on_gamma_and_sigma():
     assert rep.case_tag == RATIO
     ts = grid.times()
     want = classify_conditions(
-        sys_.tau, 0.1 + 0.01 * ts, np.full((1, len(ts)), 0.05),
+        0.1 + 0.01 * ts, np.full((1, len(ts)), 0.05),
         np.full((1, len(ts)), 0.5), np.zeros_like(ts))
     assert ConditionVerdict(
         *(getattr(rep, f.name) for f in fields(ConditionVerdict))) == want

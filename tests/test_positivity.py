@@ -386,7 +386,7 @@ def test_certify_positive_is_certify_on_the_column_sums(a_bounded):
         ts = GRID.times()
         a_fun, b_fun = column_sums(sys_, ts)
         assert b_fun.shape == (len(sys_.q), len(ts))
-        want = certify(sys_.alpha, sys_.tau, ts, a_fun, b_fun,
+        want = certify(sys_.alpha, ts, a_fun, b_fun,
                        np.vstack([q.eval_array(ts) for q in sys_.q]),
                        np.zeros_like(ts), initial_amplitude(sys_, "l1"),
                        a_bounded=a_bounded)
